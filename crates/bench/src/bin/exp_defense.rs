@@ -28,7 +28,6 @@
 //!   run first as the lift baseline);
 //! * `DEF_BUDGETS` — comma list of `NxT` budgets (default `8x12`);
 //! * `DEF_TRANSPORT` — `local` | `wire` | `both` (default `local`);
-//! * `DEF_SHARDS` — served shard count for wire cells (default `2`);
 //! * `DEF_FPR` — calibration false-positive-rate target (default
 //!   `0.05`);
 //! * `DEF_APPGRAD_ITERS` / `DEF_INFLUENCE_ROUNDS` — query-hungry
@@ -225,7 +224,7 @@ impl Cell<'_> {
     }
 
     /// In-process leg: the system wrapped in [`DefendedSystem`] (or
-    /// bare for `none`), judged before every shard dispatch.
+    /// bare for `none`), judged before every observation dispatch.
     fn run_local(&self) -> (Result<ZooRun, AttackError>, VerdictCounts) {
         let system = self.args.build_system(self.dataset, self.ranker);
         match DefenseStack::build(self.defense, system.base(), self.fpr) {
@@ -243,12 +242,11 @@ impl Cell<'_> {
 
     /// Wire leg: the same stack judges inside the served admission
     /// section; the verdict ledger is read back off the server app.
-    fn run_wire(&self, shards: usize) -> (Result<ZooRun, AttackError>, VerdictCounts) {
+    fn run_wire(&self) -> (Result<ZooRun, AttackError>, VerdictCounts) {
         let system = self.args.build_system(self.dataset, self.ranker);
         let stack = DefenseStack::build(self.defense, system.base(), self.fpr);
         let server_cfg = ServerConfig::builder()
             .threads(2)
-            .shards(shards)
             .build()
             .expect("valid server config");
         let server =
@@ -286,7 +284,6 @@ fn main() {
     let defenses = env_defenses();
     let budgets = env_budgets();
     let transport = Transport::parse();
-    let shards = env_usize("DEF_SHARDS", 2);
     let fpr = env_f64("DEF_FPR", 0.05);
 
     let tuning = ZooTuning {
@@ -323,9 +320,9 @@ fn main() {
         budgets.len(),
         dataset.name(),
         match transport {
-            Transport::Local => "local".to_string(),
-            Transport::Wire => format!("wire, {shards} shard(s)"),
-            Transport::Both => format!("both, {shards} shard(s)"),
+            Transport::Local => "local",
+            Transport::Wire => "wire",
+            Transport::Both => "both",
         },
     );
 
@@ -356,7 +353,7 @@ fn main() {
 
                     let start = Instant::now();
                     let local = (transport != Transport::Wire).then(|| cell.run_local());
-                    let wire = (transport != Transport::Local).then(|| cell.run_wire(shards));
+                    let wire = (transport != Transport::Local).then(|| cell.run_wire());
                     let secs = start.elapsed().as_secs_f64();
 
                     if let (Some((local, lc)), Some((wire, wc))) = (&local, &wire) {

@@ -1,29 +1,27 @@
 //! E-serve — the over-the-wire attack path and serving performance.
 //!
-//! Phases against in-process [`serve::Server`]s bound to OS-assigned
-//! ports on 127.0.0.1 (all traffic crosses a real socket):
+//! Phases against one in-process [`serve::Server`] bound to an
+//! OS-assigned port on 127.0.0.1 (all traffic crosses a real socket):
 //!
 //! 1. **Attack replay** — one fig-4 cell (Steam × first ranker ×
 //!    BCBT-Popular) trained twice with identical seeds: once against
 //!    the in-process [`BlackBoxSystem`], once through
-//!    [`recsys::RemoteSystem`] against a served copy at the *highest*
-//!    shard count. The two reward histories must be **bit-identical**
-//!    — sharding the serving state must not perturb the observation
-//!    seed stream (`tests/serve_attack.rs` additionally pins shards 1
-//!    and 4).
-//! 2. **Load grid** — connections × shards sweep of `GET /recommend`
-//!    (one server per shard count, one persistent keep-alive
-//!    connection per client thread), recording p50/p95/p99
-//!    seconds-per-request plus requests-per-connection. Dial counts
-//!    are asserted well below request counts: a grid that silently
-//!    reconnects per request understates keep-alive throughput.
+//!    [`recsys::RemoteSystem`] against the served copy. The two reward
+//!    histories must be **bit-identical** — the serving layer must not
+//!    perturb the observation seed stream.
+//! 2. **Load grid** — connections sweep of `GET /recommend` (one
+//!    persistent keep-alive connection per client thread), recording
+//!    p50/p95/p99 seconds-per-request plus requests-per-connection.
+//!    Dial counts are asserted well below request counts: a grid that
+//!    silently reconnects per request understates keep-alive
+//!    throughput.
 //! 3. **Idle keep-alive fleet** — `SERVE_IDLE_CONNS` connections held
 //!    open and idle (after `raise_nofile`) while a live client probes
 //!    `/healthz`; the event loop serves them all on a fixed thread
 //!    set, which the process thread count asserts.
 //! 4. **Retrain under load** — read p99 idle vs during a
-//!    feedback→retrain churn loop; snapshot publication is per-shard
-//!    atomic and wait-free for readers, so serving must not stall.
+//!    feedback→retrain churn loop; snapshot publication is one atomic
+//!    swap and wait-free for readers, so serving must not stall.
 //! 5. **Live-metrics plane overhead** — the same read load with the
 //!    streaming plane disabled (`telemetry::stream::set_enabled`)
 //!    versus enabled; plane-on latency must stay within
@@ -34,10 +32,9 @@
 //!
 //! Environment knobs (`ExpArgs` covers the attack cell; the grid is
 //! env-tuned so `scripts/ci.sh` can shrink it):
-//! `SERVE_SHARDS_GRID` (default `1,4`), `SERVE_CONNS_GRID` (default
-//! `1,4,16`), `SERVE_REQUESTS` per cell (default `200`),
-//! `SERVE_IDLE_CONNS` (default `10000`, `0` disables),
-//! `SERVE_ACCESS_LOG` (default `<out>/serve_access.jsonl`).
+//! `SERVE_CONNS_GRID` (default `1,4,16`), `SERVE_REQUESTS` per cell
+//! (default `200`), `SERVE_IDLE_CONNS` (default `10000`, `0`
+//! disables), `SERVE_ACCESS_LOG` (default `<out>/serve_access.jsonl`).
 //!
 //! With `--bench-json FILE`, writes a `poisonrec-bench-v1` snapshot;
 //! `--bench-base FILE` seeds it with a prior snapshot's metrics so the
@@ -163,7 +160,6 @@ fn run_load(addr: &str, conns: usize, requests: usize, num_users: u32) -> LoadSt
 }
 
 struct GridCell {
-    shards: usize,
     conns: usize,
     p50: f64,
     p95: f64,
@@ -175,19 +171,16 @@ fn start_server(
     args: &ExpArgs,
     dataset: PaperDataset,
     ranker: recsys::rankers::RankerKind,
-    shards: usize,
     max_conns: usize,
-    access_log: Option<std::path::PathBuf>,
+    access_log: std::path::PathBuf,
 ) -> Server {
     let system = args.build_system(dataset, ranker);
-    let mut builder = ServerConfig::builder()
+    let cfg = ServerConfig::builder()
         .threads(4)
-        .shards(shards)
-        .max_conns(max_conns);
-    if let Some(path) = access_log {
-        builder = builder.access_log(path);
-    }
-    let cfg = builder.build().expect("valid server config");
+        .max_conns(max_conns)
+        .access_log(access_log)
+        .build()
+        .expect("valid server config");
     Server::start(RecApp::new(system, None), cfg).expect("bind 127.0.0.1:0")
 }
 
@@ -197,25 +190,22 @@ fn main() {
     let dataset = PaperDataset::Steam;
     let design = ActionSpaceKind::BcbtPopular;
 
-    let shards_grid = env_grid("SERVE_SHARDS_GRID", &[1, 4]);
     let conns_grid = env_grid("SERVE_CONNS_GRID", &[1, 4, 16]);
     let requests = env_usize("SERVE_REQUESTS", 200);
     let idle_conns_target = env_usize("SERVE_IDLE_CONNS", 10_000);
     let access_log = std::env::var("SERVE_ACCESS_LOG")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|_| args.out_dir.join("serve_access.jsonl"));
-    let max_shards = shards_grid.iter().copied().max().unwrap_or(1);
     let max_conns_needed = conns_grid.iter().copied().max().unwrap_or(1) + idle_conns_target + 64;
 
     // ---- Phase 1: in-process reference run ------------------------------
     println!(
-        "phase 1: attack replay — {} × {} × {}, {} step(s) × {} episode(s), {} shard(s)",
+        "phase 1: attack replay — {} × {} × {}, {} step(s) × {} episode(s)",
         dataset.name(),
         ranker.name(),
         design.name(),
         args.steps,
-        args.episodes,
-        max_shards
+        args.episodes
     );
     let reference = args.build_system(dataset, ranker);
     let num_users = reference.base().num_users();
@@ -226,208 +216,181 @@ fn main() {
         .map(|s| (s.mean_reward, s.max_reward))
         .collect();
 
+    let server = start_server(&args, dataset, ranker, max_conns_needed, access_log);
+    let addr = server.local_addr().to_string();
+    println!("serving on {addr} — {} driver", server.driver().name());
+
+    // ---- Attack replay over the wire ------------------------------------
+    let remote = RemoteSystem::connect(addr.clone()).expect("connect to served system");
+    let cfg = args.poisonrec_config(design, 11);
+    let mut remote_trainer = PoisonRecTrainer::new(cfg, &remote);
+    remote_trainer.train(&remote, args.steps);
+    drop(remote);
+    let remote_history: Vec<(f32, f32)> = remote_trainer
+        .history()
+        .iter()
+        .map(|s| (s.mean_reward, s.max_reward))
+        .collect();
+    assert_eq!(
+        local_history, remote_history,
+        "over-the-wire attack diverged from the in-process run"
+    );
+    println!(
+        "phase 1 OK: {} step(s) bit-identical over the socket (final mean RecNum {:.1})",
+        local_history.len(),
+        local_history.last().map(|&(m, _)| m).unwrap_or(0.0)
+    );
+
+    // ---- Phase 2: load grid (persistent connections per cell) -----------
+    println!("phase 2: load grid — conns {conns_grid:?} × {requests} request(s)");
     let mut cells: Vec<GridCell> = Vec::new();
-    let mut idle_summary: Option<(usize, f64, f64, u64)> = None;
-    let mut churn_summary = None;
-    let mut plane_summary: Option<[(f64, f64); 2]> = None;
-
-    for (i, &shards) in shards_grid.iter().enumerate() {
-        let last = i + 1 == shards_grid.len();
-        let server = start_server(
-            &args,
-            dataset,
-            ranker,
-            shards,
-            max_conns_needed,
-            last.then(|| access_log.clone()),
+    for &conns in &conns_grid {
+        let stats = run_load(&addr, conns, requests, num_users);
+        // The keep-alive contract this grid exists to measure:
+        // reconnect-per-request would put dials ≈ requests.
+        assert!(
+            stats.dials < stats.completed.max(2),
+            "load grid reconnected per request ({} dials / {} requests)",
+            stats.dials,
+            stats.completed
         );
-        let addr = server.local_addr().to_string();
+        let cell = GridCell {
+            conns,
+            p50: percentile(&stats.sorted, 0.50),
+            p95: percentile(&stats.sorted, 0.95),
+            p99: percentile(&stats.sorted, 0.99),
+            requests_per_conn: stats.completed as f64 / stats.dials.max(1) as f64,
+        };
         println!(
-            "serving on {addr} — {} driver, {shards} shard(s)",
-            server.driver().name()
+            "  c={:>3}: p50 {:.6}s  p95 {:.6}s  p99 {:.6}s  ({:.0} req/conn)",
+            cell.conns, cell.p50, cell.p95, cell.p99, cell.requests_per_conn
         );
-
-        // ---- Attack replay over the wire (highest shard count) ----------
-        if shards == max_shards {
-            let remote = RemoteSystem::connect(addr.clone()).expect("connect to served system");
-            assert_eq!(remote.shards(), shards, "server must disclose its shards");
-            let cfg = args.poisonrec_config(design, 11);
-            let mut remote_trainer = PoisonRecTrainer::new(cfg, &remote);
-            remote_trainer.train(&remote, args.steps);
-            let remote_history: Vec<(f32, f32)> = remote_trainer
-                .history()
-                .iter()
-                .map(|s| (s.mean_reward, s.max_reward))
-                .collect();
-            assert_eq!(
-                local_history, remote_history,
-                "over-the-wire attack diverged from the in-process run at {shards} shard(s)"
-            );
-            println!(
-                "phase 1 OK: {} step(s) bit-identical over the socket (final mean RecNum {:.1})",
-                local_history.len(),
-                local_history.last().map(|&(m, _)| m).unwrap_or(0.0)
-            );
-        }
-
-        // ---- Phase 2: load grid (persistent connections per cell) -------
-        println!(
-            "phase 2: load grid — shards {shards} × conns {conns_grid:?} × {requests} request(s)"
-        );
-        for &conns in &conns_grid {
-            let stats = run_load(&addr, conns, requests, num_users);
-            // The keep-alive contract this grid exists to measure:
-            // reconnect-per-request would put dials ≈ requests.
-            assert!(
-                stats.dials < stats.completed.max(2),
-                "load grid reconnected per request ({} dials / {} requests)",
-                stats.dials,
-                stats.completed
-            );
-            let cell = GridCell {
-                shards,
-                conns,
-                p50: percentile(&stats.sorted, 0.50),
-                p95: percentile(&stats.sorted, 0.95),
-                p99: percentile(&stats.sorted, 0.99),
-                requests_per_conn: stats.completed as f64 / stats.dials.max(1) as f64,
-            };
-            println!(
-                "  s={} c={:>3}: p50 {:.6}s  p95 {:.6}s  p99 {:.6}s  ({:.0} req/conn)",
-                cell.shards, cell.conns, cell.p50, cell.p95, cell.p99, cell.requests_per_conn
-            );
-            cells.push(cell);
-        }
-
-        // ---- Phases 3+4 on the last (widest) server ---------------------
-        if last {
-            if idle_conns_target > 0 {
-                // Client + server fds live in this one process.
-                let budget =
-                    serve::raise_nofile((2 * idle_conns_target + 4096) as u64).unwrap_or(1024);
-                let idle_target = idle_conns_target.min((budget.saturating_sub(2048) / 2) as usize);
-                println!("phase 3: holding {idle_target} idle keep-alive connection(s) (fd budget {budget})");
-                let mut fleet = Vec::with_capacity(idle_target);
-                for _ in 0..idle_target {
-                    fleet.push(TcpStream::connect(&addr).expect("idle connect"));
-                }
-                // Let the poller absorb the accept burst before probing.
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                let probe = run_load(&addr, 2, requests.max(50), num_users);
-                let threads_now = process_threads().unwrap_or(0);
-                if threads_now > 0 {
-                    assert!(
-                        (threads_now as usize) < idle_target.max(64),
-                        "thread count {threads_now} scales with connections"
-                    );
-                }
-                println!(
-                    "  live /recommend under {} idle conns: p50 {:.6}s p99 {:.6}s ({} process thread(s))",
-                    fleet.len(),
-                    percentile(&probe.sorted, 0.50),
-                    percentile(&probe.sorted, 0.99),
-                    threads_now
-                );
-                idle_summary = Some((
-                    fleet.len(),
-                    percentile(&probe.sorted, 0.50),
-                    percentile(&probe.sorted, 0.99),
-                    threads_now,
-                ));
-                drop(fleet);
-                // Dropping the fleet floods the loop with FINs; wait
-                // for the teardown storm to clear so phase 4 measures
-                // an idle server, not connection teardown.
-                let settle = std::time::Instant::now();
-                while server.active_connections() > 0
-                    && settle.elapsed() < std::time::Duration::from_secs(10)
-                {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-            }
-
-            println!("phase 4: read p99 idle vs during retrain churn");
-            let probe_conns = 2;
-            let idle = run_load(&addr, probe_conns, requests, num_users);
-            let idle_p99 = percentile(&idle.sorted, 0.99);
-
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            let (under_p99, retrains) = std::thread::scope(|scope| {
-                let stop_ref = &stop;
-                let addr_ref = addr.as_str();
-                let churn = scope.spawn(move || {
-                    let mut client = HttpClient::new(addr_ref.to_string());
-                    let feedback = Json::obj().field(
-                        "trajectories",
-                        Json::Arr(vec![Json::Arr(vec![
-                            Json::from(1u32),
-                            Json::from(2u32),
-                            Json::from(3u32),
-                        ])]),
-                    );
-                    let mut retrains = 0u64;
-                    while !stop_ref.load(Ordering::Relaxed) {
-                        let (status, _) = client
-                            .request("POST", "/feedback", Some(&feedback))
-                            .expect("churn feedback");
-                        assert_eq!(status, 200, "churn feedback rejected");
-                        let (status, _) = client
-                            .request("POST", "/retrain", None)
-                            .expect("churn retrain");
-                        assert_eq!(status, 200, "churn retrain rejected");
-                        retrains += 1;
-                    }
-                    retrains
-                });
-                let under = run_load(&addr, probe_conns, requests, num_users);
-                stop.store(true, Ordering::Relaxed);
-                let retrains = churn.join().expect("churn thread");
-                (percentile(&under.sorted, 0.99), retrains)
-            });
-            println!(
-                "  idle p99 {idle_p99:.6}s — during {retrains} retrain(s) p99 {under_p99:.6}s"
-            );
-            churn_summary = Some((idle_p99, under_p99));
-
-            // ---- Phase 5: live-metrics plane off vs on ------------------
-            println!("phase 5: read latency with the live-metrics plane off vs on");
-            let gate: f64 = std::env::var("SERVE_PLANE_GATE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(3.0);
-            telemetry::stream::set_enabled(false);
-            let off = run_load(&addr, probe_conns, requests, num_users);
-            telemetry::stream::set_enabled(true);
-            let on = run_load(&addr, probe_conns, requests, num_users);
-            let off_pair = (percentile(&off.sorted, 0.50), percentile(&off.sorted, 0.99));
-            let on_pair = (percentile(&on.sorted, 0.50), percentile(&on.sorted, 0.99));
-            println!(
-                "  plane off: p50 {:.6}s p99 {:.6}s — plane on: p50 {:.6}s p99 {:.6}s",
-                off_pair.0, off_pair.1, on_pair.0, on_pair.1
-            );
-            assert!(
-                on_pair.0 <= off_pair.0 * gate && on_pair.1 <= off_pair.1 * gate,
-                "live-metrics plane costs more than {gate}x on the read path \
-                 (off p50/p99 {:.6}/{:.6}s, on {:.6}/{:.6}s)",
-                off_pair.0,
-                off_pair.1,
-                on_pair.0,
-                on_pair.1
-            );
-            plane_summary = Some([off_pair, on_pair]);
-        }
-
-        // ---- Shutdown ledger --------------------------------------------
-        let final_generation = server.generation();
-        let stats = server.shutdown();
-        println!(
-            "shutdown (shards {shards}): accepted {} / completed {} / dropped {} (generation {final_generation})",
-            stats.accepted,
-            stats.completed,
-            stats.dropped()
-        );
-        assert_eq!(stats.dropped(), 0, "graceful shutdown dropped requests");
+        cells.push(cell);
     }
+
+    let mut idle_summary: Option<(usize, f64, f64, u64)> = None;
+    if idle_conns_target > 0 {
+        // Client + server fds live in this one process.
+        let budget = serve::raise_nofile((2 * idle_conns_target + 4096) as u64).unwrap_or(1024);
+        let idle_target = idle_conns_target.min((budget.saturating_sub(2048) / 2) as usize);
+        println!(
+            "phase 3: holding {idle_target} idle keep-alive connection(s) (fd budget {budget})"
+        );
+        let mut fleet = Vec::with_capacity(idle_target);
+        for _ in 0..idle_target {
+            fleet.push(TcpStream::connect(&addr).expect("idle connect"));
+        }
+        // Let the poller absorb the accept burst before probing.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let probe = run_load(&addr, 2, requests.max(50), num_users);
+        let threads_now = process_threads().unwrap_or(0);
+        if threads_now > 0 {
+            assert!(
+                (threads_now as usize) < idle_target.max(64),
+                "thread count {threads_now} scales with connections"
+            );
+        }
+        println!(
+            "  live /recommend under {} idle conns: p50 {:.6}s p99 {:.6}s ({} process thread(s))",
+            fleet.len(),
+            percentile(&probe.sorted, 0.50),
+            percentile(&probe.sorted, 0.99),
+            threads_now
+        );
+        idle_summary = Some((
+            fleet.len(),
+            percentile(&probe.sorted, 0.50),
+            percentile(&probe.sorted, 0.99),
+            threads_now,
+        ));
+        drop(fleet);
+        // Dropping the fleet floods the loop with FINs; wait
+        // for the teardown storm to clear so phase 4 measures
+        // an idle server, not connection teardown.
+        let settle = std::time::Instant::now();
+        while server.active_connections() > 0
+            && settle.elapsed() < std::time::Duration::from_secs(10)
+        {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+
+    println!("phase 4: read p99 idle vs during retrain churn");
+    let probe_conns = 2;
+    let idle = run_load(&addr, probe_conns, requests, num_users);
+    let idle_p99 = percentile(&idle.sorted, 0.99);
+
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let (under_p99, retrains) = std::thread::scope(|scope| {
+        let stop_ref = &stop;
+        let addr_ref = addr.as_str();
+        let churn = scope.spawn(move || {
+            let mut client = HttpClient::new(addr_ref.to_string());
+            let feedback = Json::obj().field(
+                "trajectories",
+                Json::Arr(vec![Json::Arr(vec![
+                    Json::from(1u32),
+                    Json::from(2u32),
+                    Json::from(3u32),
+                ])]),
+            );
+            let mut retrains = 0u64;
+            while !stop_ref.load(Ordering::Relaxed) {
+                let (status, _) = client
+                    .request("POST", "/feedback", Some(&feedback))
+                    .expect("churn feedback");
+                assert_eq!(status, 200, "churn feedback rejected");
+                let (status, _) = client
+                    .request("POST", "/retrain", None)
+                    .expect("churn retrain");
+                assert_eq!(status, 200, "churn retrain rejected");
+                retrains += 1;
+            }
+            retrains
+        });
+        let under = run_load(&addr, probe_conns, requests, num_users);
+        stop.store(true, Ordering::Relaxed);
+        let retrains = churn.join().expect("churn thread");
+        (percentile(&under.sorted, 0.99), retrains)
+    });
+    println!("  idle p99 {idle_p99:.6}s — during {retrains} retrain(s) p99 {under_p99:.6}s");
+
+    // ---- Phase 5: live-metrics plane off vs on --------------------------
+    println!("phase 5: read latency with the live-metrics plane off vs on");
+    let gate: f64 = std::env::var("SERVE_PLANE_GATE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(3.0);
+    telemetry::stream::set_enabled(false);
+    let off = run_load(&addr, probe_conns, requests, num_users);
+    telemetry::stream::set_enabled(true);
+    let on = run_load(&addr, probe_conns, requests, num_users);
+    let off_pair = (percentile(&off.sorted, 0.50), percentile(&off.sorted, 0.99));
+    let on_pair = (percentile(&on.sorted, 0.50), percentile(&on.sorted, 0.99));
+    println!(
+        "  plane off: p50 {:.6}s p99 {:.6}s — plane on: p50 {:.6}s p99 {:.6}s",
+        off_pair.0, off_pair.1, on_pair.0, on_pair.1
+    );
+    assert!(
+        on_pair.0 <= off_pair.0 * gate && on_pair.1 <= off_pair.1 * gate,
+        "live-metrics plane costs more than {gate}x on the read path \
+         (off p50/p99 {:.6}/{:.6}s, on {:.6}/{:.6}s)",
+        off_pair.0,
+        off_pair.1,
+        on_pair.0,
+        on_pair.1
+    );
+
+    // ---- Shutdown ledger ------------------------------------------------
+    let final_generation = server.generation();
+    let stats = server.shutdown();
+    println!(
+        "shutdown: accepted {} / completed {} / dropped {} (generation {final_generation})",
+        stats.accepted,
+        stats.completed,
+        stats.dropped()
+    );
+    assert_eq!(stats.dropped(), 0, "graceful shutdown dropped requests");
 
     // ---- Bench snapshot -------------------------------------------------
     if let Some(path) = &args.bench_json {
@@ -443,7 +406,7 @@ fn main() {
             None => BenchSnapshot::new("serve"),
         };
         for cell in &cells {
-            let prefix = format!("serve/s{}/c{}", cell.shards, cell.conns);
+            let prefix = format!("serve/c{}", cell.conns);
             snapshot.push(format!("{prefix}/p50_secs"), cell.p50, "s");
             snapshot.push(format!("{prefix}/p95_secs"), cell.p95, "s");
             snapshot.push(format!("{prefix}/p99_secs"), cell.p99, "s");
@@ -459,16 +422,12 @@ fn main() {
             snapshot.push("serve/idle_keepalive_read_p99_secs", p99, "s");
             snapshot.push("serve/idle_keepalive_threads", threads_now as f64, "thread");
         }
-        if let Some((idle_p99, under_p99)) = churn_summary {
-            snapshot.push("serve/retrain_idle_read_p99_secs", idle_p99, "s");
-            snapshot.push("serve/retrain_churn_read_p99_secs", under_p99, "s");
-        }
-        if let Some([(off_p50, off_p99), (on_p50, on_p99)]) = plane_summary {
-            snapshot.push("serve/plane_off_read_p50_secs", off_p50, "s");
-            snapshot.push("serve/plane_off_read_p99_secs", off_p99, "s");
-            snapshot.push("serve/plane_on_read_p50_secs", on_p50, "s");
-            snapshot.push("serve/plane_on_read_p99_secs", on_p99, "s");
-        }
+        snapshot.push("serve/retrain_idle_read_p99_secs", idle_p99, "s");
+        snapshot.push("serve/retrain_churn_read_p99_secs", under_p99, "s");
+        snapshot.push("serve/plane_off_read_p50_secs", off_pair.0, "s");
+        snapshot.push("serve/plane_off_read_p99_secs", off_pair.1, "s");
+        snapshot.push("serve/plane_on_read_p50_secs", on_pair.0, "s");
+        snapshot.push("serve/plane_on_read_p99_secs", on_pair.1, "s");
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent).expect("bench output dir");

@@ -21,7 +21,6 @@
 //! * `ZOO_ATTACKS` — comma list of family names (default: all eight);
 //! * `ZOO_BUDGETS` — comma list of `NxT` budgets (default `8x12`);
 //! * `ZOO_TRANSPORT` — `local` | `wire` | `both` (default `local`);
-//! * `ZOO_SHARDS` — served shard count for wire cells (default `2`);
 //! * `ZOO_APPGRAD_ITERS` / `ZOO_INFLUENCE_ROUNDS` — query-hungry
 //!   family sizes (defaults `30` / `5`).
 //!
@@ -226,7 +225,6 @@ fn main() {
     let attacks = env_attacks();
     let budgets = env_budgets();
     let transport = Transport::parse();
-    let shards = env_usize("ZOO_SHARDS", 2);
 
     let tuning = ZooTuning {
         seed: args.seed,
@@ -245,9 +243,9 @@ fn main() {
 
     let sink = args.open_telemetry("zoo");
     let transport_desc = match transport {
-        Transport::Local => "local".to_string(),
-        Transport::Wire => format!("wire, {shards} shard(s)"),
-        Transport::Both => format!("both, {shards} shard(s)"),
+        Transport::Local => "local",
+        Transport::Wire => "wire",
+        Transport::Both => "both",
     };
     println!(
         "zoo grid: {} attack(s) × {} ranker(s) × {} budget(s) on {} (transport: {transport_desc})",
@@ -285,7 +283,6 @@ fn main() {
                     let system = cell.args.build_system(dataset, ranker);
                     let server_cfg = ServerConfig::builder()
                         .threads(2)
-                        .shards(shards)
                         .build()
                         .expect("valid server config");
                     let server = Server::start(RecApp::new(system, None), server_cfg)

@@ -53,7 +53,6 @@ pub mod defense;
 pub mod eval;
 pub mod rankers;
 pub mod remote;
-pub mod shard;
 pub mod snapshot;
 pub mod system;
 
@@ -62,9 +61,7 @@ pub use attack::{
     BudgetViolation, GuardedSystem, SystemCaps, UsageSnapshot,
 };
 pub use data::{Dataset, ItemId, LogView, Trajectory, UserId};
-pub use defense::{
-    DefendedSystem, DefenseKind, DefenseStack, LofDetector, OnlineFilter, Verdict, VerdictCounts,
-};
+pub use defense::{DefendedSystem, DefenseKind, DefenseStack, LofDetector, Verdict, VerdictCounts};
 pub use rankers::{Ranker, RankerKind, UnknownRanker};
 pub use remote::{RemoteError, RemoteSystem};
 pub use snapshot::RankerSnapshot;

@@ -293,11 +293,6 @@ pub struct RemoteSystem {
     targets: HashSet<ItemId>,
     eval_users: Vec<UserId>,
     ranker: String,
-    /// Serving-side shard count from `/info` (1 when the server
-    /// predates sharding). Purely informational to the attack — shard
-    /// layout never changes responses — but the bench load generator
-    /// uses it to shape per-shard traffic.
-    shards: usize,
     /// Mirror of the server's seed-stream position, advanced by each
     /// retrain response (the server is the authority; this lets
     /// `observations_spent` answer without a round trip).
@@ -340,10 +335,6 @@ impl RemoteSystem {
             .ok_or_else(|| RemoteError::Protocol("missing ranker name".into()))?
             .to_string();
         let observed = expect_u64(&info, "observations_spent")?;
-        let shards = info
-            .get("shards")
-            .and_then(Json::as_u64)
-            .map_or(1, |n| n.max(1) as usize);
         Ok(Self {
             client: Mutex::new(client),
             cfg,
@@ -351,7 +342,6 @@ impl RemoteSystem {
             targets: target_items.into_iter().collect(),
             eval_users,
             ranker,
-            shards,
             observed: AtomicU64::new(observed),
         })
     }
@@ -359,11 +349,6 @@ impl RemoteSystem {
     /// The users the served protocol polls (fetched from `/info`).
     pub fn eval_users(&self) -> &[UserId] {
         &self.eval_users
-    }
-
-    /// The server's shard count (1 for unsharded servers).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     fn expect_200(

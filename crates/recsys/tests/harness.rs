@@ -2,7 +2,7 @@
 //! between fine-tuning, snapshotting, and the RecNum protocol.
 
 use recsys::data::{Dataset, LogView, Trajectory};
-use recsys::defense::{filter_poison, RepetitionDetector};
+use recsys::defense::{DefenseKind, DefenseStack, Verdict};
 use recsys::rankers::RankerKind;
 use recsys::system::{BlackBoxSystem, SystemConfig};
 
@@ -92,13 +92,18 @@ fn defended_observation_never_exceeds_undefended_budget() {
     );
     let t0 = system.public_info().target_items[0];
     let poison: Vec<Trajectory> = (0..8).map(|_| vec![t0; 12]).collect();
-    let report = filter_poison(&RepetitionDetector, system.base(), &poison, 0.02);
+    let mut stack = DefenseStack::build(DefenseKind::Lof, system.base(), 0.02).unwrap();
+    let surviving: Vec<Trajectory> = poison
+        .iter()
+        .filter(|t| stack.judge(system.base(), t) == Verdict::Admit)
+        .cloned()
+        .collect();
     // Pure-burst attackers should mostly be caught.
     assert!(
-        report.surviving.len() < poison.len(),
+        surviving.len() < poison.len(),
         "no attacker flagged by an obvious burst"
     );
-    let defended = system.inject_and_observe_seeded(&report.surviving, 5);
+    let defended = system.inject_and_observe_seeded(&surviving, 5);
     let undefended = system.inject_and_observe_seeded(&poison, 5);
     assert!(defended <= undefended, "defense increased exposure");
 }

@@ -50,7 +50,7 @@ pub mod fault;
 pub mod swap;
 
 pub use fault::{FaultPlan, FAULT_EXIT_CODE};
-pub use swap::{Published, ReadGuard, ShardedPublished};
+pub use swap::{Published, ReadGuard};
 
 /// Something an off-thread task can nudge when it finishes — typically
 /// an event loop parked in a poller. Implementations must be cheap,

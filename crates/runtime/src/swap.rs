@@ -149,18 +149,6 @@ impl<T> Published<T> {
         }
     }
 
-    /// Clones out an owning handle to the current snapshot (for callers
-    /// that must hold it across `await`-like boundaries or store it).
-    pub fn load(&self) -> Arc<T> {
-        let guard = self.read();
-        // SAFETY: the guard pins `ptr`, so the strong count is ≥ 1 for
-        // the whole bump; the raw pointer came from `Arc::into_raw`.
-        unsafe {
-            Arc::increment_strong_count(guard.ptr);
-            Arc::from_raw(guard.ptr)
-        }
-    }
-
     /// Replaces the snapshot. In-flight readers keep the value they
     /// pinned; it is reclaimed by a later publish (or cell drop) once
     /// no hazard slot advertises it. Returns the number of retired
@@ -205,63 +193,6 @@ impl<T> Published<T> {
                 false
             }
         });
-    }
-}
-
-/// A fixed array of [`Published`] cells, one per serving shard, that
-/// can be replaced **atomically per shard** in one sweep: readers pin
-/// their own shard's cell lock-free and never observe a cell mid-swap,
-/// while [`ShardedPublished::publish_all`] walks the shards installing
-/// the same `Arc` (cheap pointer clones — the snapshot itself is
-/// shared, not duplicated per shard).
-///
-/// The cross-shard guarantee is intentionally *per cell*, not global:
-/// a reader of shard 0 and a reader of shard 1 may briefly observe
-/// different generations while a sweep is in flight, but each
-/// individual read is a consistent, generation-tagged snapshot, and
-/// sweeps are serialized by the caller (the serving layer's retrain
-/// lock), so generations never move backwards on any shard.
-pub struct ShardedPublished<T> {
-    cells: Box<[Published<T>]>,
-}
-
-impl<T> ShardedPublished<T> {
-    /// `n` cells (min 1), all initially holding `value`.
-    pub fn new(n: usize, value: Arc<T>) -> Self {
-        let n = n.max(1);
-        let cells: Vec<Published<T>> = (0..n).map(|_| Published::new(Arc::clone(&value))).collect();
-        Self {
-            cells: cells.into_boxed_slice(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // never constructed with zero cells
-    }
-
-    /// The cell for `shard` (callers compute shard ownership).
-    pub fn shard(&self, shard: usize) -> &Published<T> {
-        &self.cells[shard]
-    }
-
-    /// Pins `shard`'s current snapshot, lock-free.
-    pub fn read(&self, shard: usize) -> ReadGuard<'_, T> {
-        self.cells[shard].read()
-    }
-
-    /// Installs `value` into every shard cell, one atomic swap per
-    /// cell. Returns the total count of retired snapshots still pinned
-    /// by in-flight readers across all shards.
-    pub fn publish_all(&self, value: Arc<T>) -> usize {
-        self.cells
-            .iter()
-            .map(|cell| cell.publish(Arc::clone(&value)))
-            .sum()
     }
 }
 
@@ -322,7 +253,6 @@ mod tests {
         assert_eq!(cell.read().generation, 0);
         cell.publish(Tracked::new(1, &drops));
         assert_eq!(cell.read().generation, 1);
-        assert_eq!(cell.load().generation, 1);
     }
 
     #[test]
@@ -352,18 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn loaded_arc_outlives_subsequent_publishes() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let cell = Published::new(Tracked::new(0, &drops));
-        let held = cell.load();
-        cell.publish(Tracked::new(1, &drops));
-        assert_eq!(cell.retired_count(), 0, "load() took an owning ref");
-        assert_eq!(held.generation, 0);
-        drop(held);
-        assert_eq!(drops.load(Relaxed), 1);
-    }
-
-    #[test]
     fn cell_drop_releases_everything() {
         let drops = Arc::new(AtomicUsize::new(0));
         {
@@ -376,38 +294,6 @@ mod tests {
             cell.publish(Tracked::new(2, &drops));
         }
         assert_eq!(drops.load(Relaxed), 3);
-    }
-
-    #[test]
-    fn sharded_cells_publish_one_arc_to_every_shard() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let cells = ShardedPublished::new(4, Tracked::new(0, &drops));
-        assert_eq!(cells.len(), 4);
-        for s in 0..4 {
-            assert_eq!(cells.read(s).generation, 0);
-        }
-        // A pinned shard-2 reader survives the sweep; other shards see
-        // the new generation immediately.
-        let pinned = cells.read(2);
-        let retired = cells.publish_all(Tracked::new(1, &drops));
-        assert_eq!(retired, 1, "only the pinned shard's old value is retired");
-        assert_eq!(cells.read(0).generation, 1);
-        assert_eq!(cells.read(3).generation, 1);
-        assert_eq!(pinned.generation, 0);
-        drop(pinned);
-        // One Tracked value per generation, shared by all shards: the
-        // sweep retires N references but only ever drops one value.
-        drop(cells);
-        assert_eq!(drops.load(Relaxed), 2);
-    }
-
-    #[test]
-    fn sharded_zero_is_clamped_to_one() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let cells = ShardedPublished::new(0, Tracked::new(7, &drops));
-        assert_eq!(cells.len(), 1);
-        assert!(!cells.is_empty());
-        assert_eq!(cells.shard(0).read().generation, 7);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The recommendation application behind the socket: typed routing,
-//! sharded published snapshots, the pending-feedback buffers, and
-//! retrains.
+//! the published snapshot, the pending-feedback queue, and retrains.
 //!
 //! [`RecApp`] is transport-free — it maps parsed [`Route`]s to JSON
 //! responses — so its semantics are unit-testable without a listener.
@@ -11,30 +10,24 @@
 //! made: it turns `(method, path, query)` into a typed [`Route`] or a
 //! [`RouteError`] carrying the response status. [`RecApp::dispatch`]
 //! then handles a `Route` without ever re-inspecting path strings —
-//! which is what lets the event loop classify a request (fast/slow,
-//! owning shard) before deciding where to run it.
+//! which is what lets the event loop classify a request as fast or
+//! slow before deciding where to run it.
 //!
 //! ## Concurrency model (DESIGN.md §5f)
 //!
 //! * **Reads never wait.** `/recommend`, `/healthz`, `/info` and
-//!   `/metrics` touch only a [`runtime::ShardedPublished`] snapshot
-//!   cell — a lock-free hazard-pointer read — plus immutable state.
-//!   A user's cell is `shard_for_user(user, n_shards)`, so readers on
-//!   different shards contend on different cache lines.
-//! * **Feedback is buffered, not applied.** `POST /feedback` admits
-//!   trajectories under one brief admission lock (budget check + a
-//!   global arrival sequence), then spreads them across per-shard
-//!   queues keyed by sequence number; only a retrain makes them
-//!   visible.
-//! * **Retrains happen off to the side.** `POST /retrain` drains every
-//!   shard queue, merges by arrival sequence — reconstructing the
-//!   exact single-queue order, which is why replayed attacks are
-//!   bit-identical at *any* shard count — fine-tunes a fresh
-//!   [`RankerSnapshot`] while the previous generation keeps serving,
-//!   then publishes the same `Arc` into every shard cell, one atomic
-//!   swap per cell. A `Mutex` serializes concurrent retrains (the
-//!   seed stream is consumed per retrain), but no reader ever takes
-//!   it.
+//!   `/metrics` touch only one [`runtime::Published`] snapshot cell —
+//!   a lock-free hazard-pointer read — plus immutable state.
+//! * **Feedback is buffered, not applied.** `POST /feedback` judges
+//!   and admits trajectories under one brief admission lock (defense
+//!   verdicts, budget check, append to the pending queue), so the
+//!   queue's order *is* the global admission order; only a retrain
+//!   makes them visible.
+//! * **Retrains happen off to the side.** `POST /retrain` takes the
+//!   whole queue, fine-tunes a fresh [`RankerSnapshot`] while the
+//!   previous generation keeps serving, then publishes it with one
+//!   atomic swap. A `Mutex` serializes concurrent retrains (the seed
+//!   stream is consumed per retrain), but no reader ever takes it.
 //!
 //! This mirrors the in-process [`BlackBoxSystem`] exactly: one
 //! feedback-then-retrain round trip consumes one observation-seed
@@ -47,10 +40,9 @@ use std::sync::Mutex;
 
 use recsys::data::Trajectory;
 use recsys::defense::{DefenseStack, Verdict, VerdictCounts};
-use recsys::shard::shard_for_user;
 use recsys::snapshot::RankerSnapshot;
 use recsys::system::BlackBoxSystem;
-use runtime::ShardedPublished;
+use runtime::Published;
 use telemetry::json::{self, Json};
 
 use crate::http::Request;
@@ -191,19 +183,10 @@ impl Route {
             Route::Recommend { .. } => "recommend",
         }
     }
-
-    /// The shard whose snapshot cell answers this route, given the
-    /// serving shard count. Non-recommend routes read shard 0.
-    pub fn shard(&self, n_shards: usize) -> usize {
-        match self {
-            Route::Recommend { user, .. } => shard_for_user(*user, n_shards),
-            _ => 0,
-        }
-    }
 }
 
 /// A routed response: status + JSON body, tagged with the snapshot
-/// generation and owning shard that answered (for the access log).
+/// generation that answered (for the access log).
 ///
 /// Most responses are JSON; `raw` overrides the body with pre-rendered
 /// text (the Prometheus exposition) under a non-JSON content type.
@@ -215,9 +198,6 @@ pub struct AppResponse {
     pub raw: Option<String>,
     pub content_type: &'static str,
     pub generation: u64,
-    /// The shard whose snapshot cell served the response (0 for
-    /// routes that are not per-user).
-    pub shard: u64,
     /// Admission outcome of a judged `POST /feedback` (None for every
     /// other route and for feedback rejected before judging). Carried
     /// into the access log so defense decisions are auditable offline.
@@ -240,23 +220,22 @@ pub struct FeedbackOutcome {
     pub offered: u64,
     /// Trajectories actually enqueued (0 on a 409).
     pub accepted: u64,
-    /// Total queued feedback across shards before this request.
+    /// Queued feedback before this request.
     pub pending_before: u64,
-    /// Total queued feedback across shards after this request; always
+    /// Queued feedback after this request; always
     /// `pending_before + accepted` — rejected feedback never
     /// increments a queue.
     pub pending: u64,
 }
 
 impl AppResponse {
-    fn ok(body: Json, generation: u64, shard: u64) -> Self {
+    fn ok(body: Json, generation: u64) -> Self {
         Self {
             status: 200,
             body,
             raw: None,
             content_type: "application/json",
             generation,
-            shard,
             feedback: None,
         }
     }
@@ -268,7 +247,6 @@ impl AppResponse {
             raw: Some(text),
             content_type,
             generation,
-            shard: 0,
             feedback: None,
         }
     }
@@ -280,7 +258,6 @@ impl AppResponse {
             raw: None,
             content_type: "application/json",
             generation,
-            shard: 0,
             feedback: None,
         }
     }
@@ -312,31 +289,16 @@ fn dominant_verdict(tally: &VerdictCounts) -> &'static str {
     best.1.label()
 }
 
-/// One admitted trajectory, tagged with its global arrival sequence so
-/// per-shard queues can be merged back into exact admission order.
-type SeqTrajectory = (u64, Trajectory);
-
-/// Admission bookkeeping, held briefly by feedback and retrain.
-struct Admission {
-    /// Next global arrival sequence number.
-    next_seq: u64,
-    /// Trajectories admitted but not yet retrained, across all shards.
-    held: u64,
-}
-
 /// Shared server state: the system under attack plus serving-side
 /// buffers. All methods take `&self`; the struct is `Sync`.
 pub struct RecApp {
     system: BlackBoxSystem,
-    /// The live generation, one cell per shard; all cells swap to the
-    /// same `Arc` on retrain.
-    snapshots: ShardedPublished<RankerSnapshot>,
-    /// Feedback admitted but not yet retrained, sharded by arrival
-    /// sequence (`seq % n_shards` — each injected trajectory is a
-    /// synthetic user, its sequence number its identity).
-    pending: Vec<Mutex<Vec<SeqTrajectory>>>,
-    /// Guards the attacker budget and the arrival sequence.
-    admission: Mutex<Admission>,
+    /// The live generation; a retrain swaps in the next one.
+    snapshot: Published<RankerSnapshot>,
+    /// The admission lock over the pending queue: feedback admitted but
+    /// not yet retrained, in admission order. Its length is what the
+    /// attacker budget caps.
+    admission: Mutex<Vec<Trajectory>>,
     /// Serializes retrains: each consumes one seed ordinal, so their
     /// order must be total even under concurrent `POST /retrain`.
     retrain: Mutex<()>,
@@ -361,10 +323,8 @@ pub struct RecApp {
 
 impl RecApp {
     /// Wraps a fitted system, publishing its clean generation-0
-    /// snapshot into a single shard. `defense` judges every incoming
-    /// trajectory at admission (an [`recsys::defense::OnlineFilter`]
-    /// converts into a detector-only stack via `Into`). Use
-    /// [`RecApp::reshard`] to spread state.
+    /// snapshot. `defense` judges every incoming trajectory at
+    /// admission.
     pub fn new(system: BlackBoxSystem, defense: Option<DefenseStack>) -> Self {
         let snapshot = std::sync::Arc::new(system.clean_snapshot());
         let popularity: Vec<f64> = system
@@ -375,12 +335,8 @@ impl RecApp {
             .collect();
         Self {
             system,
-            snapshots: ShardedPublished::new(1, snapshot),
-            pending: vec![Mutex::new(Vec::new())],
-            admission: Mutex::new(Admission {
-                next_seq: 0,
-                held: 0,
-            }),
+            snapshot: Published::new(snapshot),
+            admission: Mutex::new(Vec::new()),
             retrain: Mutex::new(()),
             defense: defense.map(Mutex::new),
             flagged_total: AtomicU64::new(0),
@@ -397,36 +353,16 @@ impl RecApp {
         }
     }
 
-    /// Repartitions serving state across `n` shards (clamped to ≥ 1).
-    /// The live snapshot and any pending feedback are redistributed;
-    /// semantics are unchanged — sharding only moves *which cell*
-    /// serves a user and *which queue* holds a trajectory.
-    pub fn reshard(&mut self, n: usize) {
-        let n = n.max(1);
-        let snapshot = self.snapshots.shard(0).load();
-        self.snapshots = ShardedPublished::new(n, snapshot);
-        let mut held: Vec<SeqTrajectory> = self
-            .pending
-            .iter_mut()
-            .flat_map(|queue| std::mem::take(queue.get_mut().unwrap()))
-            .collect();
-        held.sort_unstable_by_key(|&(seq, _)| seq);
-        let mut queues: Vec<Vec<SeqTrajectory>> = (0..n).map(|_| Vec::new()).collect();
-        for (seq, traj) in held {
-            queues[(seq % n as u64) as usize].push((seq, traj));
-        }
-        self.pending = queues.into_iter().map(Mutex::new).collect();
-    }
-
-    /// The serving shard count.
+    /// Always 1: the app serves from one snapshot cell and one
+    /// admission queue. Kept because the repository benchmark prints it
+    /// in its workload fingerprint.
     pub fn n_shards(&self) -> usize {
-        self.snapshots.len()
+        1
     }
 
-    /// The generation currently being served (shard 0 — all shards
-    /// converge to the same generation between retrains).
+    /// The generation currently being served.
     pub fn generation(&self) -> u64 {
-        self.snapshots.read(0).generation()
+        self.snapshot.read().generation()
     }
 
     /// The wrapped system (tests compare against its in-process path).
@@ -469,14 +405,12 @@ impl RecApp {
     }
 
     fn healthz(&self) -> AppResponse {
-        let snap = self.snapshots.read(0);
+        let generation = self.generation();
         AppResponse::ok(
             Json::obj()
                 .field("ok", true)
-                .field("generation", snap.generation())
-                .field("shards", self.n_shards()),
-            snap.generation(),
-            0,
+                .field("generation", generation),
+            generation,
         )
     }
 
@@ -492,7 +426,6 @@ impl RecApp {
             MetricsFormat::Json => AppResponse::ok(
                 cumulative.to_json().field("stream", stream.to_json()),
                 self.generation(),
-                0,
             ),
             MetricsFormat::Prom => AppResponse::text(
                 "text/plain; version=0.0.4",
@@ -507,7 +440,7 @@ impl RecApp {
     fn info(&self) -> AppResponse {
         let cfg = self.system.config();
         let info = self.system.public_info();
-        let snap = self.snapshots.read(0);
+        let generation = self.generation();
         let body = Json::obj()
             .field("num_items", info.num_items)
             .field(
@@ -539,8 +472,7 @@ impl RecApp {
                     .field("reserve_attackers", cfg.reserve_attackers),
             )
             .field("ranker", self.system.ranker_name())
-            .field("generation", snap.generation())
-            .field("shards", self.n_shards())
+            .field("generation", generation)
             .field("observations_spent", self.system.observations_spent())
             .field(
                 "defense",
@@ -559,12 +491,11 @@ impl RecApp {
                     None => Json::Null,
                 },
             );
-        AppResponse::ok(body, snap.generation(), 0)
+        AppResponse::ok(body, generation)
     }
 
     fn recommend(&self, user: u32, k: Option<usize>) -> AppResponse {
-        let shard = shard_for_user(user, self.n_shards());
-        let snap = self.snapshots.read(shard);
+        let snap = self.snapshot.read();
         let generation = snap.generation();
         let k = k.unwrap_or(self.system.config().top_k);
         if !snap.knows_user(user) {
@@ -582,13 +513,12 @@ impl RecApp {
                     Json::Arr(items.into_iter().map(Json::from).collect()),
                 ),
             generation,
-            shard as u64,
         )
     }
 
-    /// Admits trajectories into the pending buffers. The whole batch
-    /// is validated before any of it is admitted, so a 4xx/409
-    /// response means the buffers are untouched.
+    /// Admits trajectories into the pending queue. The whole batch is
+    /// validated before any of it is admitted, so a 4xx/409 response
+    /// means the queue is untouched.
     fn feedback(&self, body: &[u8]) -> AppResponse {
         let generation = self.generation();
         let Ok(text) = std::str::from_utf8(body) else {
@@ -634,18 +564,16 @@ impl RecApp {
         // wire replay stays bit-identical to the in-process path.
         self.observe_feedback_stream(&parsed);
 
-        // One admission section: defense verdicts, budget check,
-        // sequence assignment, and the queue pushes. Judging happens
-        // *under the lock* because every verdict advances the defense
-        // stack's state — the global admission order must be the
-        // judging order for wire runs to stay bit-identical to the
-        // in-process defended path. A 409 rolls the stack back to its
+        // One admission section: defense verdicts, budget check, and
+        // the queue append. Judging happens *under the lock* because
+        // every verdict advances the defense stack's state — the global
+        // admission order must be the judging order for wire runs to
+        // stay bit-identical to the in-process defended path. A 409 rolls the stack back to its
         // pre-request state, so a refused request judges nothing.
         let budget = u64::from(self.system.config().reserve_attackers);
-        let n = self.pending.len() as u64;
         let offered = parsed.len() as u64;
-        let mut admission = self.admission.lock().unwrap();
-        let pending_before = admission.held;
+        let mut queue = self.admission.lock().unwrap();
+        let pending_before = queue.len() as u64;
         let mut stack = self.defense.as_ref().map(|d| d.lock().unwrap());
         let rollback = stack.as_ref().map(|s| s.state_bytes());
         let detector = stack.as_ref().map_or("none", |s| s.detector_name());
@@ -654,16 +582,15 @@ impl RecApp {
             .map_or(VerdictCounts::default(), |s| s.counts());
 
         let mut admitted: Vec<Trajectory> = Vec::with_capacity(parsed.len());
-        // (verdict, prospective shard) per trajectory, committed to the
-        // metrics plane only if the whole request is admitted.
-        let mut judged: Vec<(Verdict, u64)> = Vec::with_capacity(parsed.len());
+        // One verdict per trajectory, committed to the metrics plane
+        // only if the whole request is admitted.
+        let mut judged: Vec<Verdict> = Vec::with_capacity(parsed.len());
         for traj in parsed {
             let verdict = match stack.as_deref_mut() {
                 None => Verdict::Admit,
                 Some(stack) => stack.judge(self.system.base(), &traj),
             };
-            let slot = (admission.next_seq + admitted.len() as u64) % n;
-            judged.push((verdict, slot));
+            judged.push(verdict);
             if verdict == Verdict::Admit {
                 admitted.push(traj);
             }
@@ -679,7 +606,7 @@ impl RecApp {
                 throttled: after.throttled - before.throttled,
             }
         };
-        let would_hold = admission.held + admitted.len() as u64;
+        let would_hold = pending_before + admitted.len() as u64;
         if would_hold > budget {
             if let (Some(stack), Some(rollback)) = (stack.as_deref_mut(), rollback.as_deref()) {
                 stack
@@ -690,8 +617,7 @@ impl RecApp {
             let mut refused = AppResponse::error(
                 409,
                 format!(
-                    "attacker budget exhausted: {} pending + {} new > {budget} reserved",
-                    admission.held,
+                    "attacker budget exhausted: {pending_before} pending + {} new > {budget} reserved",
                     admitted.len()
                 ),
                 generation,
@@ -708,27 +634,16 @@ impl RecApp {
         }
         drop(stack);
         let accepted = admitted.len() as u64;
-        for traj in admitted {
-            let seq = admission.next_seq;
-            admission.next_seq += 1;
-            self.pending[(seq % n) as usize]
-                .lock()
-                .unwrap()
-                .push((seq, traj));
-        }
-        admission.held = would_hold;
-        let held = admission.held;
-        drop(admission);
+        queue.extend(admitted);
+        drop(queue);
 
         // Metrics are a pure side channel, so they commit after the
         // admission section: a rolled-back 409 leaves no trace, and
         // the exported verdict counts always match the stack's ledger.
-        let verdicts = telemetry::stream::counter_family(
-            "serve_feedback_verdicts",
-            &["detector", "verdict", "shard"],
-        );
-        for (verdict, slot) in &judged {
-            verdicts.add(&[detector, verdict.label(), &slot.to_string()], 1);
+        let verdicts =
+            telemetry::stream::counter_family("serve_feedback_verdicts", &["detector", "verdict"]);
+        for verdict in &judged {
+            verdicts.add(&[detector, verdict.label()], 1);
         }
         self.flagged_total
             .fetch_add(tally.flagged, Ordering::Relaxed);
@@ -742,9 +657,8 @@ impl RecApp {
                 .field("flagged", tally.flagged)
                 .field("rate_limited", tally.rate_limited)
                 .field("throttled", tally.throttled)
-                .field("pending", held),
+                .field("pending", would_hold),
             generation,
-            0,
         );
         resp.feedback = Some(FeedbackOutcome {
             verdict: dominant_verdict(&tally),
@@ -752,7 +666,7 @@ impl RecApp {
             offered,
             accepted,
             pending_before,
-            pending: held,
+            pending: would_hold,
         });
         resp
     }
@@ -781,31 +695,19 @@ impl RecApp {
         }
     }
 
-    /// Drains every shard's pending feedback into a fresh generation
-    /// and publishes it to every shard cell. Readers of the old
-    /// generation are never blocked; feedback arriving mid-retrain
-    /// lands in the *next* generation. Merging by arrival sequence
-    /// reconstructs the exact unsharded admission order — the
-    /// cross-shard barrier behind bit-identical replays.
+    /// Takes the pending queue into a fresh generation and publishes
+    /// it. Readers of the old generation are never blocked; feedback
+    /// arriving mid-retrain lands in the *next* generation. The queue
+    /// is already in admission order, which is what keeps replays
+    /// bit-identical to the in-process path.
     fn retrain(&self) -> AppResponse {
         let _order = self.retrain.lock().unwrap();
-        let mut drained: Vec<SeqTrajectory> = {
-            let mut admission = self.admission.lock().unwrap();
-            let rows = self
-                .pending
-                .iter()
-                .flat_map(|queue| std::mem::take(&mut *queue.lock().unwrap()))
-                .collect();
-            admission.held = 0;
-            rows
-        };
-        drained.sort_unstable_by_key(|&(seq, _)| seq);
-        let poison: Vec<Trajectory> = drained.into_iter().map(|(_, traj)| traj).collect();
+        let poison = std::mem::take(&mut *self.admission.lock().unwrap());
         let ingested = poison.len() as u64;
         let snap = self.system.retrain_snapshot(&poison);
         let generation = snap.generation();
         let seed = snap.seed();
-        let retired = self.snapshots.publish_all(std::sync::Arc::new(snap));
+        let retired = self.snapshot.publish(std::sync::Arc::new(snap));
         telemetry::metrics::counter("serve_retrains_total").inc();
         telemetry::metrics::gauge("serve_retired_snapshots").set(retired as i64);
         AppResponse::ok(
@@ -814,7 +716,6 @@ impl RecApp {
                 .field("seed", seed)
                 .field("ingested", ingested),
             generation,
-            0,
         )
     }
 }
@@ -828,10 +729,6 @@ mod tests {
     use recsys::system::SystemConfig;
 
     fn app() -> RecApp {
-        app_with_shards(1)
-    }
-
-    fn app_with_shards(n: usize) -> RecApp {
         let histories = (0..40u32)
             .map(|u| (0..6).map(|t| (u * 3 + t * 7) % 60).collect())
             .collect();
@@ -845,9 +742,7 @@ mod tests {
                 ..SystemConfig::default()
             },
         );
-        let mut app = RecApp::new(system, None);
-        app.reshard(n);
-        app
+        RecApp::new(system, None)
     }
 
     fn get(app: &RecApp, target: &str) -> AppResponse {
@@ -989,8 +884,6 @@ mod tests {
         assert!(Route::Recommend { user: 1, k: None }.is_fast());
         assert!(!Route::Feedback.is_fast());
         assert!(!Route::Retrain.is_fast());
-        assert_eq!(Route::Recommend { user: 7, k: None }.shard(4), 3);
-        assert_eq!(Route::Retrain.shard(4), 0);
     }
 
     #[test]
@@ -1009,7 +902,6 @@ mod tests {
             info.body.get("ranker").and_then(Json::as_str),
             Some("ItemPop")
         );
-        assert_eq!(info.body.get("shards").and_then(Json::as_u64), Some(1));
         assert_eq!(
             info.body
                 .get("config")
@@ -1079,125 +971,75 @@ mod tests {
 
     #[test]
     fn retrain_matches_the_in_process_observation_stream() {
-        // The bit-identity contract must hold at every shard count:
-        // per-shard queues merged by arrival sequence reconstruct the
-        // exact unsharded poison order.
-        for shards in [1usize, 3, 4] {
-            let histories = (0..40u32)
-                .map(|u| (0..6).map(|t| (u * 3 + t * 7) % 60).collect())
-                .collect();
-            let data = Dataset::from_histories("toy", histories, 60, 8);
-            let cfg = SystemConfig {
-                eval_users: 16,
-                reserve_attackers: 8,
-                ..SystemConfig::default()
-            };
-            let reference =
-                BlackBoxSystem::build(data.clone(), Box::new(ItemPop::new()), cfg.clone());
-            let target = reference.public_info().target_items[0];
-            // Distinct trajectories so any order scramble would change
-            // the fine-tune input.
-            let poison: Vec<Vec<u32>> = (0..4u32)
-                .map(|i| {
-                    let mut t = vec![target; 5];
-                    t.push(i);
-                    t
-                })
-                .collect();
-            let expected = reference.observe(&poison);
+        let histories = (0..40u32)
+            .map(|u| (0..6).map(|t| (u * 3 + t * 7) % 60).collect())
+            .collect();
+        let data = Dataset::from_histories("toy", histories, 60, 8);
+        let cfg = SystemConfig {
+            eval_users: 16,
+            reserve_attackers: 8,
+            ..SystemConfig::default()
+        };
+        let reference = BlackBoxSystem::build(data.clone(), Box::new(ItemPop::new()), cfg.clone());
+        let target = reference.public_info().target_items[0];
+        // Distinct trajectories so any order scramble would change the
+        // fine-tune input.
+        let poison: Vec<Vec<u32>> = (0..4u32)
+            .map(|i| {
+                let mut t = vec![target; 5];
+                t.push(i);
+                t
+            })
+            .collect();
+        let expected = reference.observe(&poison);
 
-            let mut app = RecApp::new(
-                BlackBoxSystem::build(data, Box::new(ItemPop::new()), cfg),
-                None,
-            );
-            app.reshard(shards);
-            assert_eq!(app.n_shards(), shards);
-            let body = format!(
-                "{{\"trajectories\":[{}]}}",
-                poison
-                    .iter()
-                    .map(|t| format!(
-                        "[{}]",
-                        t.iter()
-                            .map(|i| i.to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            assert_eq!(request(&app, "POST", "/feedback", &body).status, 200);
-            let retrain = request(&app, "POST", "/retrain", "");
-            assert_eq!(retrain.status, 200);
-            assert_eq!(
-                retrain.body.get("seed").and_then(Json::as_u64),
-                Some(expected.seed),
-                "served retrain must consume the same seed stream (shards={shards})"
-            );
-            assert_eq!(
-                retrain.body.get("generation").and_then(Json::as_u64),
-                Some(1)
-            );
-
-            // Count target hits over the served lists: must equal the
-            // in-process observation's RecNum.
-            let mut rec_num = 0u32;
-            let targets = app.system().public_info().target_items;
-            for &user in app.system().protocol().eval_users() {
-                let resp = get(&app, &format!("/recommend/{user}"));
-                let Some(Json::Arr(items)) = resp.body.get("items") else {
-                    panic!("items missing");
-                };
-                rec_num += items
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .filter(|&i| targets.contains(&(i as u32)))
-                    .count() as u32;
-            }
-            assert_eq!(rec_num, expected.rec_num, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn resharding_preserves_pending_feedback_and_budget() {
-        let mut app = app_with_shards(1);
-        assert_eq!(
-            request(
-                &app,
-                "POST",
-                "/feedback",
-                "{\"trajectories\":[[1],[2],[3]]}"
-            )
-            .status,
-            200
+        let app = RecApp::new(
+            BlackBoxSystem::build(data, Box::new(ItemPop::new()), cfg),
+            None,
         );
-        app.reshard(4);
-        // Budget still accounts for the redistributed trajectories…
-        let fill = "{\"trajectories\":[[4],[4],[4],[4],[4],[4]]}";
-        assert_eq!(request(&app, "POST", "/feedback", fill).status, 409);
-        // …and retrain ingests all of them.
+        let body = format!(
+            "{{\"trajectories\":[{}]}}",
+            poison
+                .iter()
+                .map(|t| format!(
+                    "[{}]",
+                    t.iter()
+                        .map(|i| i.to_string())
+                        .collect::<Vec<_>>()
+                        .join(",")
+                ))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert_eq!(request(&app, "POST", "/feedback", &body).status, 200);
         let retrain = request(&app, "POST", "/retrain", "");
-        assert_eq!(retrain.body.get("ingested").and_then(Json::as_u64), Some(3));
-    }
+        assert_eq!(retrain.status, 200);
+        assert_eq!(
+            retrain.body.get("seed").and_then(Json::as_u64),
+            Some(expected.seed),
+            "served retrain must consume the same seed stream"
+        );
+        assert_eq!(
+            retrain.body.get("generation").and_then(Json::as_u64),
+            Some(1)
+        );
 
-    #[test]
-    fn recommend_reads_the_owning_shard_cell() {
-        let app = app_with_shards(4);
-        let user = app.system().protocol().eval_users()[0];
-        let resp = get(&app, &format!("/recommend/{user}"));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.shard, (user % 4) as u64);
-        // After a retrain sweep, every shard serves the new generation.
-        assert_eq!(request(&app, "POST", "/retrain", "").status, 200);
-        for &u in app.system().protocol().eval_users().iter().take(8) {
-            let resp = get(&app, &format!("/recommend/{u}"));
-            assert_eq!(
-                resp.body.get("generation").and_then(Json::as_u64),
-                Some(1),
-                "user {u} (shard {}) must see the swept generation",
-                u % 4
-            );
+        // Count target hits over the served lists: must equal the
+        // in-process observation's RecNum.
+        let mut rec_num = 0u32;
+        let targets = app.system().public_info().target_items;
+        for &user in app.system().protocol().eval_users() {
+            let resp = get(&app, &format!("/recommend/{user}"));
+            let Some(Json::Arr(items)) = resp.body.get("items") else {
+                panic!("items missing");
+            };
+            rec_num += items
+                .iter()
+                .filter_map(Json::as_u64)
+                .filter(|&i| targets.contains(&(i as u32)))
+                .count() as u32;
         }
+        assert_eq!(rec_num, expected.rec_num);
     }
 
     #[test]
@@ -1206,11 +1048,7 @@ mod tests {
             .map(|u| (0..8).map(|t| (u + t * 3) % 40).collect())
             .collect();
         let data = Dataset::from_histories("d", histories, 200, 8);
-        let filter = recsys::defense::OnlineFilter::calibrate(
-            Box::new(recsys::defense::RepetitionDetector),
-            &data,
-            0.05,
-        );
+        let stack = DefenseStack::build(recsys::defense::DefenseKind::Lof, &data, 0.05);
         let system = BlackBoxSystem::build(
             data,
             Box::new(ItemPop::new()),
@@ -1220,7 +1058,7 @@ mod tests {
                 ..SystemConfig::default()
             },
         );
-        let app = RecApp::new(system, Some(filter.into()));
+        let app = RecApp::new(system, stack);
         // A blatant burst is flagged; an organic-looking one passes.
         let resp = request(
             &app,
@@ -1237,7 +1075,7 @@ mod tests {
                 .get("defense")
                 .and_then(|d| d.get("detector"))
                 .and_then(Json::as_str),
-            Some("repetition")
+            Some("lof")
         );
     }
 }

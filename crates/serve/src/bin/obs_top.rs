@@ -8,7 +8,7 @@
 //!
 //! Polls `GET /metrics` and renders a refreshing table: windowed
 //! rates, windowed latency quantiles, per-label family breakdown
-//! (route/status/shard), drift-detector state, and the cumulative
+//! (route/status), drift-detector state, and the cumulative
 //! registry underneath. `--scrape prom` switches to raw Prometheus
 //! text exposition pass-through — that mode is what `scripts/ci.sh`
 //! uses to capture scrape files for `validate_prom`.

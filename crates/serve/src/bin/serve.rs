@@ -4,7 +4,7 @@
 //! ```text
 //! serve --dataset Steam --scale 0.05 --ranker ItemPop --port 8080 \
 //!       --threads 2 --access-log runs/access.jsonl \
-//!       --defense repetition --defense-fpr 0.05
+//!       --defense full --defense-fpr 0.05
 //! ```
 //!
 //! Prints one `{"type":"serving", "addr":...}` line to stdout once the
@@ -19,9 +19,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use recsys::defense::{
-    DefenseKind, DefenseStack, OnlineFilter, PopularityDeviationDetector, RepetitionDetector,
-};
+use recsys::defense::{DefenseKind, DefenseStack};
 use recsys::rankers::RankerKind;
 use recsys::system::{BlackBoxSystem, SystemConfig};
 use serve::{RecApp, Server, ServerConfig};
@@ -36,7 +34,6 @@ struct Args {
     reserve_attackers: u32,
     port: u16,
     threads: usize,
-    shards: usize,
     max_conns: usize,
     driver: serve::DriverKind,
     access_log: Option<std::path::PathBuf>,
@@ -56,7 +53,6 @@ impl Default for Args {
             reserve_attackers: 32,
             port: 0,
             threads: 2,
-            shards: 1,
             max_conns: 10_000,
             driver: serve::DriverKind::Event,
             access_log: None,
@@ -71,9 +67,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--dataset NAME] [--scale F] [--seed N] [--ranker NAME]\n\
          \x20            [--eval-users N] [--reserve-attackers N] [--port N] [--threads N]\n\
-         \x20            [--shards N] [--max-conns N] [--driver event|blocking]\n\
+         \x20            [--max-conns N] [--driver event|blocking]\n\
          \x20            [--access-log FILE] [--defense-fpr F]\n\
-         \x20            [--defense lof|reputation|adaptive|full|popularity|repetition]\n\
+         \x20            [--defense lof|reputation|adaptive|full]\n\
          \x20            [--fault-ordinals a,b,c]\n\
          serves until stdin reaches EOF (or a `quit` line), then drains and exits"
     );
@@ -117,7 +113,6 @@ fn parse_args() -> Args {
             }
             "--port" => args.port = value("--port").parse().unwrap_or_else(|_| usage()),
             "--threads" => args.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
-            "--shards" => args.shards = value("--shards").parse().unwrap_or_else(|_| usage()),
             "--max-conns" => {
                 args.max_conns = value("--max-conns").parse().unwrap_or_else(|_| usage())
             }
@@ -158,35 +153,15 @@ fn main() -> ExitCode {
     let data = args.dataset.generate_scaled(args.scale, args.seed);
     let view = recsys::data::LogView::clean(&data);
     let ranker = args.ranker.build(&view, args.reserve_attackers);
-    // The layered kinds (lof/reputation/adaptive/full) build the full
-    // DefenseStack; the legacy single-detector filters stay available
-    // as detector-only stacks.
-    let defense: Option<DefenseStack> = args.defense.as_deref().map(|name| match name {
-        "popularity" => OnlineFilter::calibrate(
-            Box::new(PopularityDeviationDetector::default()),
-            &data,
-            args.defense_fpr,
-        )
-        .into(),
-        "repetition" => {
-            OnlineFilter::calibrate(Box::new(RepetitionDetector), &data, args.defense_fpr).into()
-        }
-        other => match DefenseKind::parse(other) {
-            Some(kind) => match DefenseStack::build(kind, &data, args.defense_fpr) {
-                Some(stack) => stack,
-                None => {
-                    eprintln!("--defense none is the default; omit the flag instead");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!(
-                    "unknown defense {other:?} \
-                     (expected lof|reputation|adaptive|full|popularity|repetition)"
-                );
-                std::process::exit(2);
-            }
-        },
+    let defense: Option<DefenseStack> = args.defense.as_deref().map(|name| {
+        let Some(kind) = DefenseKind::parse(name) else {
+            eprintln!("unknown defense {name:?} (expected lof|reputation|adaptive|full)");
+            std::process::exit(2);
+        };
+        DefenseStack::build(kind, &data, args.defense_fpr).unwrap_or_else(|| {
+            eprintln!("--defense none is the default; omit the flag instead");
+            std::process::exit(2);
+        })
     });
     let system = BlackBoxSystem::build(
         data,
@@ -210,7 +185,6 @@ fn main() -> ExitCode {
     let mut builder = ServerConfig::builder()
         .port(args.port)
         .threads(args.threads)
-        .shards(args.shards)
         .max_conns(args.max_conns)
         .driver(args.driver);
     if let Some(path) = &args.access_log {
@@ -237,7 +211,6 @@ fn main() -> ExitCode {
             .field("dataset", args.dataset.name())
             .field("ranker", args.ranker.name())
             .field("threads", args.threads)
-            .field("shards", args.shards)
             .field("max_conns", args.max_conns)
             .field("driver", server.driver().name())
             .render()

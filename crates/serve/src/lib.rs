@@ -6,8 +6,8 @@
 //!
 //! | route                     | semantics                                    |
 //! |---------------------------|----------------------------------------------|
-//! | `GET /recommend/{u}?k=`   | top-k list from the owning shard's snapshot  |
-//! | `POST /feedback`          | buffer trajectories (optional online filter) |
+//! | `GET /recommend/{u}?k=`   | top-k list from the published snapshot       |
+//! | `POST /feedback`          | buffer trajectories (optional defense stack) |
 //! | `POST /retrain`           | drain feedback → fine-tune → atomic publish  |
 //! | `GET /info`               | experimenter-side disclosure                 |
 //! | `GET /metrics`            | metrics plane: JSON, or `?format=prom` text  |
@@ -16,7 +16,7 @@
 //!
 //! Layering: [`http`] is the sans-io parser, [`conn`] the sans-io
 //! per-connection state machine, [`app`] the transport-free router
-//! (typed [`Route`]s over sharded state), [`poll`] the readiness
+//! (typed [`Route`]s over one snapshot cell), [`poll`] the readiness
 //! layer, and this module the drivers that move bytes.
 //!
 //! ## The event-loop driver (default)
@@ -102,8 +102,6 @@ pub struct ServerConfig {
     /// run offloaded feedback/retrain handlers; under the blocking
     /// driver they are the per-connection tasks.
     pub threads: usize,
-    /// Serving-state shards (min 1): snapshot cells + feedback queues.
-    pub shards: usize,
     /// Connection ceiling; accepts beyond it are dropped at the door.
     pub max_conns: usize,
     /// One JSONL access event per request when set.
@@ -123,7 +121,6 @@ impl Default for ServerConfig {
         Self {
             port: 0,
             threads: 2,
-            shards: 1,
             max_conns: 10_000,
             access_log: None,
             fault_plan: None,
@@ -160,11 +157,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
     pub fn max_conns(mut self, max_conns: usize) -> Self {
         self.cfg.max_conns = max_conns;
         self
@@ -197,12 +189,6 @@ impl ServerConfigBuilder {
             return Err(ConfigError {
                 field: "threads",
                 message: "a server with no handler threads can answer nothing".into(),
-            });
-        }
-        if cfg.shards == 0 {
-            return Err(ConfigError {
-                field: "shards",
-                message: "at least one serving shard must hold the snapshot".into(),
             });
         }
         if cfg.max_conns == 0 {
@@ -259,7 +245,7 @@ struct Shared {
 }
 
 /// `serve_requests` label values are drawn from closed vocabularies
-/// (7 routes x 7 statuses x shard count), but the cap still guards the
+/// (7 routes x 7 statuses), but the cap still guards the
 /// registry against a future labeling bug.
 const REQUEST_FAMILY_CAP: usize = 256;
 
@@ -268,7 +254,7 @@ fn request_family() -> &'static Arc<telemetry::CounterFamily> {
     FAMILY.get_or_init(|| {
         telemetry::stream::counter_family_with_cap(
             "serve_requests",
-            &["route", "status", "shard"],
+            &["route", "status"],
             REQUEST_FAMILY_CAP,
         )
     })
@@ -324,7 +310,6 @@ impl Shared {
                     raw: None,
                     content_type: "application/json",
                     generation: self.app.generation(),
-                    shard: 0,
                     feedback: None,
                 },
             }
@@ -337,7 +322,6 @@ impl Shared {
                 raw: None,
                 content_type: "application/json",
                 generation: self.app.generation(),
-                shard: 0,
                 feedback: None,
             }
         });
@@ -350,8 +334,7 @@ impl Shared {
                 Err(_) => "invalid",
             };
             let status = resp.status.to_string();
-            let shard = resp.shard.to_string();
-            request_family().add(&[route_label, &status, &shard], 1);
+            request_family().add(&[route_label, &status], 1);
             request_secs().record(timer.elapsed().as_secs_f64());
         }
         resp
@@ -361,8 +344,7 @@ impl Shared {
 /// One `{"type":"access", ...}` event per request. `ts_micros` is a
 /// monotonic clock (micros since server start), so the validator can
 /// require per-connection monotonicity without wall-clock caveats.
-/// `shard` is the snapshot cell that answered; `lag_micros` the
-/// parse-to-dispatch gap (event-loop lag under the event driver).
+/// `lag_micros` is the parse-to-dispatch gap (event-loop lag under the event driver).
 ///
 /// The emit is one bounded-queue `try_send`; a full queue drops the
 /// line, counted in `serve_access_log_dropped_total` and — for
@@ -385,7 +367,6 @@ fn log_access(
     path: &str,
     status: u16,
     generation: u64,
-    shard: u64,
     micros: u64,
     lag_micros: u64,
     feedback: Option<FeedbackOutcome>,
@@ -401,7 +382,6 @@ fn log_access(
         .field("path", path.to_string())
         .field("status", u64::from(status))
         .field("generation", generation)
-        .field("shard", shard)
         .field("micros", micros)
         .field("lag_micros", lag_micros)
         .field("ts_micros", shared.started.elapsed().as_micros() as u64);
@@ -441,11 +421,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `127.0.0.1:{port}` and starts serving. The app is built
-    /// by the caller so tests can inject defenses or prebuilt systems;
-    /// it is resharded to `cfg.shards` before the first byte is
-    /// served.
-    pub fn start(mut app: RecApp, cfg: ServerConfig) -> std::io::Result<Self> {
-        app.reshard(cfg.shards.max(1));
+    /// by the caller so tests can inject defenses or prebuilt systems.
+    pub fn start(app: RecApp, cfg: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -498,7 +475,6 @@ impl Server {
                     .field("addr", addr.to_string())
                     .field("ranker", shared.app.system().ranker_name())
                     .field("threads", cfg.threads.max(1))
-                    .field("shards", shared.app.n_shards())
                     .field("max_conns", shared.max_conns)
                     .field("driver", driver.name()),
             );
@@ -640,7 +616,6 @@ struct Completion {
     content_type: &'static str,
     body: String,
     generation: u64,
-    shard: u64,
     method: String,
     path: String,
     micros: u64,
@@ -863,7 +838,6 @@ impl EventLoop {
                     self.shared.app.generation(),
                     0,
                     0,
-                    0,
                     None,
                 );
                 return;
@@ -896,7 +870,6 @@ impl EventLoop {
                     &req.path,
                     resp.status,
                     resp.generation,
-                    resp.shard,
                     micros,
                     lag_micros,
                     resp.feedback,
@@ -917,7 +890,6 @@ impl EventLoop {
                         content_type: resp.content_type,
                         body: resp.render_body(),
                         generation: resp.generation,
-                        shard: resp.shard,
                         method: req.method,
                         path: req.path,
                         micros: timer.elapsed().as_micros() as u64,
@@ -950,7 +922,6 @@ impl EventLoop {
                 &done.path,
                 done.status,
                 done.generation,
-                done.shard,
                 done.micros,
                 done.lag_micros,
                 done.feedback,
@@ -1124,7 +1095,6 @@ fn handle_connection_blocking(stream: TcpStream, shared: &Shared, conn: u64) {
                     shared.app.generation(),
                     0,
                     0,
-                    0,
                     None,
                 );
                 break;
@@ -1152,7 +1122,6 @@ fn handle_connection_blocking(stream: TcpStream, shared: &Shared, conn: u64) {
                 &req.path,
                 resp.status,
                 resp.generation,
-                resp.shard,
                 micros,
                 lag_micros,
                 resp.feedback,

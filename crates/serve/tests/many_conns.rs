@@ -5,7 +5,7 @@
 //! still retires every connection with a clean ledger.
 //!
 //! The server runs as a child process (the real `serve` binary, which
-//! also exercises the `--shards`/`--max-conns` flags): client and
+//! also exercises the `--max-conns` flag): client and
 //! server each get their own fd budget, so 10k sockets per side fit
 //! under a 20k `RLIMIT_NOFILE` that an unprivileged container cannot
 //! raise. The child's thread count is read from `/proc/<pid>/status`
@@ -50,8 +50,6 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_set() {
             "9",
             "--threads",
             "2",
-            "--shards",
-            "4",
             "--max-conns",
             "12000",
         ])
@@ -72,11 +70,6 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_set() {
         .expect("addr in serving line")
         .to_string();
     let driver = serving.get("driver").and_then(Json::as_str).unwrap_or("?");
-    assert_eq!(
-        serving.get("shards").and_then(Json::as_u64),
-        Some(4),
-        "serving line must disclose the shard count"
-    );
 
     // Blocking fallback pins a pool task per connection — out of
     // contract for an idle fleet, so shrink to a smoke.

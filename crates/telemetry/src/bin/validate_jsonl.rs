@@ -34,8 +34,7 @@
 //!   whose `generation` never decreases globally (snapshot swaps are
 //!   totally ordered), whose `ts_micros` is monotone non-decreasing
 //!   per `conn` (events on one connection are serialized), and whose
-//!   numeric `shard` / `lag_micros` fields are present — `shard` must
-//!   stay inside the manifest's declared `shards` count. The file must
+//!   numeric `lag_micros` field is present. The file must
 //!   end with exactly one `{"type":"access-summary"}` line whose drop
 //!   accounting balances: its `events` equals the request lines
 //!   actually present in the file (parse-error lines, method `"?"`,
@@ -108,13 +107,8 @@ fn check_access_log(path: &str) -> Result<String, String> {
         ));
     }
 
-    // A PR-6 manifest discloses the shard count; when present, every
-    // event's `shard` must stay inside it.
-    let declared_shards = manifest.get("shards").and_then(Json::as_u64);
-
     let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     let mut last_generation: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut shards_seen: BTreeMap<u64, u64> = BTreeMap::new();
     let mut max_generation = 0u64;
     let mut events = 0u64;
     let mut counted = 0u64;
@@ -158,15 +152,6 @@ fn check_access_log(path: &str) -> Result<String, String> {
         let ts = field("ts_micros")?;
         field("micros")?;
         field("lag_micros")?;
-        let shard = field("shard")?;
-        if let Some(n) = declared_shards {
-            if shard >= n.max(1) {
-                return Err(at(format!(
-                    "shard {shard} outside the manifest's {n} shard(s)"
-                )));
-            }
-        }
-        *shards_seen.entry(shard).or_insert(0) += 1;
         let method = value
             .get("method")
             .and_then(Json::as_str)
@@ -261,10 +246,9 @@ fn check_access_log(path: &str) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "access log OK — {events} request(s) on {} connection(s), {} shard(s), \
+        "access log OK — {events} request(s) on {} connection(s), \
          {} generation(s), {judged} judged, {sum_dropped} dropped of {sum_completed} completed",
         last_ts.len(),
-        shards_seen.len().max(1),
         max_generation + 1
     ))
 }

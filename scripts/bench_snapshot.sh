@@ -3,7 +3,7 @@
 # timing experiment and the serving experiment into one cumulative
 # `poisonrec-bench-v1` file (exp_timing writes the attack-loop metrics,
 # exp_serve seeds from them via --bench-base and appends the
-# connections × shards wire-path p50/p95/p99 grid, the idle keep-alive
+# connections wire-path p50/p95/p99 grid, the idle keep-alive
 # fleet numbers, and the retrain-churn read latency), so future PRs can
 # gate against it with `perf_diff` (DESIGN.md §5d–f).
 #

@@ -87,18 +87,17 @@ cargo run --release -p bench --bin exp_fig4 -- \
 cargo run --release -p telemetry --bin validate_jsonl -- --trace "$trace_dir/trace.json"
 cargo run --release -p telemetry --bin trace_report -- "$trace_dir/trace.json" >/dev/null
 
-echo "==> serve smoke (over-the-wire attack cell + sharded load grid + access log)"
+echo "==> serve smoke (over-the-wire attack cell + load grid + access log)"
 # exp_serve replays a tiny fig-4 cell through RemoteSystem over a real
-# socket (asserting bit-identical rewards at the highest shard count),
-# sweeps a connections × shards load grid on persistent keep-alive
-# connections (asserting zero non-200s and no reconnect-per-request),
-# churns retrains under read load, and shuts down gracefully — its
-# exit code is non-zero if any accepted request was dropped. The
-# access log it leaves behind must validate, including the per-event
-# shard and lag_micros fields.
+# socket (asserting bit-identical rewards), sweeps a connections load
+# grid on persistent keep-alive connections (asserting zero non-200s
+# and no reconnect-per-request), churns retrains under read load, and
+# shuts down gracefully — its exit code is non-zero if any accepted
+# request was dropped. The access log it leaves behind must validate,
+# including the per-event lag_micros field.
 serve_dir="$smoke_dir/serve"
 mkdir -p "$serve_dir"
-SERVE_SHARDS_GRID=1,2 SERVE_CONNS_GRID=2 SERVE_REQUESTS=60 SERVE_IDLE_CONNS=0 \
+SERVE_CONNS_GRID=2 SERVE_REQUESTS=60 SERVE_IDLE_CONNS=0 \
 SERVE_ACCESS_LOG="$serve_dir/access.jsonl" \
 cargo run --release -p bench --bin exp_serve -- \
     --scale 0.02 --steps 1 --episodes 2 --attackers 4 --trajectory 5 \
@@ -110,10 +109,10 @@ cargo run --release -p telemetry --bin validate_jsonl -- \
 echo "==> high-connection smoke (1k idle keep-alive conns on the event loop)"
 # The event loop holds 1k idle keep-alive connections on its fixed
 # thread set while the grid and retrain churn run; the access log must
-# still validate (shard field in bounds, per-conn clocks monotone).
+# still validate (per-conn clocks monotone).
 many_dir="$smoke_dir/many_conns"
 mkdir -p "$many_dir"
-SERVE_SHARDS_GRID=2 SERVE_CONNS_GRID=2 SERVE_REQUESTS=40 SERVE_IDLE_CONNS=1000 \
+SERVE_CONNS_GRID=2 SERVE_REQUESTS=40 SERVE_IDLE_CONNS=1000 \
 SERVE_ACCESS_LOG="$many_dir/access.jsonl" \
 cargo run --release -p bench --bin exp_serve -- \
     --scale 0.02 --steps 1 --episodes 2 --attackers 4 --trajectory 5 \
@@ -136,7 +135,7 @@ mkdir -p "$live_dir"
 mkfifo "$live_dir/stdin.fifo"
 ./target/release/serve \
     --dataset steam --scale 0.02 --ranker ItemPop --port 0 \
-    --threads 2 --shards 2 --eval-users 8 \
+    --threads 2 --eval-users 8 \
     --access-log "$live_dir/access.jsonl" \
     < "$live_dir/stdin.fifo" > "$live_dir/serve.out" &
 serve_pid=$!
@@ -176,7 +175,7 @@ echo "==> attack zoo smoke (tiny grid, one cell per family, local + wire)"
 # injection peaks within N x T, one summary per cell).
 zoo_dir="$smoke_dir/zoo"
 mkdir -p "$zoo_dir"
-ZOO_BUDGETS=4x6 ZOO_TRANSPORT=both ZOO_SHARDS=2 \
+ZOO_BUDGETS=4x6 ZOO_TRANSPORT=both \
 ZOO_APPGRAD_ITERS=2 ZOO_INFLUENCE_ROUNDS=2 \
 cargo run --release -p bench --bin exp_zoo -- \
     --scale 0.02 --steps 2 --episodes 4 --attackers 4 --trajectory 6 \
@@ -200,7 +199,7 @@ echo "==> defense smoke (attack x defense matrix, both transports + CSV lift gat
 # verdict ledgers, finite rates, none-cells reject nothing).
 def_dir="$smoke_dir/defense"
 mkdir -p "$def_dir"
-DEF_ATTACKS=popular DEF_BUDGETS=16x20 DEF_TRANSPORT=both DEF_SHARDS=2 \
+DEF_ATTACKS=popular DEF_BUDGETS=16x20 DEF_TRANSPORT=both \
 cargo run --release -p bench --bin exp_defense -- \
     --scale 0.1 --attackers 16 --trajectory 20 --eval-users 96 \
     --rankers covisitation --datasets steam --threads 2 \
@@ -228,7 +227,7 @@ awk -F, '
 
 echo "==> attack zoo conformance suite (release)"
 # Every registered family through the pinned checks: thread
-# invariance, wire transparency at shards 1 and 4, interrupt+resume
+# invariance, wire transparency, interrupt+resume
 # bit-identity, and the budget/capability property tests — re-proven
 # under release codegen, which is what the experiment grids run.
 # defense_conformance re-proves the same gate with a stateful
@@ -242,7 +241,7 @@ echo "==> perf gate (tiny bench snapshot + perf_diff both ways)"
 # regression fixture must fail the gate (exit non-zero).
 BENCH_SCALE=0.02 BENCH_STEPS=1 BENCH_EPISODES=4 BENCH_EVAL_USERS=32 BENCH_THREADS=2 \
 BENCH_SERVE_STEPS=1 BENCH_SERVE_EPISODES=2 BENCH_SERVE_EVAL_USERS=8 \
-SERVE_SHARDS_GRID=1,2 SERVE_CONNS_GRID=2 SERVE_REQUESTS=60 SERVE_IDLE_CONNS=200 \
+SERVE_CONNS_GRID=2 SERVE_REQUESTS=60 SERVE_IDLE_CONNS=200 \
     scripts/bench_snapshot.sh "$smoke_dir/BENCH_tiny.json" >/dev/null
 cargo run --release -p telemetry --bin perf_diff -- \
     "$smoke_dir/BENCH_tiny.json" "$smoke_dir/BENCH_tiny.json" >/dev/null
@@ -286,5 +285,20 @@ if [ -f BENCH_PR9.json ] && [ -f BENCH_PR10.json ]; then
     cargo run --release -p telemetry --bin perf_diff -- \
         BENCH_PR9.json BENCH_PR10.json --threshold 1.0
 fi
+
+echo "==> repo benchmark smoke (perfbench, every workload, 1 s each)"
+# perfbench is its own cargo workspace, so nothing above builds it; a
+# facade API change could otherwise break the benchmark unnoticed. It
+# exits 0 even when one of its checks fails, so the gate reads the
+# verdict off its last output line.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in attack-bpr attack-neumf serve-mixed; do
+    last="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *) echo "perfbench $workload failed its checks: $last"; exit 1 ;;
+    esac
+done
 
 echo "CI green."

@@ -9,8 +9,7 @@
 //!   cell run with 8;
 //! * **wire transparency** — a cell attacked through
 //!   [`recsys::RemoteSystem`] over a real 127.0.0.1 socket is
-//!   bit-identical to the in-process run, at 1 and at 4 serving
-//!   shards;
+//!   bit-identical to the in-process run;
 //! * **interrupt + resume** — a cell checkpointed every step, cut off
 //!   mid-run, and resumed on a *fresh* same-config system finishes
 //!   bit-identical to the uninterrupted run (the sealed checkpoint
@@ -157,33 +156,28 @@ fn every_family_is_thread_invariant() {
 }
 
 /// The wire must be invisible: every family attacked through
-/// `RemoteSystem` over a real socket matches the in-process run, at
-/// every shard count — sharded serving state must not perturb the
-/// observation seed stream.
+/// `RemoteSystem` over a real socket matches the in-process run — the
+/// serving layer must not perturb the observation seed stream.
 #[test]
 fn every_family_is_wire_transparent() {
     let tuning = tuning();
-    for shards in [1usize, 4] {
-        for family in AttackFamily::ALL {
-            let cfg = ZooConfig::new(budget(family, &tuning));
-            let local = run_cell(family, &tiny_system(), &tuning, &cfg);
+    for family in AttackFamily::ALL {
+        let cfg = ZooConfig::new(budget(family, &tuning));
+        let local = run_cell(family, &tiny_system(), &tuning, &cfg);
 
-            let server_cfg = ServerConfig::builder()
-                .threads(2)
-                .shards(shards)
-                .build()
-                .expect("valid server config");
-            let server = Server::start(RecApp::new(tiny_system(), None), server_cfg).expect("bind");
-            let remote = RemoteSystem::connect(server.local_addr().to_string())
-                .expect("connect to served system");
-            assert_eq!(remote.shards(), shards, "served shard count undisclosed");
-            let wire = run_cell(family, &remote, &tuning, &cfg);
-            drop(remote);
-            let stats = server.shutdown();
-            assert_eq!(stats.dropped(), 0, "{family}: shutdown dropped requests");
+        let server_cfg = ServerConfig::builder()
+            .threads(2)
+            .build()
+            .expect("valid server config");
+        let server = Server::start(RecApp::new(tiny_system(), None), server_cfg).expect("bind");
+        let remote = RemoteSystem::connect(server.local_addr().to_string())
+            .expect("connect to served system");
+        let wire = run_cell(family, &remote, &tuning, &cfg);
+        drop(remote);
+        let stats = server.shutdown();
+        assert_eq!(stats.dropped(), 0, "{family}: shutdown dropped requests");
 
-            assert_identical(family, &local, &wire, &format!("wire at {shards} shard(s)"));
-        }
+        assert_identical(family, &local, &wire, "wire");
     }
 }
 

@@ -13,8 +13,7 @@
 //! * **wire transparency** — a cell attacked through
 //!   [`recsys::RemoteSystem`] against a served [`DefenseStack`]
 //!   (judged inside the `POST /feedback` admission section) matches
-//!   the in-process [`DefendedSystem`] run at 1 and 4 shards,
-//!   including the ledger;
+//!   the in-process [`DefendedSystem`] run, including the ledger;
 //! * **interrupt + resume** — a defended cell checkpointed every step
 //!   and cut off mid-run resumes on a fresh same-config system
 //!   bit-identically: the sealed checkpoint carries the defense state
@@ -172,48 +171,38 @@ fn every_family_is_thread_invariant_under_every_defense() {
 /// The wire must be invisible: a defended serve judges at `/feedback`
 /// admission in arrival order, the local [`DefendedSystem`] in slot
 /// order pre-dispatch — the same order, so histories AND the verdict
-/// ledger must match at every shard count.
+/// ledger must match.
 #[test]
 fn every_family_is_wire_transparent_under_every_defense() {
     let tuning = tuning();
-    for shards in [1usize, 4] {
-        for kind in DEFENDED {
-            for family in AttackFamily::ALL {
-                let cfg = ZooConfig::new(budget(family, &tuning));
-                let local_sys = defended_system(kind);
-                let local = run_cell(family, &local_sys, &tuning, &cfg);
+    for kind in DEFENDED {
+        for family in AttackFamily::ALL {
+            let cfg = ZooConfig::new(budget(family, &tuning));
+            let local_sys = defended_system(kind);
+            let local = run_cell(family, &local_sys, &tuning, &cfg);
 
-                let served = tiny_system();
-                let stack = DefenseStack::build(kind, served.base(), FPR).expect("layered kind");
-                let server_cfg = ServerConfig::builder()
-                    .threads(2)
-                    .shards(shards)
-                    .build()
-                    .expect("valid server config");
-                let server =
-                    Server::start(RecApp::new(served, Some(stack)), server_cfg).expect("bind");
-                let remote = RemoteSystem::connect(server.local_addr().to_string())
-                    .expect("connect to served system");
-                let wire = run_cell(family, &remote, &tuning, &cfg);
-                let wire_counts = server.app().defense_counts();
-                drop(remote);
-                let stats = server.shutdown();
-                assert_eq!(stats.dropped(), 0, "{family}: shutdown dropped requests");
+            let served = tiny_system();
+            let stack = DefenseStack::build(kind, served.base(), FPR).expect("layered kind");
+            let server_cfg = ServerConfig::builder()
+                .threads(2)
+                .build()
+                .expect("valid server config");
+            let server = Server::start(RecApp::new(served, Some(stack)), server_cfg).expect("bind");
+            let remote = RemoteSystem::connect(server.local_addr().to_string())
+                .expect("connect to served system");
+            let wire = run_cell(family, &remote, &tuning, &cfg);
+            let wire_counts = server.app().defense_counts();
+            drop(remote);
+            let stats = server.shutdown();
+            assert_eq!(stats.dropped(), 0, "{family}: shutdown dropped requests");
 
-                assert_identical(
-                    family,
-                    kind,
-                    &local,
-                    &wire,
-                    &format!("wire at {shards} shard(s)"),
-                );
-                assert_eq!(
-                    local_sys.counts(),
-                    wire_counts,
-                    "{family} × {}: verdict ledger diverged over the wire at {shards} shard(s)",
-                    kind.label()
-                );
-            }
+            assert_identical(family, kind, &local, &wire, "wire");
+            assert_eq!(
+                local_sys.counts(),
+                wire_counts,
+                "{family} × {}: verdict ledger diverged over the wire",
+                kind.label()
+            );
         }
     }
 }
@@ -373,9 +362,6 @@ fn defense_state_roundtrips_through_bytes() {
     }
 }
 
-/// Legacy single-detector filters ride the same stack type: the
-/// `From<OnlineFilter>` conversion must preserve the admit/flag
-/// decision exactly (`serve --defense popularity|repetition`).
 #[test]
 fn verdict_counts_sum_to_offered_for_every_kind() {
     let log = tiny_log();

@@ -60,9 +60,8 @@ fn start_server(cfg: ServerConfig) -> (Server, String) {
 
 /// The tentpole criterion: an identical-seed attack cell trained
 /// through `RemoteSystem` over a real socket produces a bit-identical
-/// reward history to the in-process run — at every shard count. The
-/// sharded serving state (per-shard snapshot cells, seq-merged
-/// feedback queues) must be invisible to the attacker.
+/// reward history to the in-process run. The serving state (snapshot
+/// cell, admission queue) must be invisible to the attacker.
 #[test]
 fn remote_attack_is_bit_identical_to_in_process() {
     const STEPS: usize = 2;
@@ -77,37 +76,33 @@ fn remote_attack_is_bit_identical_to_in_process() {
         .map(|s| (s.mean_reward, s.max_reward))
         .collect();
 
-    // Identical system, served at each shard count; attack over the wire.
-    for shards in [1usize, 4] {
-        let (server, addr) = start_server(ServerConfig {
-            threads: 2,
-            shards,
-            ..ServerConfig::default()
-        });
-        let remote = RemoteSystem::connect(addr).expect("connect to served system");
-        assert_eq!(remote.ranker_name(), reference.ranker_name());
-        assert_eq!(remote.shards(), shards, "served shard count undisclosed");
-        let mut over_wire = PoisonRecTrainer::new(quick_cfg(21), &remote);
-        over_wire.train(&remote, STEPS);
-        let remote_history: Vec<(f32, f32)> = over_wire
-            .history()
-            .iter()
-            .map(|s| (s.mean_reward, s.max_reward))
-            .collect();
+    // Identical system, served; attack over the wire.
+    let (server, addr) = start_server(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let remote = RemoteSystem::connect(addr).expect("connect to served system");
+    assert_eq!(remote.ranker_name(), reference.ranker_name());
+    let mut over_wire = PoisonRecTrainer::new(quick_cfg(21), &remote);
+    over_wire.train(&remote, STEPS);
+    let remote_history: Vec<(f32, f32)> = over_wire
+        .history()
+        .iter()
+        .map(|s| (s.mean_reward, s.max_reward))
+        .collect();
 
-        assert_eq!(
-            local_history, remote_history,
-            "over-the-wire attack diverged from the in-process run at {shards} shard(s)"
-        );
-        assert_eq!(
-            remote.observations_spent(),
-            reference.observations_spent(),
-            "remote attack consumed a different observation budget at {shards} shard(s)"
-        );
+    assert_eq!(
+        local_history, remote_history,
+        "over-the-wire attack diverged from the in-process run"
+    );
+    assert_eq!(
+        remote.observations_spent(),
+        reference.observations_spent(),
+        "remote attack consumed a different observation budget"
+    );
 
-        let stats = server.shutdown();
-        assert_eq!(stats.dropped(), 0, "shutdown dropped requests");
-    }
+    let stats = server.shutdown();
+    assert_eq!(stats.dropped(), 0, "shutdown dropped requests");
 }
 
 /// Graceful shutdown under concurrent read load: every request the
@@ -173,7 +168,6 @@ fn metrics_scrapes_and_access_log_accounting_balance() {
     let _ = std::fs::remove_file(&log_path);
     let (server, addr) = start_server(ServerConfig {
         threads: 2,
-        shards: 2,
         access_log: Some(log_path.clone()),
         ..ServerConfig::default()
     });
