@@ -28,8 +28,8 @@
 //!   run first as the lift baseline);
 //! * `DEF_BUDGETS` — comma list of `NxT` budgets (default `8x12`);
 //! * `DEF_TRANSPORT` — `local` | `wire` | `both` (default `local`);
-//! * `DEF_FPR` — calibration false-positive-rate target (default
-//!   `0.05`);
+//! * `DEF_FPR` — calibration false-positive-rate target, strictly
+//!   between 0 and 1 (default `0.05`);
 //! * `DEF_APPGRAD_ITERS` / `DEF_INFLUENCE_ROUNDS` — query-hungry
 //!   family sizes (defaults `30` / `5`).
 //!
@@ -47,20 +47,13 @@ use bench::ExpArgs;
 use poisonrec::{run_attack, ActionSpaceKind, ZooConfig, ZooEvent, ZooRun};
 use recsys::attack::{AttackBudget, AttackError};
 use recsys::data::Dataset;
-use recsys::defense::{DefendedSystem, DefenseKind, DefenseStack, VerdictCounts};
+use recsys::defense::{parse_fpr, DefendedSystem, DefenseKind, DefenseStack, VerdictCounts};
 use recsys::remote::RemoteSystem;
 use recsys::system::ObservableSystem;
 use serve::{RecApp, Server, ServerConfig};
 use telemetry::Json;
 
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -284,7 +277,9 @@ fn main() {
     let defenses = env_defenses();
     let budgets = env_budgets();
     let transport = Transport::parse();
-    let fpr = env_f64("DEF_FPR", 0.05);
+    let fpr = std::env::var("DEF_FPR").map_or(0.05, |raw| {
+        parse_fpr(&raw).unwrap_or_else(|err| panic!("DEF_FPR: {err}"))
+    });
 
     let tuning = ZooTuning {
         seed: args.seed,

@@ -61,10 +61,11 @@ const LOF_DIM: usize = 5;
 ///
 /// Fitting z-normalizes features over the organic users and
 /// precomputes each organic point's k-nearest neighbors, k-distance,
-/// and local reachability density; scoring a query is one k-NN pass.
-/// All neighbor sorts tie-break by organic user id (after distance,
-/// via `total_cmp`), and every feature sums in a fixed order, so scores
-/// are bit-stable across fits, platforms and run orders.
+/// and local reachability density, plus every organic user's own
+/// score; scoring a query is one k-NN pass. Neighborhoods are ordered
+/// by `(distance, organic user id)` (distance via `total_cmp`), and
+/// every feature sums in a fixed order, so scores are bit-stable
+/// across fits, platforms and run orders.
 pub struct LofDetector {
     k: usize,
     /// `log(1+pop)` at or below this marks an item "cold".
@@ -78,6 +79,9 @@ pub struct LofDetector {
     points: Vec<[f64; LOF_DIM]>,
     kdist: Vec<f64>,
     lrd: Vec<f64>,
+    /// Every organic user's score, sorted by `total_cmp`: the
+    /// empirical distribution [`LofDetector::threshold`] reads.
+    organic_scores: Vec<f64>,
 }
 
 impl LofDetector {
@@ -111,6 +115,7 @@ impl LofDetector {
             points: Vec::new(),
             kdist: Vec::new(),
             lrd: Vec::new(),
+            organic_scores: Vec::new(),
         };
 
         let raw: Vec<[f64; LOF_DIM]> = (0..base.num_users())
@@ -135,13 +140,16 @@ impl LofDetector {
             .iter()
             .map(|n| n.last().map_or(0.0, |&(d, _)| d))
             .collect();
-        detector.lrd = neighborhoods
-            .iter()
-            .map(|neigh| {
-                let reach: f64 = neigh.iter().map(|&(d, j)| d.max(detector.kdist[j])).sum();
-                neigh.len() as f64 / reach.max(1e-12)
-            })
+        detector.lrd = neighborhoods.iter().map(|n| detector.density(n)).collect();
+        // Each organic user's score, from the neighborhood just found
+        // rather than a second k-NN pass.
+        let mut scores: Vec<f64> = neighborhoods
+            .into_iter()
+            .enumerate()
+            .map(|(u, neigh)| detector.organic_score(u, neigh))
             .collect();
+        scores.sort_by(f64::total_cmp);
+        detector.organic_scores = scores;
         detector
     }
 
@@ -196,21 +204,39 @@ impl LofDetector {
     /// The k nearest organic points to `query`, sorted by
     /// `(distance, user id)` — the user-id tie-break is what makes
     /// neighborhoods (and therefore scores) deterministic when
-    /// distances collide.
+    /// distances collide. One pass keeping the k best so far: the
+    /// order is total, so this is exactly a full sort truncated to k.
     fn nearest(&self, query: &[f64; LOF_DIM], skip: Option<usize>) -> Vec<(f64, usize)> {
-        let mut dists: Vec<(f64, usize)> = self
-            .points
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| Some(j) != skip)
-            .map(|(j, p)| {
-                let d2: f64 = (0..LOF_DIM).map(|d| (query[d] - p[d]).powi(2)).sum();
-                (d2.sqrt(), j)
-            })
-            .collect();
-        dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        dists.truncate(self.k.min(dists.len()));
-        dists
+        let mut best = Vec::with_capacity(self.k);
+        for (j, p) in self.points.iter().enumerate() {
+            if Some(j) != skip {
+                keep_nearest(&mut best, self.k, (distance(query, p), j));
+            }
+        }
+        best
+    }
+
+    /// Organic user `u`'s score from its neighborhood with `u` itself
+    /// skipped. The unskipped neighborhood is the k smallest of that
+    /// set plus `u`'s own entry, so merging the entry in by the same
+    /// order gives the neighborhood [`LofDetector::score`] would find.
+    fn organic_score(&self, u: usize, mut neigh: Vec<(f64, usize)>) -> f64 {
+        let own = &self.points[u];
+        keep_nearest(&mut neigh, self.k, (distance(own, own), u));
+        self.lof(&neigh)
+    }
+
+    /// Local reachability density of a point with neighborhood `neigh`.
+    fn density(&self, neigh: &[(f64, usize)]) -> f64 {
+        let reach: f64 = neigh.iter().map(|&(d, j)| d.max(self.kdist[j])).sum();
+        neigh.len() as f64 / reach.max(1e-12)
+    }
+
+    /// The local outlier factor of a query with neighborhood `neigh`.
+    fn lof(&self, neigh: &[(f64, usize)]) -> f64 {
+        let lrd_q = self.density(neigh);
+        let lrd_sum: f64 = neigh.iter().map(|&(_, j)| self.lrd[j]).sum();
+        lrd_sum / (neigh.len() as f64 * lrd_q).max(1e-12)
     }
 
     /// Scores one click sequence; higher = more suspicious.
@@ -219,24 +245,61 @@ impl LofDetector {
             return 0.0;
         }
         let query = self.normalize(self.raw_features(sequence));
-        let neigh = self.nearest(&query, None);
-        let reach: f64 = neigh.iter().map(|&(d, j)| d.max(self.kdist[j])).sum();
-        let lrd_q = neigh.len() as f64 / reach.max(1e-12);
-        let lrd_sum: f64 = neigh.iter().map(|&(_, j)| self.lrd[j]).sum();
-        lrd_sum / (neigh.len() as f64 * lrd_q).max(1e-12)
+        self.lof(&self.nearest(&query, None))
     }
 
     /// Decision threshold calibrated so that at most `fpr` of organic
     /// users would be flagged (empirical quantile over the base users).
-    pub fn threshold(&self, base: &Dataset, fpr: f64) -> f64 {
-        let mut scores: Vec<f64> = (0..base.num_users())
-            .map(|u| self.score(base.sequence(u)))
-            .collect();
-        scores.sort_by(f64::total_cmp);
+    ///
+    /// # Panics
+    /// If `fpr` is not finite, or the detector was fit on no users.
+    pub fn threshold(&self, fpr: f64) -> f64 {
+        assert!(
+            fpr.is_finite(),
+            "LOF threshold needs a finite fpr, got {fpr}"
+        );
+        let scores = &self.organic_scores;
+        assert!(!scores.is_empty(), "LOF threshold needs organic users");
         let idx =
             (((1.0 - fpr.clamp(0.0, 1.0)) * scores.len() as f64) as usize).min(scores.len() - 1);
         scores[idx]
     }
+}
+
+/// Euclidean distance between two feature points, summed in dimension
+/// order. A NaN distance (from a NaN or infinite feature) comes back as
+/// the positive quiet NaN, which `total_cmp` sorts after every number:
+/// the sign of a computed NaN follows operand order in the generated
+/// code, so a raw one could sort first in one build and last in another.
+fn distance(a: &[f64; LOF_DIM], b: &[f64; LOF_DIM]) -> f64 {
+    let d2: f64 = (0..LOF_DIM).map(|d| (a[d] - b[d]).powi(2)).sum();
+    let d = d2.sqrt();
+    if d.is_nan() {
+        f64::NAN
+    } else {
+        d
+    }
+}
+
+/// The neighborhood order: distance by `total_cmp`, then user id.
+fn by_distance(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Offers `cand` to `best`, which holds at most `k` entries sorted by
+/// [`by_distance`]: a candidate not below the current k-th is dropped,
+/// any other is inserted in order and evicts the k-th if full.
+fn keep_nearest(best: &mut Vec<(f64, usize)>, k: usize, cand: (f64, usize)) {
+    if best.len() >= k {
+        match best.last() {
+            Some(last) if by_distance(&cand, last).is_lt() => {
+                best.pop();
+            }
+            _ => return,
+        }
+    }
+    let at = best.partition_point(|e| by_distance(e, &cand).is_lt());
+    best.insert(at, cand);
 }
 
 /// Deterministic two-sided CUSUM drift detector over a scalar stream.
@@ -446,6 +509,18 @@ const REPUTATION_RECOVERY: f64 = 0.02;
 /// Token-bucket capacity = this many × the longest organic session.
 const BUCKET_SLACK: usize = 2;
 
+/// Parses a calibration false-positive-rate target, which must be a
+/// number strictly between 0 and 1. NaN would otherwise calibrate at
+/// the minimum organic score and flag nearly all traffic.
+pub fn parse_fpr(raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(fpr) if fpr > 0.0 && fpr < 1.0 => Ok(fpr),
+        _ => Err(format!(
+            "false-positive-rate target {raw:?} is not a number strictly between 0 and 1"
+        )),
+    }
+}
+
 /// Mutable, checkpointable state of a [`DefenseStack`].
 #[derive(Clone, Debug)]
 struct DefenseState {
@@ -494,9 +569,9 @@ impl DefenseStack {
         }
         let detector = LofDetector::fit(base, LofDetector::DEFAULT_K);
         let ladder: Vec<f64> = (0..LADDER_RUNGS)
-            .map(|i| detector.threshold(base, (fpr * f64::from(1u32 << i)).min(0.5)))
+            .map(|i| detector.threshold((fpr * f64::from(1u32 << i)).min(0.5)))
             .collect();
-        let throttle_threshold = detector.threshold(base, (fpr * 2.0).min(0.5));
+        let throttle_threshold = detector.threshold((fpr * 2.0).min(0.5));
         let monitor_threshold = ladder[0];
         let longest_organic = (0..base.num_users())
             .map(|u| base.sequence(u).len())
@@ -772,7 +847,7 @@ mod tests {
         let d = organic_like();
         let det = LofDetector::fit(&d, LofDetector::DEFAULT_K);
         let attack_score = det.score(&[190, 190, 191, 190, 191, 190]);
-        let threshold = det.threshold(&d, 0.1);
+        let threshold = det.threshold(0.1);
         assert!(
             attack_score > threshold,
             "attack session evades LOF: {attack_score} <= {threshold}"
@@ -846,6 +921,205 @@ mod tests {
             shifted.observe(3.0);
         }
         assert!(shifted.alarms() > 0, "sustained shift never alarmed");
+    }
+
+    /// The full sort + truncate that [`LofDetector::nearest`] must equal,
+    /// over the same distances (bit identity with the distances of the
+    /// original sort-based search is what the pinned test holds).
+    fn nearest_by_sort(
+        det: &LofDetector,
+        query: &[f64; LOF_DIM],
+        skip: Option<usize>,
+    ) -> Vec<(f64, usize)> {
+        let mut dists: Vec<(f64, usize)> = det
+            .points
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| Some(j) != skip)
+            .map(|(j, p)| (distance(query, p), j))
+            .collect();
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        dists.truncate(det.k.min(dists.len()));
+        dists
+    }
+
+    /// A detector holding only `points`, enough for neighborhood search.
+    fn cloud_detector(points: Vec<[f64; LOF_DIM]>, k: usize) -> LofDetector {
+        LofDetector {
+            k,
+            cold_cutoff_log: 0.0,
+            log_pop: Vec::new(),
+            pairs: HashMap::new(),
+            feat_mean: [0.0; LOF_DIM],
+            feat_dev: [1.0; LOF_DIM],
+            points,
+            kdist: Vec::new(),
+            lrd: Vec::new(),
+            organic_scores: Vec::new(),
+        }
+    }
+
+    /// The bounded selection returns the same entries in the same order
+    /// as sort + truncate, bit for bit, on seeded clouds with forced
+    /// exact ties (coordinates from a tiny grid, so duplicates abound),
+    /// with and without a skipped point, for k below, at and above n,
+    /// on the empty cloud, and with ±inf and ±NaN features.
+    #[test]
+    fn bounded_selection_equals_sort_and_truncate() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+        let point = |rng: &mut StdRng, special_rate: f64| -> [f64; LOF_DIM] {
+            std::array::from_fn(|_| {
+                if rng.gen_bool(special_rate) {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    f64::from(rng.gen_range(0..3u32)) - 1.0
+                }
+            })
+        };
+        let mut cases = 0;
+        for n in [0usize, 1, 2, 5, 10, 11, 40, 150] {
+            for special_rate in [0.0, 0.05] {
+                let points: Vec<_> = (0..n).map(|_| point(&mut rng, special_rate)).collect();
+                for k in [1, 3, 10, n, n + 4] {
+                    let det = cloud_detector(points.clone(), k.max(1));
+                    for skip in [None, Some(0), Some(n / 2), Some(n)] {
+                        for q in 0..6 {
+                            let query = if q < 3 && n > 0 {
+                                points[rng.gen_range(0..n)]
+                            } else {
+                                point(&mut rng, special_rate)
+                            };
+                            let got = det.nearest(&query, skip);
+                            let want = nearest_by_sort(&det, &query, skip);
+                            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                                v.iter().map(|&(d, j)| (d.to_bits(), j)).collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "n={n} k={k} skip={skip:?}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 1000);
+    }
+
+    /// Each organic score that `fit` derives from the skip-self
+    /// neighborhood equals a fresh [`LofDetector::score`] of that user's
+    /// sequence bit for bit, and the stored distribution is exactly
+    /// those scores sorted. `organic_like` has users with identical
+    /// sequences, so some neighbors tie the user's own entry at 0.
+    #[test]
+    fn organic_scores_equal_fresh_scores() {
+        for d in [organic_like(), steam_twin(0.1, 1)] {
+            let det = LofDetector::fit(&d, LofDetector::DEFAULT_K);
+            let mut fresh = Vec::new();
+            for u in 0..d.num_users() {
+                let i = u as usize;
+                let reused = det.organic_score(i, det.nearest(&det.points[i], Some(i)));
+                let score = det.score(d.sequence(u));
+                assert_eq!(reused.to_bits(), score.to_bits(), "user {u}");
+                fresh.push(score);
+            }
+            fresh.sort_by(f64::total_cmp);
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&fresh), bits(&det.organic_scores));
+        }
+    }
+
+    /// A NaN or infinite FPR target is a caller bug, not a request for
+    /// the minimum organic score (which would flag nearly everyone).
+    #[test]
+    fn non_finite_fpr_panics() {
+        let det = LofDetector::fit(&organic_like(), LofDetector::DEFAULT_K);
+        for fpr in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let caught = std::panic::catch_unwind(|| det.threshold(fpr));
+            let message = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.contains("finite fpr"), "{message}");
+        }
+    }
+
+    #[test]
+    fn parse_fpr_accepts_only_the_open_unit_interval() {
+        for ok in ["0.05", " 0.5 ", "1e-3", "0.999"] {
+            assert!(parse_fpr(ok).is_ok(), "{ok} rejected");
+        }
+        for bad in [
+            "NaN", "nan", "inf", "-inf", "0", "1", "-0.1", "1.5", "", "x",
+        ] {
+            assert!(parse_fpr(bad).is_err(), "{bad} accepted");
+        }
+    }
+
+    /// FNV-1a, so pinned hashes do not depend on std's hasher.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Popular-family trajectories (a random target, then a random
+    /// top-10% item, alternating), seeded so the sequence is fixed.
+    fn popular_crafted(d: &Dataset, count: usize, len: usize, seed: u64) -> Vec<Trajectory> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let targets: Vec<ItemId> = d.target_items().collect();
+        let popular = d.popular_set(10.0);
+        (0..count)
+            .map(|_| {
+                (0..len)
+                    .map(|step| {
+                        let set = if step % 2 == 0 { &targets } else { &popular };
+                        set[rng.gen_range(0..set.len())]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The calibrated thresholds and the state after a fixed judged
+    /// sequence, pinned bit for bit on the Steam×0.1 seed-1 twin. The
+    /// values were recorded from the original sort-based neighborhood
+    /// search; any rewrite of the LOF internals must reproduce them.
+    #[test]
+    fn calibration_and_judged_state_are_pinned() {
+        let d = steam_twin(0.1, 1);
+        let mut stack = DefenseStack::build(DefenseKind::Full, &d, 0.05).unwrap();
+        let ladder: Vec<u64> = stack.ladder.iter().map(|t| t.to_bits()).collect();
+        let popular = popular_crafted(&d, 200, 20, 7);
+        let mut verdicts = Vec::new();
+        for i in 0..800usize {
+            let verdict = if i % 4 == 3 {
+                stack.judge(&d, &popular[i / 4])
+            } else {
+                stack.judge(&d, d.sequence((i as u32 * 7) % d.num_users()))
+            };
+            verdicts.push(verdict as u8);
+        }
+        assert_eq!(
+            ladder,
+            [
+                0x3ff7_0a4c_0248_e2a6,
+                0x3ff5_1187_bb78_dc8b,
+                0x3ff3_4338_6269_8810,
+                0x3ff1_75ee_98d6_ed82,
+            ]
+        );
+        assert_eq!(stack.throttle_threshold.to_bits(), 0x3ff5_1187_bb78_dc8b);
+        assert_eq!(stack.monitor_threshold.to_bits(), 0x3ff7_0a4c_0248_e2a6);
+        assert_eq!(
+            stack.counts(),
+            VerdictCounts {
+                admitted: 558,
+                flagged: 226,
+                rate_limited: 0,
+                throttled: 16,
+            }
+        );
+        assert_eq!(fnv1a(&verdicts), 0x0608_0312_bb8f_a5d7);
+        assert_eq!(fnv1a(&stack.state_bytes()), 0x57da_f795_bdb0_9027);
     }
 
     /// CUSUM alarms escalate the adaptive ladder and sink reputation;

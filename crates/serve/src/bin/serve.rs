@@ -19,7 +19,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use recsys::defense::{DefenseKind, DefenseStack};
+use recsys::defense::{parse_fpr, DefenseKind, DefenseStack};
 use recsys::rankers::RankerKind;
 use recsys::system::{BlackBoxSystem, SystemConfig};
 use serve::{RecApp, Server, ServerConfig};
@@ -129,7 +129,10 @@ fn parse_args() -> Args {
             "--access-log" => args.access_log = Some(value("--access-log").into()),
             "--defense" => args.defense = Some(value("--defense")),
             "--defense-fpr" => {
-                args.defense_fpr = value("--defense-fpr").parse().unwrap_or_else(|_| usage())
+                args.defense_fpr = parse_fpr(&value("--defense-fpr")).unwrap_or_else(|err| {
+                    eprintln!("--defense-fpr: {err}");
+                    usage()
+                })
             }
             "--fault-ordinals" => {
                 args.fault_ordinals = value("--fault-ordinals")

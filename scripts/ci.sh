@@ -233,8 +233,12 @@ echo "==> attack zoo conformance suite (release)"
 # defense_conformance re-proves the same gate with a stateful
 # admission judge in the path (every family x defense kind), plus
 # kill+resume with the defense state sealed into the checkpoint.
+# The recsys `defense` unit tests re-prove, at release speed, that the
+# bounded k-NN selection equals sort + truncate bit for bit and that
+# the calibrated thresholds and judged state match their pinned bits.
 cargo test -q --release --test attack_conformance --test attack_budget \
     --test defense_conformance
+cargo test -q --release -p recsys defense
 
 echo "==> perf gate (tiny bench snapshot + perf_diff both ways)"
 # A fresh snapshot must pass against itself, and the committed +20%
