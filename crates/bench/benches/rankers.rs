@@ -1,12 +1,26 @@
 //! Per-ranker cost of one black-box poison observation (a warm
 //! fine-tune followed by a RecNum evaluation) — the inner-loop
 //! operation Algorithm 1 pays `M` times per step. Small Steam twin.
+//!
+//! The `fit` and `fine_tune` groups split out the training half for the
+//! gradient rankers (the ones that run the tensor tape and SGD) at
+//! Steam ×0.1 and ×1.0: a full fit from fresh weights, and one warm
+//! fine-tune of a clone of the fitted model on a 20×20 poison.
 
 use bench::ExpArgs;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::PaperDataset;
-use recsys::data::Trajectory;
+use recsys::data::{Dataset, LogView, Trajectory};
 use recsys::rankers::RankerKind;
+
+const TRAINED: [RankerKind; 4] = [
+    RankerKind::NeuMf,
+    RankerKind::Gru4Rec,
+    RankerKind::AutoRec,
+    RankerKind::Ngcf,
+];
+const SCALES: [f64; 2] = [0.1, 1.0];
+const RESERVE: u32 = 32;
 
 fn bench_observation(c: &mut Criterion) {
     let mut group = c.benchmark_group("inject_and_observe");
@@ -37,5 +51,68 @@ fn bench_observation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_observation);
+/// 20 attackers × 20 clicks, alternating a target with an organic item.
+fn mixed_poison(data: &Dataset) -> Vec<Trajectory> {
+    let targets: Vec<u32> = data.target_items().collect();
+    (0..20u32)
+        .map(|a| {
+            (0..20u32)
+                .map(|t| match t % 2 {
+                    0 => targets[((a + t) as usize) % targets.len()],
+                    _ => (a * 37 + t * 11) % data.num_items(),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn label(kind: RankerKind, scale: f64) -> BenchmarkId {
+    BenchmarkId::new(kind.name(), format!("steam x{scale}"))
+}
+
+fn bench_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fit");
+    group.sample_size(3);
+    for scale in SCALES {
+        let data = PaperDataset::Steam.generate_scaled(scale, 1);
+        let view = LogView::clean(&data);
+        for kind in TRAINED {
+            group.bench_function(label(kind, scale), |b| {
+                b.iter(|| {
+                    let mut ranker = kind.build(&view, RESERVE);
+                    ranker.fit(&view, 1);
+                    ranker
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_fine_tune(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fine_tune");
+    group.sample_size(10);
+    for scale in SCALES {
+        let data = PaperDataset::Steam.generate_scaled(scale, 1);
+        let clean = LogView::clean(&data);
+        let poison = mixed_poison(&data);
+        let poisoned = LogView::new(&data, &poison);
+        for kind in TRAINED {
+            let mut fitted = kind.build(&clean, RESERVE);
+            fitted.fit(&clean, 1);
+            let mut seed = 0u64;
+            group.bench_function(label(kind, scale), |b| {
+                b.iter(|| {
+                    seed += 1;
+                    let mut ranker = fitted.boxed_clone();
+                    ranker.fine_tune(&poisoned, seed);
+                    ranker
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_observation, bench_fit, bench_fine_tune);
 criterion_main!(benches);

@@ -136,6 +136,16 @@ fn is_consecutive(indices: &[u32]) -> bool {
     indices.windows(2).all(|w| w[1] == w[0].wrapping_add(1))
 }
 
+/// Row bounds check for the gathers. `Matrix::row_slice` checks only in
+/// debug builds, and a zero-width table accepts any row there, so an
+/// out-of-range index would otherwise surface (if at all) deep in the
+/// backward sweep.
+fn check_rows(indices: &[u32], rows: usize) {
+    if let Some(&bad) = indices.iter().find(|&&i| i as usize >= rows) {
+        panic!("gather index {bad} out of range for a table of {rows} rows");
+    }
+}
+
 /// Freelist of `f32` buffers recycled between graphs, segregated into
 /// power-of-two capacity classes so `take` is O(1) on the hot path
 /// (the tape allocates one buffer per node per sweep — a linear scan
@@ -424,9 +434,13 @@ impl<'p> Graph<'p> {
     /// Embedding lookup: gathers `indices` rows of parameter `id`.
     /// A consecutive run of indices (the common "whole candidate
     /// range" case in the policy replay) is copied as one block.
+    ///
+    /// # Panics
+    /// Panics if any index is not a row of the table.
     pub fn gather(&mut self, id: ParamId, indices: &[u32]) -> Var {
         let _t = profile::fwd(OpKind::Gather);
         let table = self.params.get(id);
+        check_rows(indices, table.rows());
         let cols = table.cols();
         let mut value = self.pool.zeros(indices.len(), cols);
         if let Some(&start) = indices.first().filter(|_| is_consecutive(indices)) {
@@ -446,8 +460,12 @@ impl<'p> Graph<'p> {
 
     /// Gathers `indices` rows of an existing node (e.g. propagated
     /// embeddings in a graph neural network).
+    ///
+    /// # Panics
+    /// Panics if any index is not a row of `src`.
     pub fn gather_var(&mut self, src: Var, indices: &[u32]) -> Var {
         let _t = profile::fwd(OpKind::GatherVar);
+        check_rows(indices, self.nodes[src.0].value.rows());
         let cols = self.nodes[src.0].value.cols();
         let mut value = self.pool.zeros(indices.len(), cols);
         let table = &self.nodes[src.0].value;
@@ -937,8 +955,9 @@ impl<'p> Graph<'p> {
                 Op::Gather(id, indices) => {
                     // Consecutive indices scatter-add as one block pass
                     // (same element order as the row loop, so the same
-                    // bits land either way).
-                    let table = grads.get_mut(*id);
+                    // bits land either way). Only the gathered rows are
+                    // written, so the store tracks them row-sparsely.
+                    let table = grads.rows_mut(*id, indices);
                     if let Some(&start) = indices.first().filter(|_| is_consecutive(indices)) {
                         let cols = g.cols();
                         let start = start as usize * cols;

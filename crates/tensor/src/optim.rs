@@ -35,20 +35,38 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// `p += (-lr)·g` over every entry, or, where the gradient store
+    /// tracks which rows may be non-zero, over those rows only. Skipping
+    /// a row is exact: an untracked row holds `+0.0`, and for a finite
+    /// `lr` with its sign bit clear, `(-lr)·(+0.0)` is `-0.0`, and
+    /// `p + (-0.0)` is `p` bit for bit (`-0.0`, ±inf and NaN included;
+    /// only a signalling NaN, which no float op produces, would come
+    /// back quieted). Every entry is updated independently, so the row
+    /// order cannot matter either.
     fn step(&mut self, params: &mut ParamSet, grads: &GradStore) {
         assert_eq!(params.len(), grads.len(), "param/grad arity mismatch");
+        let alpha = -self.lr;
+        let rows_exact = self.lr.is_finite() && self.lr.is_sign_positive();
         for i in 0..params.len() {
             let id = crate::ParamId(i);
-            let g = grads.get(id).clone();
+            let g = grads.get(id);
             let p = params.get_mut(id);
+            assert_eq!(p.shape(), g.shape(), "param/grad shape mismatch");
             if self.weight_decay > 0.0 {
                 let wd = self.weight_decay;
                 let lr = self.lr;
                 for (pv, gv) in p.data_mut().iter_mut().zip(g.data()) {
                     *pv -= lr * (gv + wd * *pv);
                 }
+            } else if let Some(rows) = grads.touched_rows(id).filter(|_| rows_exact) {
+                for &r in rows {
+                    let r = r as usize;
+                    for (pv, &gv) in p.row_slice_mut(r).iter_mut().zip(g.row_slice(r)) {
+                        *pv += alpha * gv;
+                    }
+                }
             } else {
-                p.axpy(-self.lr, &g);
+                p.axpy(alpha, g);
             }
         }
     }
@@ -290,5 +308,230 @@ mod tests {
         opt.step(&mut params, &grads);
         // w -= lr * wd * w => 1 - 0.05
         assert!((params.get(w).at(0, 0) - 0.95).abs() < 1e-6);
+    }
+}
+
+/// The row-sparse `Sgd::step` + `GradStore::zero` against the dense
+/// passes they replace, bit for bit, over seeded graphs.
+#[cfg(test)]
+mod row_sparse_equivalence {
+    use super::*;
+    use crate::{Graph, ParamId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const EMB_ROWS: usize = 40;
+    const SIDE_ROWS: usize = 24;
+
+    /// The dense update: every entry of every parameter.
+    fn dense_step(params: &mut ParamSet, grads: &GradStore, lr: f32, weight_decay: f32) {
+        for i in 0..params.len() {
+            let id = ParamId(i);
+            let g = grads.get(id);
+            let p = params.get_mut(id);
+            if weight_decay > 0.0 {
+                for (pv, gv) in p.data_mut().iter_mut().zip(g.data()) {
+                    *pv -= lr * (gv + weight_decay * *pv);
+                }
+            } else {
+                p.axpy(-lr, g);
+            }
+        }
+    }
+
+    /// The dense reset: every entry of every gradient.
+    fn dense_zero(grads: &mut GradStore) {
+        for i in 0..grads.len() {
+            grads.get_mut(ParamId(i)).fill_zero();
+        }
+    }
+
+    fn assert_bits(a: &[&Matrix], b: &[&Matrix], what: &str) {
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            for (j, (u, v)) in x.data().iter().zip(y.data()).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what}: param {i} entry {j}");
+            }
+        }
+    }
+
+    fn param_mats(p: &ParamSet) -> Vec<&Matrix> {
+        p.iter().map(|(_, m)| m).collect()
+    }
+
+    fn grad_mats(g: &GradStore) -> Vec<&Matrix> {
+        (0..g.len()).map(|i| g.get(ParamId(i))).collect()
+    }
+
+    /// Gather indices into the embedding table: a forced duplicate in
+    /// the narrow case, a consecutive block every fourth step, and a
+    /// wide draw that usually reaches the quarter-of-the-table dense
+    /// fallback.
+    fn indices(rng: &mut StdRng, step: usize, wide: bool) -> Vec<u32> {
+        let k = if wide {
+            rng.gen_range(EMB_ROWS / 4..EMB_ROWS)
+        } else {
+            rng.gen_range(1..EMB_ROWS / 8)
+        };
+        if step % 4 == 3 {
+            let start = rng.gen_range(0..=EMB_ROWS - k) as u32;
+            return (start..start + k as u32).collect();
+        }
+        let mut idx: Vec<u32> = (0..k).map(|_| rng.gen_range(0..EMB_ROWS as u32)).collect();
+        idx.push(idx[0]);
+        idx
+    }
+
+    /// One forward + backward (two sweeps into the same store) plus the
+    /// caller-side writes a step may add, applied identically to both
+    /// stores. Returns whether the embedding gradient must now count as
+    /// dense: a quarter of its rows gathered, or a dense write.
+    fn accumulate(
+        params: &ParamSet,
+        grads: &mut GradStore,
+        ids: [ParamId; 3],
+        rng: &mut StdRng,
+        step: usize,
+        wide: bool,
+    ) -> bool {
+        let [emb, side, w] = ids;
+        let mut gathered = [false; EMB_ROWS];
+        let mut dense_write = step.is_multiple_of(5);
+        for sweep in 0..2 {
+            let idx = indices(rng, step + sweep, wide);
+            for &i in &idx {
+                gathered[i as usize] = true;
+            }
+            let side_idx: Vec<u32> = (0..3).map(|_| rng.gen_range(0..SIDE_ROWS as u32)).collect();
+            let mut g = Graph::new(params);
+            let x = g.gather(emb, &idx);
+            let h = g.matmul_param(x, w);
+            let h = g.tanh(h);
+            let mut loss = g.sq_sum(h);
+            if step.is_multiple_of(5) {
+                // The gathered table is also written densely in the same
+                // sweep.
+                let t = g.matmul_t_param(x, emb);
+                let t = g.sq_sum(t);
+                loss = g.add(loss, t);
+            }
+            let s = g.gather(side, &side_idx);
+            let s = g.sum_all(s);
+            loss = g.add(loss, s);
+            g.backward_weighted(loss, 0.5 + sweep as f32, grads);
+        }
+        match step % 7 {
+            1 => {
+                // A caller's dense write to an untracked row.
+                grads.get_mut(emb).row_slice_mut(EMB_ROWS - 1)[0] += 0.25;
+                dense_write = true;
+            }
+            2 => {
+                // Signed zeros and non-finite gradient entries.
+                let row = rng.gen_range(0..SIDE_ROWS as u32);
+                let g = grads.rows_mut(side, &[row]);
+                g.row_slice_mut(row as usize)
+                    .copy_from_slice(&[-0.0, f32::NAN]);
+                let row = (row + 1) % SIDE_ROWS as u32;
+                let g = grads.rows_mut(side, &[row, row]);
+                g.row_slice_mut(row as usize)
+                    .copy_from_slice(&[f32::INFINITY, f32::NEG_INFINITY]);
+            }
+            4 => {
+                grads.clip_global_norm(0.5);
+            }
+            6 if step.is_multiple_of(3) => {
+                // A negative factor turns the untracked +0.0 rows into
+                // -0.0; the store must stop trusting its row list.
+                dense_write |= grads.clip_global_norm(-0.5) > 0.0;
+            }
+            _ => {}
+        }
+        dense_write || gathered.iter().filter(|&&g| g).count() * 4 >= EMB_ROWS
+    }
+
+    fn run(lr: f32, weight_decay: f32, seed: u64) -> (usize, usize) {
+        // These graphs run MatMul and MatMulT, whose calls the profile
+        // test counts exactly.
+        let _profiled = crate::profile::PROFILED_OPS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut params = ParamSet::new();
+        let mut emb_init = Matrix::uniform(EMB_ROWS, 3, 0.5, &mut rng);
+        // Signed zeros in rows no narrow step is likely to touch.
+        for r in (0..EMB_ROWS).step_by(5) {
+            emb_init.row_slice_mut(r).fill(-0.0);
+        }
+        let emb = params.add("emb", emb_init);
+        let side = params.add("side", Matrix::full(SIDE_ROWS, 2, -0.0));
+        let w = params.add("w", Matrix::uniform(3, 2, 0.5, &mut rng));
+        let ids = [emb, side, w];
+
+        let mut sparse_params = params.clone();
+        let mut dense_params = params;
+        let mut sparse_grads = GradStore::zeros_like(&sparse_params);
+        let mut dense_grads = GradStore::zeros_like(&dense_params);
+        let mut opt = Sgd::with_weight_decay(lr, weight_decay);
+        let (mut sparse_steps, mut dense_steps) = (0, 0);
+        for step in 0..60 {
+            let wide = (step / 3) % 2 == 1;
+            let mut rng_b = rng.clone();
+            let dense = accumulate(&sparse_params, &mut sparse_grads, ids, &mut rng, step, wide);
+            accumulate(&dense_params, &mut dense_grads, ids, &mut rng_b, step, wide);
+            assert_bits(
+                &grad_mats(&sparse_grads),
+                &grad_mats(&dense_grads),
+                &format!("grads after backward, step {step}"),
+            );
+            assert_eq!(
+                sparse_grads.touched_rows(emb).is_none(),
+                dense,
+                "dense fallback, step {step}"
+            );
+            if dense {
+                dense_steps += 1;
+            } else {
+                sparse_steps += 1;
+            }
+            opt.step(&mut sparse_params, &sparse_grads);
+            dense_step(&mut dense_params, &dense_grads, lr, weight_decay);
+            assert_bits(
+                &param_mats(&sparse_params),
+                &param_mats(&dense_params),
+                &format!("params after step {step}"),
+            );
+            sparse_grads.zero();
+            dense_zero(&mut dense_grads);
+            assert_bits(
+                &grad_mats(&sparse_grads),
+                &grad_mats(&dense_grads),
+                &format!("grads after zero, step {step}"),
+            );
+        }
+        (sparse_steps, dense_steps)
+    }
+
+    #[test]
+    fn row_sparse_sgd_matches_dense_bit_for_bit() {
+        for seed in 0..4 {
+            let (sparse, dense) = run(0.05, 0.0, seed);
+            // The touched share crosses the fallback in both directions.
+            assert!(sparse >= 10 && dense >= 10, "sparse {sparse} dense {dense}");
+        }
+    }
+
+    #[test]
+    fn every_learning_rate_matches_dense() {
+        // For a negative, -0.0 or non-finite lr, (-lr)·(+0.0) is +0.0 or
+        // NaN, which would change -0.0 params in untracked rows; the
+        // dense pass must run instead. +0.0 keeps the row-sparse path.
+        for lr in [0.0, -0.0, -0.05, f32::INFINITY, f32::NAN] {
+            run(lr, 0.0, 7);
+        }
+    }
+
+    #[test]
+    fn weight_decay_stays_dense() {
+        run(0.05, 0.01, 11);
     }
 }

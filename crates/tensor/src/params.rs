@@ -93,9 +93,75 @@ impl ParamSet {
 }
 
 /// Gradient accumulator aligned with a [`ParamSet`].
+///
+/// Alongside each gradient the store tracks which rows may be non-zero,
+/// so [`GradStore::zero`] and [`crate::optim::Sgd`] can skip the rest of
+/// a large embedding table (DESIGN.md §5g). The tape's `Gather`
+/// backward records the rows it scatters into; every other write
+/// (including the public [`GradStore::get_mut`]) marks the whole
+/// parameter dense.
 #[derive(Clone, Debug)]
 pub struct GradStore {
     grads: Vec<Matrix>,
+    touched: Vec<TouchedRows>,
+}
+
+/// The rows of one gradient matrix that may hold anything but `+0.0`.
+///
+/// While `dense` is false, every row outside `rows` holds `+0.0`: it
+/// was zeroed and nothing has written it since. `rows` lists each
+/// written row once (`marked` dedups). Once the list reaches a quarter
+/// of the table, a row-by-row pass would cost about as much as the
+/// dense one, so the store gives up tracking and goes dense until the
+/// next reset.
+#[derive(Clone, Debug)]
+struct TouchedRows {
+    dense: bool,
+    rows: Vec<u32>,
+    /// One flag per table row.
+    marked: Vec<bool>,
+}
+
+impl TouchedRows {
+    fn new(table_rows: usize) -> Self {
+        Self {
+            dense: false,
+            rows: Vec::new(),
+            marked: vec![false; table_rows],
+        }
+    }
+
+    fn record(&mut self, indices: &[u32]) {
+        if self.dense {
+            return;
+        }
+        for &r in indices {
+            let seen = &mut self.marked[r as usize];
+            if !*seen {
+                *seen = true;
+                self.rows.push(r);
+            }
+        }
+        if self.rows.len() * 4 >= self.marked.len() {
+            self.dense = true;
+        }
+    }
+
+    /// Zeroes the rows that may be non-zero and starts tracking afresh.
+    fn reset(&mut self, grad: &mut Matrix) {
+        if self.dense {
+            grad.fill_zero();
+        } else {
+            for &r in &self.rows {
+                grad.row_slice_mut(r as usize).fill(0.0);
+            }
+        }
+        for &r in &self.rows {
+            self.marked[r as usize] = false;
+        }
+        self.rows.clear();
+        self.dense = false;
+    }
 }
 
 impl GradStore {
@@ -107,6 +173,11 @@ impl GradStore {
                 .iter()
                 .map(|m| Matrix::zeros(m.rows(), m.cols()))
                 .collect(),
+            touched: params
+                .entries
+                .iter()
+                .map(|m| TouchedRows::new(m.rows()))
+                .collect(),
         }
     }
 
@@ -114,14 +185,34 @@ impl GradStore {
         &self.grads[id.0]
     }
 
+    /// Mutable access to one gradient. The store can no longer tell
+    /// which rows the caller writes, so the parameter counts as dense
+    /// until the next [`GradStore::zero`].
     pub fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
+        self.touched[id.0].dense = true;
         &mut self.grads[id.0]
     }
 
-    /// Resets every gradient to zero, keeping allocations.
+    /// Mutable access for a writer that touches only `rows` (each
+    /// `< rows()`; duplicates allowed). Rows outside `rows` must be left
+    /// as they are.
+    pub(crate) fn rows_mut(&mut self, id: ParamId, rows: &[u32]) -> &mut Matrix {
+        self.touched[id.0].record(rows);
+        &mut self.grads[id.0]
+    }
+
+    /// The rows of `id` that may be non-zero, each once and in first-
+    /// write order, or `None` when the gradient is dense.
+    pub(crate) fn touched_rows(&self, id: ParamId) -> Option<&[u32]> {
+        let t = &self.touched[id.0];
+        (!t.dense).then_some(t.rows.as_slice())
+    }
+
+    /// Resets every gradient to zero, keeping allocations. Only the
+    /// rows that may be non-zero are cleared.
     pub fn zero(&mut self) {
-        for g in &mut self.grads {
-            g.fill_zero();
+        for (g, t) in self.grads.iter_mut().zip(&mut self.touched) {
+            t.reset(g);
         }
     }
 
@@ -138,6 +229,15 @@ impl GradStore {
             let s = max_norm / norm;
             for g in &mut self.grads {
                 g.scale_inplace(s);
+            }
+            // A factor with its sign bit clear maps the untracked +0.0
+            // rows to +0.0, so the row tracking stays valid. A negative
+            // factor (only reachable with `max_norm < 0`) would turn them
+            // into -0.0, which a row-sparse reset would then miss.
+            if !s.is_sign_positive() {
+                for t in &mut self.touched {
+                    t.dense = true;
+                }
             }
         }
         norm

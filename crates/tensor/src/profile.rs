@@ -353,6 +353,12 @@ pub fn snapshot() -> OpProfile {
     OpProfile { rows }
 }
 
+/// Held by the unit test that switches the process-wide profiler on,
+/// and by unit tests that run the same op kinds on other threads, so the
+/// profile test's exact per-op counts see only its own graphs.
+#[cfg(test)]
+pub(crate) static PROFILED_OPS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +368,9 @@ mod tests {
     fn forward_and_backward_are_profiled_when_enabled() {
         // Profiling is gated on the global tracing flag; this test owns
         // it for its duration (no other tensor test enables tracing).
+        let _own = PROFILED_OPS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         reset();
         let mut params = ParamSet::new();
         let w = params.add("w", Matrix::full(4, 3, 0.5));

@@ -146,3 +146,60 @@ fn sequence_order_matters_to_lstm() {
     let diff: f32 = ab.iter().zip(&ba).map(|(x, y)| (x - y).abs()).sum();
     assert!(diff > 1e-4, "LSTM is order-blind: {ab:?} vs {ba:?}");
 }
+
+/// Gathers check every index against the table's row count up front,
+/// in release builds too; a zero-width table must not accept any row.
+mod gather_bounds {
+    use super::*;
+
+    fn gather_from(rows: usize, cols: usize, indices: &[u32]) {
+        let mut params = ParamSet::new();
+        let table = params.add("t", Matrix::zeros(rows, cols));
+        let mut g = Graph::new(&params);
+        g.gather(table, indices);
+    }
+
+    fn gather_var_from(rows: usize, cols: usize, indices: &[u32]) {
+        let params = ParamSet::new();
+        let mut g = Graph::new(&params);
+        let src = g.input(Matrix::zeros(rows, cols));
+        g.gather_var(src, indices);
+    }
+
+    #[test]
+    fn in_range_indices_gather() {
+        gather_from(3, 2, &[0, 2, 2, 1]);
+        gather_from(3, 0, &[0, 1, 2]);
+        gather_var_from(3, 0, &[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 3 out of range for a table of 3 rows")]
+    fn gather_rejects_a_row_past_the_end() {
+        gather_from(3, 2, &[0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 3 out of range for a table of 3 rows")]
+    fn gather_rejects_a_consecutive_block_past_the_end() {
+        gather_from(3, 2, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 7 out of range for a table of 3 rows")]
+    fn gather_rejects_any_row_of_a_zero_width_table() {
+        gather_from(3, 0, &[1, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 0 out of range for a table of 0 rows")]
+    fn gather_rejects_any_row_of_an_empty_table() {
+        gather_from(0, 4, &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 9 out of range for a table of 2 rows")]
+    fn gather_var_rejects_a_row_of_a_zero_width_node() {
+        gather_var_from(2, 0, &[9]);
+    }
+}

@@ -25,6 +25,14 @@ echo "==> kernel equivalence smoke (blocked/parallel kernels vs naive refs)"
 # loops bit-for-bit at threads 1/4/8, NaN/Inf propagation included.
 cargo test -q --release -p tensor --test kernel_equivalence
 
+echo "==> row-sparse gradient exactness (release codegen)"
+# The row-sparse SGD step and gradient reset must write the bits of the
+# dense passes they replace (optim.rs unit tests), and the gradient
+# rankers' score bits after fit + fine-tunes are pinned
+# (fine_tune_bits). Both are re-proven under --release here.
+cargo test -q --release -p tensor
+cargo test -q --release -p recsys --test fine_tune_bits
+
 echo "==> telemetry smoke (tiny fig4 run + JSONL validation)"
 # 3 steps x 4 episodes on one tiny ItemPop cell per design; the
 # validator checks every line parses, steps are gap-free per cell, and
