@@ -6,12 +6,19 @@
 //! gradient rankers (the ones that run the tensor tape and SGD) at
 //! Steam ×0.1 and ×1.0: a full fit from fresh weights, and one warm
 //! fine-tune of a clone of the fitted model on a 20×20 poison.
+//!
+//! The `eval` group times the other half of an observation for all
+//! eight rankers at Steam ×0.5: wrapping a fitted model in a
+//! `RankerSnapshot` and reading RecNum over 256 eval users (candidate
+//! sets, scoring and top-k), without the clone or the fine-tune.
 
 use bench::ExpArgs;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::PaperDataset;
-use recsys::data::{Dataset, LogView, Trajectory};
-use recsys::rankers::RankerKind;
+use recsys::data::{Dataset, ItemId, LogView, Trajectory, UserId};
+use recsys::rankers::{Ranker, RankerKind};
+use recsys::RankerSnapshot;
+use std::sync::Arc;
 
 const TRAINED: [RankerKind; 4] = [
     RankerKind::NeuMf,
@@ -114,5 +121,60 @@ fn bench_fine_tune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_observation, bench_fit, bench_fine_tune);
+/// A fitted ranker shared by every timed snapshot, so an iteration
+/// wraps it without cloning its weights.
+struct Shared(Arc<dyn Ranker>);
+
+impl Ranker for Shared {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn fit(&mut self, _view: &LogView<'_>, _seed: u64) {
+        unreachable!("the eval bench only scores")
+    }
+    fn fine_tune(&mut self, _view: &LogView<'_>, _seed: u64) {
+        unreachable!("the eval bench only scores")
+    }
+    fn score(&self, user: UserId, history: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+        self.0.score(user, history, candidates)
+    }
+    fn boxed_clone(&self) -> Box<dyn Ranker> {
+        Box::new(Shared(Arc::clone(&self.0)))
+    }
+}
+
+fn bench_eval(c: &mut Criterion) {
+    let mut group = c.benchmark_group("eval");
+    group.sample_size(10);
+    let args = ExpArgs {
+        scale: 0.5,
+        eval_users: 256,
+        ..ExpArgs::default()
+    };
+    // The protocol depends on the dataset and the config only, so a
+    // cheap ItemPop system supplies the one every ranker is read with.
+    let system = args.build_system(PaperDataset::Steam, RankerKind::ItemPop);
+    let (base, protocol) = (system.base(), system.protocol());
+    let view = LogView::clean(base);
+    for kind in RankerKind::ALL {
+        let mut fitted = kind.build(&view, RESERVE);
+        fitted.fit(&view, 1);
+        let shared: Arc<dyn Ranker> = Arc::from(fitted);
+        group.bench_function(label(kind, args.scale), |b| {
+            b.iter(|| {
+                let ranker = Box::new(Shared(Arc::clone(&shared)));
+                RankerSnapshot::new(ranker, 0, 0, base.num_users()).rec_num(protocol, base)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_observation,
+    bench_fit,
+    bench_fine_tune,
+    bench_eval
+);
 criterion_main!(benches);

@@ -12,6 +12,9 @@
 //! RecNum differences between two attacks reflect the attacks, not
 //! candidate-sampling noise. This matters for the RL reward signal.
 
+use std::borrow::Cow;
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -21,18 +24,32 @@ use crate::rankers::Ranker;
 
 /// Fixed evaluation protocol: which users are polled and how candidate
 /// sets are drawn.
-#[derive(Clone, Debug)]
+///
+/// The candidate set of every evaluation user is drawn once, at
+/// construction, into one flat table (row `i` belongs to
+/// `eval_users[i]`), so RecNum reads rows instead of re-drawing them on
+/// every observation. Any other user is drawn on demand by the same
+/// function, so a table row and an on-demand draw never differ.
+#[derive(Clone)]
 pub struct EvalProtocol {
     eval_users: Vec<UserId>,
     top_k: usize,
     n_original_candidates: usize,
     candidate_seed: u64,
+    /// `|I|` and `|I_t|` of the dataset the table was drawn for; every
+    /// read checks the caller's dataset against them.
+    num_items: u32,
+    num_targets: u32,
+    /// `eval_users.len()` rows of [`EvalProtocol::row_len`] items each.
+    table: Box<[ItemId]>,
 }
 
 impl EvalProtocol {
     /// Samples `n_users` distinct evaluation users (all users when
-    /// `n_users >= num_users`). `seed` fixes both the user sample and
-    /// every later candidate draw.
+    /// `n_users >= num_users`) and draws their candidate sets. Each
+    /// list is the top `top_k` of `n_original_candidates` random
+    /// original items plus every target (the paper uses 10 and 92).
+    /// `seed` fixes both the user sample and every candidate draw.
     ///
     /// # Panics
     ///
@@ -41,7 +58,13 @@ impl EvalProtocol {
     /// rejects it as a [`crate::system::ConfigError`], and this
     /// assert keeps the direct-construction path honest instead of
     /// silently evaluating one user.
-    pub fn sample(base: &Dataset, n_users: usize, seed: u64) -> Self {
+    pub fn sample(
+        base: &Dataset,
+        n_users: usize,
+        top_k: usize,
+        n_original_candidates: usize,
+        seed: u64,
+    ) -> Self {
         assert!(
             n_users > 0,
             "EvalProtocol::sample: n_users must be at least 1 \
@@ -52,19 +75,21 @@ impl EvalProtocol {
         users.shuffle(&mut rng);
         users.truncate(n_users);
         users.sort_unstable();
-        Self {
+        let mut protocol = Self {
             eval_users: users,
-            top_k: 10,
-            n_original_candidates: 92,
+            top_k,
+            n_original_candidates,
             candidate_seed: seed,
+            num_items: base.num_items(),
+            num_targets: base.num_targets(),
+            table: Box::default(),
+        };
+        let mut table = Vec::with_capacity(protocol.eval_users.len() * protocol.row_len());
+        for &user in &protocol.eval_users {
+            protocol.draw(user, &mut table);
         }
-    }
-
-    /// Overrides the paper defaults (top-10 of 92+|I_t| candidates).
-    pub fn with_list_shape(mut self, top_k: usize, n_original_candidates: usize) -> Self {
-        self.top_k = top_k;
-        self.n_original_candidates = n_original_candidates;
-        self
+        protocol.table = table.into_boxed_slice();
+        protocol
     }
 
     pub fn eval_users(&self) -> &[UserId] {
@@ -76,23 +101,69 @@ impl EvalProtocol {
     }
 
     /// Deterministic candidate set for `user`: `n_original_candidates`
-    /// distinct original items plus every target item.
-    pub fn candidates(&self, base: &Dataset, user: UserId) -> Vec<ItemId> {
+    /// distinct original items plus every target item. Borrowed from
+    /// the table for an evaluation user, drawn on demand otherwise.
+    ///
+    /// # Panics
+    ///
+    /// If `base` does not have the item and target counts the protocol
+    /// was built for.
+    pub fn candidates(&self, base: &Dataset, user: UserId) -> Cow<'_, [ItemId]> {
+        self.check_shape(base);
+        match self.eval_users.binary_search(&user) {
+            Ok(i) => Cow::Borrowed(self.row(i)),
+            Err(_) => {
+                let mut drawn = Vec::with_capacity(self.row_len());
+                self.draw(user, &mut drawn);
+                Cow::Owned(drawn)
+            }
+        }
+    }
+
+    /// Items per candidate set: the original draw (capped by the
+    /// catalog) plus every target.
+    fn row_len(&self) -> usize {
+        self.n_original_candidates.min(self.num_items as usize) + self.num_targets as usize
+    }
+
+    /// The table row of `eval_users[i]`.
+    fn row(&self, i: usize) -> &[ItemId] {
+        let len = self.row_len();
+        &self.table[i * len..][..len]
+    }
+
+    /// Appends `user`'s candidate set to `out`. Common random numbers:
+    /// the RNG depends only on `(protocol seed, user)`.
+    ///
+    /// Floyd's algorithm draws distinct items without materializing
+    /// `0..|I|`. The membership test scans this draw's picks so far; a
+    /// set holding the same picks would answer identically, so the
+    /// `gen_range` calls and the picks are the same either way.
+    fn draw(&self, user: UserId, out: &mut Vec<ItemId>) {
         let mut rng =
             StdRng::seed_from_u64(self.candidate_seed ^ (0x9E37_79B9 * u64::from(user) + 1));
-        let n = self.n_original_candidates.min(base.num_items() as usize);
-        let mut picked = Vec::with_capacity(n + base.num_targets() as usize);
-        // Floyd's algorithm for distinct sampling without materializing 0..|I|.
-        let mut seen = std::collections::HashSet::with_capacity(n * 2);
-        let total = base.num_items();
-        for j in (total - n as u32)..total {
+        let total = self.num_items;
+        let n = self.n_original_candidates.min(total as usize) as u32;
+        let start = out.len();
+        for j in (total - n)..total {
             let t = rng.gen_range(0..=j);
-            let pick = if seen.contains(&t) { j } else { t };
-            seen.insert(pick);
-            picked.push(pick);
+            let pick = if out[start..].contains(&t) { j } else { t };
+            out.push(pick);
         }
-        picked.extend(base.target_items());
-        picked
+        out.extend(total..total + self.num_targets);
+    }
+
+    /// Guards the table against a dataset it was not drawn for.
+    fn check_shape(&self, base: &Dataset) {
+        assert!(
+            base.num_items() == self.num_items && base.num_targets() == self.num_targets,
+            "EvalProtocol: candidate table drawn for {} items + {} targets, \
+             called with a dataset of {} items + {} targets",
+            self.num_items,
+            self.num_targets,
+            base.num_items(),
+            base.num_targets()
+        );
     }
 
     /// One recommendation list `L_u` for `user`.
@@ -116,17 +187,16 @@ impl EvalProtocol {
         user: UserId,
         k: usize,
     ) -> Vec<ItemId> {
-        let candidates = self.candidates(base, user);
-        let scores = ranker.score(user, base.sequence(user), &candidates);
-        top_k_items(&candidates, &scores, k)
+        rank(ranker, base, user, &self.candidates(base, user), k)
     }
 
     /// `RecNum = Σ_u |L_u ∩ I_t|` over the protocol's users.
     pub fn rec_num(&self, ranker: &dyn Ranker, base: &Dataset) -> u32 {
+        self.check_shape(base);
         let mut total = 0;
-        for &user in &self.eval_users {
-            let list = self.recommend(ranker, base, user);
-            total += list.iter().filter(|&&i| base.is_target(i)).count() as u32;
+        for (i, &user) in self.eval_users.iter().enumerate() {
+            let list = rank(ranker, base, user, self.row(i), self.top_k);
+            total += list.iter().filter(|&&item| base.is_target(item)).count() as u32;
         }
         total
     }
@@ -136,6 +206,36 @@ impl EvalProtocol {
     pub fn max_rec_num(&self, base: &Dataset) -> u32 {
         (self.eval_users.len() * self.top_k.min(base.num_targets() as usize)) as u32
     }
+}
+
+/// Shows the table's shape rather than its ids.
+impl fmt::Debug for EvalProtocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EvalProtocol")
+            .field("eval_users", &self.eval_users.len())
+            .field("top_k", &self.top_k)
+            .field("n_original_candidates", &self.n_original_candidates)
+            .field("candidate_seed", &self.candidate_seed)
+            .field("num_items", &self.num_items)
+            .field("num_targets", &self.num_targets)
+            .field(
+                "table",
+                &format_args!("{} rows x {} items", self.eval_users.len(), self.row_len()),
+            )
+            .finish()
+    }
+}
+
+/// `user`'s top `k` of `candidates` under `ranker`.
+fn rank(
+    ranker: &dyn Ranker,
+    base: &Dataset,
+    user: UserId,
+    candidates: &[ItemId],
+    k: usize,
+) -> Vec<ItemId> {
+    let scores = ranker.score(user, base.sequence(user), candidates);
+    top_k_items(candidates, &scores, k)
 }
 
 /// Indices of the `k` highest-scoring candidates, by score descending.
@@ -237,7 +337,7 @@ mod tests {
     #[test]
     fn candidates_are_deterministic_and_distinct() {
         let d = toy();
-        let p = EvalProtocol::sample(&d, 10, 7).with_list_shape(10, 30);
+        let p = EvalProtocol::sample(&d, 10, 10, 30, 7);
         let c1 = p.candidates(&d, 3);
         let c2 = p.candidates(&d, 3);
         assert_eq!(c1, c2, "common random numbers violated");
@@ -251,11 +351,119 @@ mod tests {
         assert_eq!(c1.iter().filter(|&&i| d.is_target(i)).count(), 8);
     }
 
+    /// The candidate draw as it stood before the table: Floyd's
+    /// algorithm with a fresh `HashSet` per call.
+    fn hashset_draw(seed: u64, base: &Dataset, n: usize, user: UserId) -> Vec<ItemId> {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x9E37_79B9 * u64::from(user) + 1));
+        let n = n.min(base.num_items() as usize);
+        let mut picked = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let total = base.num_items();
+        for j in (total - n as u32)..total {
+            let t = rng.gen_range(0..=j);
+            let pick = if seen.contains(&t) { j } else { t };
+            seen.insert(pick);
+            picked.push(pick);
+        }
+        picked.extend(base.target_items());
+        picked
+    }
+
+    #[test]
+    fn table_rows_and_on_demand_draws_match_the_hashset_draw() {
+        let d = toy();
+        let last = d.num_users() - 1;
+        // 30 of 50 items, and 60 (the whole catalog, where most draws
+        // collide and take the `pick = j` branch).
+        for n in [30, 60] {
+            let p = EvalProtocol::sample(&d, 10, 10, n, 3);
+            assert!(
+                !p.eval_users().contains(&0) && !p.eval_users().contains(&last),
+                "the first and last users must exercise the on-demand draw"
+            );
+            for (i, &user) in p.eval_users().iter().enumerate() {
+                let fresh = hashset_draw(3, &d, n, user);
+                assert_eq!(p.row(i), fresh, "row {i} (user {user}), n {n}");
+                let read = p.candidates(&d, user);
+                assert!(
+                    matches!(read, Cow::Borrowed(_)),
+                    "user {user} not read from the table"
+                );
+                assert_eq!(read, fresh, "user {user}, n {n}");
+            }
+            // Every other user, attacker ids past the organic range too.
+            for user in (0..d.num_users() + 5).filter(|u| !p.eval_users().contains(u)) {
+                let read = p.candidates(&d, user);
+                assert!(
+                    matches!(read, Cow::Owned(_)),
+                    "user {user} read from the table"
+                );
+                assert_eq!(read, hashset_draw(3, &d, n, user), "user {user}, n {n}");
+            }
+        }
+    }
+
+    /// Scores items by id and records every candidate set it is given.
+    #[derive(Default)]
+    struct RecordingRanker(std::sync::Mutex<Vec<Vec<ItemId>>>);
+    impl Ranker for RecordingRanker {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn fit(&mut self, _view: &LogView<'_>, _seed: u64) {}
+        fn fine_tune(&mut self, _view: &LogView<'_>, _seed: u64) {}
+        fn score(&self, _u: UserId, _h: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+            self.0.lock().unwrap().push(candidates.to_vec());
+            candidates.iter().map(|&c| c as f32).collect()
+        }
+        fn boxed_clone(&self) -> Box<dyn Ranker> {
+            Box::new(RecordingRanker::default())
+        }
+    }
+
+    #[test]
+    fn every_read_path_scores_the_table_row() {
+        let d = toy();
+        let p = EvalProtocol::sample(&d, 10, 10, 30, 3);
+        let ranker = RecordingRanker::default();
+        p.rec_num(&ranker, &d);
+        for (i, &user) in p.eval_users().iter().enumerate() {
+            p.recommend(&ranker, &d, user);
+            p.recommend_k(&ranker, &d, user, p.top_k() + 5);
+            let seen = ranker.0.lock().unwrap();
+            assert_eq!(seen[i], p.row(i), "rec_num, user {user}");
+            let tail = &seen[seen.len() - 2..];
+            assert_eq!(tail[0], p.row(i), "recommend, user {user}");
+            assert_eq!(tail[1], p.row(i), "recommend_k beyond top_k, user {user}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate table drawn for 50 items + 8 targets, \
+                               called with a dataset of 50 items + 4 targets")]
+    fn protocol_rejects_a_dataset_of_another_shape() {
+        let d = toy();
+        let p = EvalProtocol::sample(&d, 10, 10, 30, 3);
+        let histories = (0..20)
+            .map(|u| vec![u % 50, (u + 1) % 50, (u + 2) % 50])
+            .collect();
+        let other = Dataset::from_histories("other", histories, 50, 4);
+        let _ = p.rec_num(&IdRanker, &other);
+    }
+
+    #[test]
+    fn debug_summarizes_the_table() {
+        let p = EvalProtocol::sample(&toy(), 10, 10, 30, 3);
+        let shown = format!("{p:?}");
+        assert!(shown.contains("table: 10 rows x 38 items"), "{shown}");
+        assert!(shown.len() < 300, "{shown}");
+    }
+
     #[test]
     fn id_ranker_always_recommends_targets() {
         // Targets have the highest ids, so IdRanker puts all 8 in top-10.
         let d = toy();
-        let p = EvalProtocol::sample(&d, 10, 7);
+        let p = EvalProtocol::sample(&d, 10, 10, 92, 7);
         let rn = p.rec_num(&IdRanker, &d);
         assert_eq!(rn, 80);
         assert_eq!(p.max_rec_num(&d), 80);
@@ -284,7 +492,7 @@ mod tests {
     fn recommend_with_zero_top_k_is_empty() {
         // The k == 0 early return reached through the protocol path.
         let d = toy();
-        let p = EvalProtocol::sample(&d, 10, 7).with_list_shape(0, 30);
+        let p = EvalProtocol::sample(&d, 10, 0, 30, 7);
         assert_eq!(p.recommend(&IdRanker, &d, 3), Vec::<u32>::new());
         assert_eq!(p.rec_num(&IdRanker, &d), 0);
         assert_eq!(p.max_rec_num(&d), 0);
@@ -296,7 +504,7 @@ mod tests {
         // Regression: `n_users.max(1)` used to silently evaluate one
         // user, contradicting SystemConfigBuilder's eval_users check.
         let d = toy();
-        let _ = EvalProtocol::sample(&d, 0, 7);
+        let _ = EvalProtocol::sample(&d, 0, 10, 92, 7);
     }
 
     #[test]

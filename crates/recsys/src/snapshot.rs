@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn snapshot_agrees_with_direct_protocol_calls() {
         let base = toy();
-        let protocol = EvalProtocol::sample(&base, 12, 7);
+        let protocol = EvalProtocol::sample(&base, 12, 10, 92, 7);
         let ranker = fitted(&base);
         let direct_rec_num = protocol.rec_num(&*ranker, &base);
         let direct_list = protocol.recommend(&*ranker, &base, protocol.eval_users()[0]);
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn small_k_slices_the_cached_list() {
         let base = toy();
-        let protocol = EvalProtocol::sample(&base, 12, 7);
+        let protocol = EvalProtocol::sample(&base, 12, 10, 92, 7);
         let snap = RankerSnapshot::new(fitted(&base), 0, 0, base.num_users());
         let user = protocol.eval_users()[1];
         let full = snap.recommend(&protocol, &base, user).to_vec();
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn large_k_is_computed_fresh_and_uncached() {
         let base = toy();
-        let protocol = EvalProtocol::sample(&base, 12, 7);
+        let protocol = EvalProtocol::sample(&base, 12, 10, 92, 7);
         let snap = RankerSnapshot::new(fitted(&base), 0, 0, base.num_users());
         let user = protocol.eval_users()[2];
         let big = snap.recommend_k(&protocol, &base, user, protocol.top_k() + 5);

@@ -265,8 +265,13 @@ impl BlackBoxSystem {
     pub fn build(base: Dataset, mut ranker: Box<dyn Ranker>, cfg: SystemConfig) -> Self {
         let view = LogView::clean(&base);
         ranker.fit(&view, child_seed(cfg.seed, 1));
-        let protocol = EvalProtocol::sample(&base, cfg.eval_users, child_seed(cfg.seed, 2))
-            .with_list_shape(cfg.top_k, cfg.n_candidates);
+        let protocol = EvalProtocol::sample(
+            &base,
+            cfg.eval_users,
+            cfg.top_k,
+            cfg.n_candidates,
+            child_seed(cfg.seed, 2),
+        );
         Self {
             base,
             clean: ranker,

@@ -33,6 +33,12 @@ echo "==> row-sparse gradient exactness (release codegen)"
 cargo test -q --release -p tensor
 cargo test -q --release -p recsys --test fine_tune_bits
 
+echo "==> eval candidate table exactness (release codegen)"
+# Every eval user's candidate set is drawn once into a table; the drawn
+# ids and the RecNum observations read from it are pinned
+# (candidate_bits) and re-proven under --release here.
+cargo test -q --release -p recsys --test candidate_bits
+
 echo "==> telemetry smoke (tiny fig4 run + JSONL validation)"
 # 3 steps x 4 episodes on one tiny ItemPop cell per design; the
 # validator checks every line parses, steps are gap-free per cell, and
