@@ -267,11 +267,8 @@ impl PolicyNetwork {
             let dk = g.gather_var(d_all, &pair_rows); // (K x e)
             let el = g.gather(self.action_emb, &left_rows);
             let er = g.gather(self.action_emb, &right_rows);
-            let pl = g.mul(dk, el);
-            let pr = g.mul(dk, er);
-            let ones = g.input(Matrix::full(self.cfg.dim, 1, 1.0));
-            let ll = g.matmul(pl, ones); // (K x 1) left logits
-            let lr = g.matmul(pr, ones);
+            let ll = g.row_dot(dk, el); // (K x 1) left logits
+            let lr = g.row_dot(dk, er);
             let logits = g.concat_cols(ll, lr); // (K x 2)
             let picked = g.log_softmax_pick(logits, &pair_chosen); // (K x 1)
             groups.push((picked, pair_old));

@@ -156,7 +156,6 @@ impl Ngcf {
             .map(|&(_, _, j)| self.item_node(j) as u32)
             .collect();
         let reg = self.cfg.reg;
-        let rep_cols = self.cfg.dim * (self.cfg.layers + 1);
         let state = self.state.as_mut().expect("fitted");
         let mut grads = GradStore::zeros_like(&state.params);
         {
@@ -166,11 +165,8 @@ impl Ngcf {
             let ei = g.gather_var(all, &pos_nodes);
             let ej = g.gather_var(all, &neg_nodes);
             let diff = g.sub(ei, ej);
-            let prod = g.mul(eu, diff);
-            // Row-sum via a ones column: (B x D) * (D x 1) gives the
-            // per-triple score gap x_ui - x_uj.
-            let ones = g.input(Matrix::full(rep_cols, 1, 1.0));
-            let x = g.matmul(prod, ones);
+            // Per-triple score gap x_ui - x_uj as a (B x 1) column.
+            let x = g.row_dot(eu, diff);
             let neg_x = g.scale(x, -1.0);
             let sp = g.softplus(neg_x); // -ln σ(x)
             let loss_main = g.mean_all(sp);

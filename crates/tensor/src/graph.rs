@@ -51,6 +51,9 @@ enum Op {
     Sub(Var, Var),
     /// Elementwise product (same shapes).
     Mul(Var, Var),
+    /// Per-row dot product of two same-shape operands into a
+    /// `rows x 1` column; bit-equal to `matmul(mul(a, b), ones)`.
+    RowDot(Var, Var),
     Scale(Var, f32),
     AddScalar(Var),
     Relu(Var),
@@ -103,6 +106,7 @@ impl Op {
             Op::Add(..) => OpKind::Add,
             Op::Sub(..) => OpKind::Sub,
             Op::Mul(..) => OpKind::Mul,
+            Op::RowDot(..) => OpKind::RowDot,
             Op::Scale(..) => OpKind::Scale,
             Op::AddScalar(..) => OpKind::AddScalar,
             Op::Relu(..) => OpKind::Relu,
@@ -403,6 +407,8 @@ impl<'p> Graph<'p> {
             Op::AddRowParam(..) => out,
             Op::Relu(..) | Op::LeakyRelu(..) => out,
             Op::Sigmoid(..) | Op::Tanh(..) | Op::Softplus(..) => 4 * out,
+            // One multiply + one add per input element.
+            Op::RowDot(a, _) => 2 * in_elems(a),
             Op::SumAll(a) | Op::MeanAll(a) => in_elems(a),
             Op::SqSum(a) => 2 * in_elems(a),
             // exp + subtract + max/sum passes per element.
@@ -604,6 +610,34 @@ impl<'p> Graph<'p> {
                 .map(|(&x, &y)| x * y),
         );
         self.push(value, Op::Mul(a, b))
+    }
+
+    /// Per-row dot products: a `rows x 1` column with
+    /// `out[r] = Σ_k a[r, k] · b[r, k]`.
+    ///
+    /// Bit-equal to `matmul(mul(a, b), ones)` in value and gradients
+    /// (DESIGN.md §5g): each row sums its products in ascending `k`
+    /// through one accumulator starting at `+0.0` (the unfused form's
+    /// `· 1.0` was exact), and the backward seeds each row with
+    /// `0.0 + g[r]`, as the `G · onesᵀ` product did. The fused op skips
+    /// the `rows x cols` product node, the `n = 1` kernel call and the
+    /// dead adjoint of the constant ones column.
+    pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
+        let _t = profile::fwd(OpKind::RowDot);
+        assert_eq!(self.shape(a), self.shape(b), "row_dot shape mismatch");
+        let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let mut value = self.pool.zeros(av.rows(), 1);
+        // `max(1)`: a zero-width operand has no elements, and every
+        // row's empty sum is the `+0.0` already in place.
+        let width = av.cols().max(1);
+        let rows = av
+            .data()
+            .chunks_exact(width)
+            .zip(bv.data().chunks_exact(width));
+        for (out, (x, y)) in value.data_mut().iter_mut().zip(rows) {
+            *out = x.iter().zip(y).fold(0.0f32, |acc, (&x, &y)| acc + x * y);
+        }
+        self.push(value, Op::RowDot(a, b))
     }
 
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
@@ -844,6 +878,8 @@ impl<'p> Graph<'p> {
             Op::Add(..) | Op::Sub(..) | Op::Scale(..) | Op::AddScalar(..) => out,
             Op::AddRowParam(..) => out,
             Op::Mul(..) => 2 * out,
+            // One seeded multiply per element of each operand's adjoint.
+            Op::RowDot(a, _) => 4 * in_elems(a),
             Op::Relu(..) | Op::LeakyRelu(..) => out,
             Op::Sigmoid(..) | Op::Tanh(..) => 3 * out,
             Op::Softplus(..) => 4 * out,
@@ -1115,6 +1151,35 @@ impl<'p> Graph<'p> {
                             .zip(self.nodes[a.0].value.data())
                             .map(|(&gv, &av)| gv * av),
                     );
+                    accumulate(&mut adj, *a, Adjoint::Dense(da), &mut pool);
+                    accumulate(&mut adj, *b, Adjoint::Dense(db), &mut pool);
+                    pool.recycle(g);
+                }
+                Op::RowDot(a, b) => {
+                    // The unfused backward, replayed: `G · onesᵀ` seeds
+                    // every element of row r with `0.0 + g[r]` (a k = 1
+                    // chain from +0.0, which also maps -0.0 to +0.0),
+                    // then the `Mul` arm scales by the other operand.
+                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                    let (r, c) = av.shape();
+                    let seeded = |other: &Matrix, pool: &mut BufferPool| {
+                        let mut out = pool.zeros(r, c);
+                        // `max(1)`: a zero-width operand has no elements.
+                        let width = c.max(1);
+                        let rows = out
+                            .data_mut()
+                            .chunks_exact_mut(width)
+                            .zip(other.data().chunks_exact(width));
+                        for ((o, x), &gv) in rows.zip(g.data()) {
+                            let gr = 0.0 + gv;
+                            for (o, &x) in o.iter_mut().zip(x) {
+                                *o = gr * x;
+                            }
+                        }
+                        out
+                    };
+                    let da = seeded(bv, &mut pool);
+                    let db = seeded(av, &mut pool);
                     accumulate(&mut adj, *a, Adjoint::Dense(da), &mut pool);
                     accumulate(&mut adj, *b, Adjoint::Dense(db), &mut pool);
                     pool.recycle(g);

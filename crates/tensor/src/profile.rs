@@ -37,6 +37,7 @@ pub enum OpKind {
     Add,
     Sub,
     Mul,
+    RowDot,
     Scale,
     AddScalar,
     Relu,
@@ -58,7 +59,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in declaration order (= table index order).
-    pub const ALL: [OpKind; 26] = [
+    pub const ALL: [OpKind; 27] = [
         OpKind::Input,
         OpKind::Param,
         OpKind::Gather,
@@ -68,6 +69,7 @@ impl OpKind {
         OpKind::Add,
         OpKind::Sub,
         OpKind::Mul,
+        OpKind::RowDot,
         OpKind::Scale,
         OpKind::AddScalar,
         OpKind::Relu,
@@ -98,6 +100,7 @@ impl OpKind {
             OpKind::Add => "Add",
             OpKind::Sub => "Sub",
             OpKind::Mul => "Mul",
+            OpKind::RowDot => "RowDot",
             OpKind::Scale => "Scale",
             OpKind::AddScalar => "AddScalar",
             OpKind::Relu => "Relu",
@@ -365,6 +368,17 @@ mod tests {
     use crate::{GradStore, Graph, Matrix, ParamSet};
 
     #[test]
+    fn all_lists_every_kind_once_in_table_order() {
+        for (i, kind) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{} is out of order", kind.name());
+        }
+        let mut names: Vec<&str> = OpKind::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), OpKind::ALL.len(), "duplicate kind names");
+    }
+
+    #[test]
     fn forward_and_backward_are_profiled_when_enabled() {
         // Profiling is gated on the global tracing flag; this test owns
         // it for its duration (no other tensor test enables tracing).
@@ -411,6 +425,15 @@ mod tests {
             let loss = g.sum_all(p);
             g.backward(loss, &mut grads);
         }
+        {
+            // Third graph pins the fused row dot.
+            let mut g = Graph::new(&params);
+            let a = g.input(Matrix::full(2, 4, 0.5));
+            let b = g.input(Matrix::full(2, 4, 0.25));
+            let d = g.row_dot(a, b);
+            let loss = g.sum_all(d);
+            g.backward(loss, &mut grads);
+        }
         trace::disable();
 
         let profile = snapshot();
@@ -444,6 +467,14 @@ mod tests {
         let lsm = row(OpKind::LogSoftmaxRows);
         assert_eq!(lsm.flops, 5 * 6);
         assert_eq!(lsm.bwd_flops, 4 * 6);
+        // RowDot is its own row, not folded into Mul: one multiply-add
+        // per input element forward, two seeded products backward.
+        let rd = row(OpKind::RowDot);
+        assert_eq!((rd.fwd_calls, rd.bwd_calls), (1, 1));
+        assert_eq!(rd.elems, 2); // 2x4 . 2x4 -> 2x1
+        assert_eq!(rd.flops, 2 * 8);
+        assert_eq!(rd.bwd_flops, 4 * 8);
+        assert!(profile.rows.iter().all(|r| r.kind != OpKind::Mul));
         // Input/Param appear forward-only or with trivial backwards;
         // every row that ran must carry a forward call.
         assert!(profile

@@ -448,3 +448,133 @@ fn log_softmax_pick_is_bit_identical_to_composition() {
 
     assert_eq!(run(true), run(false));
 }
+
+#[test]
+fn row_dot_rows() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let a = params.add("a", Matrix::uniform(4, 5, 0.8, &mut rng));
+    let b = params.add("b", Matrix::uniform(4, 5, 0.8, &mut rng));
+    gradcheck(&mut params, |g| {
+        let av = g.param(a);
+        let bv = g.param(b);
+        let d = g.row_dot(av, bv); // 4 x 1
+        let t = g.tanh(d);
+        g.sq_sum(t)
+    });
+}
+
+/// Canonical bits: exact for every non-NaN value, one quiet NaN for all
+/// NaNs (their sign/payload is left to the implementation by IEEE 754).
+fn canon_bits(m: &Matrix) -> Vec<u32> {
+    m.data()
+        .iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// Uniform values with one of `±0.0`, `±inf` or NaN planted in every
+/// third row, offset by `seed`. Seeds 1, 2 and 3 plant in different
+/// rows, so a third of the rows stay finite in every operand.
+fn with_specials(rows: usize, cols: usize, seed: usize) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed as u64);
+    let mut m = Matrix::uniform(rows, cols, 0.9, &mut rng);
+    let specials = [-0.0, f32::INFINITY, 0.0, f32::NAN, -0.0, f32::NEG_INFINITY];
+    for r in (0..rows).filter(|r| cols > 0 && (r + seed).is_multiple_of(3)) {
+        m.set(r, (r / 3 + seed) % cols, specials[(r / 3) % specials.len()]);
+    }
+    m
+}
+
+/// `row_dot` must replay `matmul(mul(a, b), ones)` bit for bit: values,
+/// and every parameter gradient, with signed zeros, infinities and NaNs
+/// in the operands and the upstream gradient (DESIGN.md §5g).
+#[test]
+fn row_dot_is_bit_identical_to_mul_ones_matmul() {
+    // `w` weights each row's output, so the upstream gradient carries
+    // `±0.0`, `±inf` and NaN too.
+    let run = |fused: bool, rows: usize, cols: usize| {
+        let mut params = ParamSet::new();
+        let a = params.add("a", with_specials(rows, cols, 1));
+        let b = params.add("b", with_specials(rows, cols, 2));
+        let w = with_specials(rows, 1, 3);
+        let mut grads = GradStore::zeros_like(&params);
+        let mut g = Graph::new(&params);
+        let av = g.param(a);
+        let bv = g.param(b);
+        let d = if fused {
+            g.row_dot(av, bv)
+        } else {
+            let p = g.mul(av, bv);
+            let ones_col = g.input(Matrix::full(cols, 1, 1.0));
+            g.matmul(p, ones_col)
+        };
+        let wv = g.input(w);
+        let weighted = g.mul(d, wv);
+        let loss = g.sum_all(weighted);
+        g.backward(loss, &mut grads);
+        (
+            canon_bits(g.value(d)),
+            canon_bits(grads.get(a)),
+            canon_bits(grads.get(b)),
+        )
+    };
+    for cols in [0, 1, 16, 17] {
+        for rows in [0, 37] {
+            assert_eq!(
+                run(true, rows, cols),
+                run(false, rows, cols),
+                "{rows} x {cols}"
+            );
+        }
+    }
+
+    // The policy's pair logits: two `row_dot`s sharing the left
+    // operand, joined by `concat_cols`, picked through a log-softmax and
+    // swept with a zero weight (every adjoint a signed zero) and with a
+    // PPO-like negative one.
+    let policy = |fused: bool, cols: usize, weight: f32| {
+        let mut rng = rng();
+        let mut params = ParamSet::new();
+        let d = params.add("d", Matrix::uniform(9, cols, 0.8, &mut rng));
+        let table = params.add("table", Matrix::uniform(7, cols, 0.8, &mut rng));
+        let mut grads = GradStore::zeros_like(&params);
+        let mut g = Graph::new(&params);
+        let dv = g.param(d);
+        let dk = g.gather_var(dv, &[0, 3, 3, 8, 1, 5]);
+        let el = g.gather(table, &[1, 1, 4, 0, 6, 2]);
+        let er = g.gather(table, &[2, 5, 3, 1, 0, 6]);
+        let (ll, lr) = if fused {
+            (g.row_dot(dk, el), g.row_dot(dk, er))
+        } else {
+            let pl = g.mul(dk, el);
+            let pr = g.mul(dk, er);
+            let ones_col = g.input(Matrix::full(cols, 1, 1.0));
+            (g.matmul(pl, ones_col), g.matmul(pr, ones_col))
+        };
+        let logits = g.concat_cols(ll, lr);
+        let picked = g.log_softmax_pick(logits, &[0, 1, 1, 0, 1, 0]);
+        let wv = g.input(Matrix::from_vec(
+            6,
+            1,
+            vec![0.5, -1.0, 0.0, -0.0, 2.0, -0.25],
+        ));
+        let weighted = g.mul(picked, wv);
+        let obj = g.sum_all(weighted);
+        g.backward_weighted(obj, weight, &mut grads);
+        (
+            canon_bits(g.value(picked)),
+            canon_bits(grads.get(d)),
+            canon_bits(grads.get(table)),
+        )
+    };
+    for cols in [1, 16, 17] {
+        for weight in [0.0, -0.0625] {
+            assert_eq!(
+                policy(true, cols, weight),
+                policy(false, cols, weight),
+                "policy pattern, width {cols}, weight {weight}"
+            );
+        }
+    }
+}

@@ -25,9 +25,11 @@ const THREADS: [usize; 3] = [1, 4, 8];
 /// 32/64 boundaries of the blocked kernels (and one size past them).
 const DIMS: [usize; 12] = [0, 1, 2, 3, 5, 31, 32, 33, 63, 64, 65, 127];
 
-/// Deterministic fill with occasional exact zeros, NaNs and
-/// infinities, so the IEEE-propagation paths get exercised alongside
-/// ordinary values (an LCG keeps failures reproducible by seed).
+/// Deterministic fill with occasional exact zeros of both signs, NaNs
+/// and infinities, so the IEEE-propagation paths get exercised
+/// alongside ordinary values (an LCG keeps failures reproducible by
+/// seed). `-0.0` matters on the `k = 1` shapes: a chain from `+0.0`
+/// must turn a lone `-0.0` product into `+0.0`, as the reference does.
 fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
     let data = (0..rows * cols)
@@ -40,6 +42,7 @@ fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
                 1 => f32::NAN,
                 2 => f32::INFINITY,
                 3 => f32::NEG_INFINITY,
+                4 => -0.0,
                 _ => ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5,
             }
         })
@@ -184,5 +187,48 @@ fn parallel_dispatch_is_bit_identical_on_large_shapes() {
             want_mt,
             "threads={threads}"
         );
+    }
+}
+
+/// Signed zeros on the narrow shapes, deterministically. Every third
+/// left row is all `-0.0` against a positive right operand, so its
+/// products are all `-0.0` and only a chain that starts at `+0.0` sums
+/// them to `+0.0` (at `k = 1` that is `+0.0 + (-0.0)`; at `n = 1` a
+/// whole row of them). All three products must agree with their
+/// references bit for bit (no NaNs here, so no canonicalization).
+#[test]
+fn signed_zeros_match_reference_on_narrow_shapes() {
+    let lhs = |r: usize, c: usize| match (r % 3, (r + c) % 2) {
+        (0, _) | (_, 1) => -0.0,
+        _ => 0.5,
+    };
+    let rhs = |r: usize, c: usize| 0.25 + (r + c) as f32 * 0.125;
+    for (m, k, n) in [(1, 1, 1), (6, 1, 1), (5, 1, 17), (37, 16, 1), (37, 17, 1)] {
+        let a = Matrix::from_fn(m, k, lhs);
+        let b = Matrix::from_fn(k, n, rhs);
+        let want = a.matmul_ref(&b);
+        assert!(
+            want.data().iter().any(|x| x.to_bits() == 0),
+            "{m}x{k}x{n}: the probe must produce +0.0 outputs"
+        );
+        let bt = b.transpose();
+        let at = a.transpose();
+        for threads in THREADS {
+            assert_eq!(
+                bits(&a.matmul_threaded(&b, threads)),
+                bits(&want),
+                "matmul {m}x{k} * {k}x{n}, threads={threads}"
+            );
+            assert_eq!(
+                bits(&a.matmul_t_threaded(&bt, threads)),
+                bits(&a.matmul_t_ref(&bt)),
+                "matmul_t {m}x{k} * ({n}x{k})^T, threads={threads}"
+            );
+            assert_eq!(
+                bits(&at.t_matmul_threaded(&b, threads)),
+                bits(&at.t_matmul_ref(&b)),
+                "t_matmul ({k}x{m})^T * {k}x{n}, threads={threads}"
+            );
+        }
     }
 }

@@ -33,6 +33,13 @@ echo "==> row-sparse gradient exactness (release codegen)"
 cargo test -q --release -p tensor
 cargo test -q --release -p recsys --test fine_tune_bits
 
+echo "==> policy replay exactness (release codegen)"
+# The PoisonRec policy's parameters and PPO signals after a few trainer
+# steps, and one seeded episode's replayed log-probs and gradients, are
+# pinned at the benchmark's policy shape (policy_bits); the fused RowDot
+# pair logits must reproduce them under --release too.
+cargo test -q --release -p poisonrec --test policy_bits
+
 echo "==> eval candidate table exactness (release codegen)"
 # Every eval user's candidate set is drawn once into a table; the drawn
 # ids and the RecNum observations read from it are pinned
