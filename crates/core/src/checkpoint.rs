@@ -432,23 +432,44 @@ impl Codec for Choice {
         w.put_f32(self.old_logp);
     }
 
+    /// Rejects choices no action space can make: a pair pick other than
+    /// 0 or 1, an empty range, or a range pick past its end. A restored
+    /// `best` episode is replayed as-is, so these must not get in.
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
+        let at = r.position();
         let tag = r.get_u8("choice-set tag")?;
         let a = r.get_u32("choice-set bound")?;
         let b = r.get_u32("choice-set bound")?;
         let set = match tag {
             0 => ChoiceSet::Pair(a, b),
-            1 => ChoiceSet::Range(a, b),
+            1 if a < b => ChoiceSet::Range(a, b),
+            1 => {
+                return Err(WireError::new(
+                    at,
+                    format!("choice-set range {a}..{b} is empty (start must be below end)"),
+                ))
+            }
             other => {
                 return Err(WireError::new(
-                    0,
+                    at,
                     format!("choice-set tag must be 0 (pair) or 1 (range), got {other}"),
                 ))
             }
         };
+        let at = r.position();
+        let chosen = r.get_u32("chosen index")?;
+        if chosen as usize >= set.len() {
+            return Err(WireError::new(
+                at,
+                format!(
+                    "chosen index {chosen} out of range for {set:?}, which has {} options",
+                    set.len()
+                ),
+            ));
+        }
         Ok(Self {
             set,
-            chosen: r.get_u32("chosen index")?,
+            chosen,
             old_logp: r.get_f32("old logp")?,
         })
     }
@@ -548,5 +569,50 @@ mod tests {
         assert_eq!(back.trails[0][0].len(), 2);
         assert_eq!(back.trails[0][0][1].set, ChoiceSet::Range(0, 10));
         assert_eq!(back.trails[0][0][0].old_logp.to_bits(), (-0.7f32).to_bits());
+    }
+
+    #[test]
+    fn choice_decode_rejects_impossible_choices() {
+        let choice = |set: ChoiceSet, chosen: u32| Choice {
+            set,
+            chosen,
+            old_logp: -0.5,
+        };
+        let decode =
+            |set: ChoiceSet, chosen: u32| Choice::from_bytes(&choice(set, chosen).to_bytes());
+        // The same choice as the only decision of a one-click episode.
+        let in_episode = |set: ChoiceSet, chosen: u32| {
+            let ep = Episode {
+                trajectories: vec![vec![3]],
+                trails: vec![vec![vec![choice(set, chosen)]]],
+                reward: 1.0,
+            };
+            Episode::from_bytes(&ep.to_bytes())
+        };
+        for (set, chosen) in [
+            (ChoiceSet::Pair(4, 5), 0),
+            (ChoiceSet::Pair(4, 5), 1),
+            (ChoiceSet::Pair(3, 3), 1),
+            (ChoiceSet::Range(0, 1), 0),
+            (ChoiceSet::Range(2, 10), 7),
+        ] {
+            let back = decode(set.clone(), chosen).expect("a valid choice decodes");
+            assert_eq!((&back.set, back.chosen), (&set, chosen));
+            let ep = in_episode(set.clone(), chosen).expect("a valid episode decodes");
+            assert_eq!(ep.trails[0][0][0].set, set);
+        }
+        for (set, chosen, field, offset) in [
+            (ChoiceSet::Pair(4, 5), 2, "chosen index 2", 9),
+            (ChoiceSet::Pair(4, 5), 7, "chosen index 7", 9),
+            (ChoiceSet::Range(2, 10), 8, "chosen index 8", 9),
+            (ChoiceSet::Range(5, 5), 0, "range 5..5 is empty", 0),
+            (ChoiceSet::Range(9, 2), 0, "range 9..2 is empty", 0),
+        ] {
+            let err = decode(set.clone(), chosen).expect_err("impossible choice");
+            assert!(err.message.contains(field), "{set:?} / {chosen}: {err}");
+            assert_eq!(err.offset, offset, "{err}");
+            let err = in_episode(set.clone(), chosen).expect_err("impossible episode");
+            assert!(err.message.contains(field), "{set:?} / {chosen}: {err}");
+        }
     }
 }

@@ -221,10 +221,7 @@ impl PolicyNetwork {
         // Stack the per-step D(h_t) matrices into one (T·N x e) block so
         // decisions from every step batch together; the decision of
         // attacker `a` at step `t` reads row `t*n + a`.
-        let mut d_all = d_steps[0];
-        for &d in &d_steps[1..] {
-            d_all = g.concat_rows(d_all, d);
-        }
+        let d_all = g.concat_rows(&d_steps);
 
         // All binary (tree) decisions form one pipeline; flat-softmax
         // decisions form one pipeline per distinct range. The softmax
@@ -264,13 +261,15 @@ impl PolicyNetwork {
 
         let mut groups: Vec<(Var, Vec<f32>)> = Vec::new();
         if !pair_rows.is_empty() {
-            let dk = g.gather_var(d_all, &pair_rows); // (K x e)
-            let el = g.gather(self.action_emb, &left_rows);
-            let er = g.gather(self.action_emb, &right_rows);
-            let ll = g.row_dot(dk, el); // (K x 1) left logits
-            let lr = g.row_dot(dk, er);
-            let logits = g.concat_cols(ll, lr); // (K x 2)
-            let picked = g.log_softmax_pick(logits, &pair_chosen); // (K x 1)
+            // (K x 1): every two-way softmax over ⟨D(h_t), e⟩ (Eq. 6).
+            let picked = g.pair_logp(
+                d_all,
+                &pair_rows,
+                self.action_emb,
+                &left_rows,
+                &right_rows,
+                &pair_chosen,
+            );
             groups.push((picked, pair_old));
         }
         for ((start, end), (rows, chosen, olds)) in ranges {

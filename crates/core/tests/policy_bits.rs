@@ -11,6 +11,11 @@
 //! * replay: the log-probs one seeded episode replays to under a fresh
 //!   policy, then the gradient of their sum.
 //!
+//! The BCBT designs replay only two-way (pair) decisions; BPlain mixes
+//! one pair decision per click with flat-softmax range groups; Plain
+//! replays range groups only. Together they cover every branch of
+//! `PolicyNetwork::replay_logps_in`.
+//!
 //! A mismatch means some change moved a policy weight, a log-prob or a
 //! gradient by at least one ulp.
 
@@ -76,8 +81,11 @@ fn bits(kind: ActionSpaceKind) -> (u64, u64) {
 
     let mut train = FNV_OFFSET;
     let history = trainer.train(&system, STEPS);
+    // Plain's flat softmax over the whole catalog almost never clicks a
+    // target in three steps, so its rewards (and advantages) are all
+    // zero; its pin rests on the replay hash.
     assert!(
-        history.iter().any(|s| s.ppo_signal > 0.0),
+        kind == ActionSpaceKind::Plain || history.iter().any(|s| s.ppo_signal > 0.0),
         "no PPO step carried a learning signal"
     );
     for stats in history {
@@ -139,5 +147,21 @@ fn bcbt_random_policy_bits_are_pinned() {
     check(
         ActionSpaceKind::BcbtRandom,
         (0xeb13_4e47_d48a_f96c, 0x2709_8da3_7f68_c9a0),
+    );
+}
+
+#[test]
+fn bplain_policy_bits_are_pinned() {
+    check(
+        ActionSpaceKind::BPlain,
+        (0x0ee4_de00_f9d6_ec3d, 0x7b2b_8975_0654_802f),
+    );
+}
+
+#[test]
+fn plain_policy_bits_are_pinned() {
+    check(
+        ActionSpaceKind::Plain,
+        (0xb6cd_0786_2a54_0132, 0xbd02_a625_767a_ebdf),
     );
 }

@@ -54,6 +54,21 @@ enum Op {
     /// Per-row dot product of two same-shape operands into a
     /// `rows x 1` column; bit-equal to `matmul(mul(a, b), ones)`.
     RowDot(Var, Var),
+    /// Two-way log-softmax pick over `⟨src[rows[r]], T[left[r]]⟩` and
+    /// `⟨src[rows[r]], T[right[r]]⟩`, with parameter `T` read in place.
+    /// Caches the two logits of every row (`logits[2r..2r + 2]`) and
+    /// its log-sum-exp; bit-equal to the seven-op gather / `row_dot` /
+    /// `concat_cols` / `log_softmax_pick` pipeline.
+    PairLogp {
+        src: Var,
+        rows: Vec<u32>,
+        table: ParamId,
+        left: Vec<u32>,
+        right: Vec<u32>,
+        chosen: Vec<u32>,
+        logits: Vec<f32>,
+        lse: Vec<f32>,
+    },
     Scale(Var, f32),
     AddScalar(Var),
     Relu(Var),
@@ -62,7 +77,8 @@ enum Op {
     Tanh(Var),
     Softplus(Var),
     ConcatCols(Var, Var),
-    ConcatRows(Var, Var),
+    /// Row-wise stack of the parts, in order.
+    ConcatRows(Vec<Var>),
     SumAll(Var),
     MeanAll(Var),
     /// Row-wise log-softmax.
@@ -107,6 +123,7 @@ impl Op {
             Op::Sub(..) => OpKind::Sub,
             Op::Mul(..) => OpKind::Mul,
             Op::RowDot(..) => OpKind::RowDot,
+            Op::PairLogp { .. } => OpKind::PairLogp,
             Op::Scale(..) => OpKind::Scale,
             Op::AddScalar(..) => OpKind::AddScalar,
             Op::Relu(..) => OpKind::Relu,
@@ -147,6 +164,17 @@ fn is_consecutive(indices: &[u32]) -> bool {
 fn check_rows(indices: &[u32], rows: usize) {
     if let Some(&bad) = indices.iter().find(|&&i| i as usize >= rows) {
         panic!("gather index {bad} out of range for a table of {rows} rows");
+    }
+}
+
+/// Column bounds check for the picks, in release builds too:
+/// `Matrix::at`/`set` check only in debug builds, so a pick index past
+/// the last column would otherwise read (and, in the backward sweep,
+/// write) the next row's entry. The backward arms reuse the indices
+/// checked here.
+fn check_cols(indices: &[u32], cols: usize) {
+    if let Some(&bad) = indices.iter().find(|&&i| i as usize >= cols) {
+        panic!("pick index {bad} out of range for {cols} columns");
     }
 }
 
@@ -409,6 +437,11 @@ impl<'p> Graph<'p> {
             Op::Sigmoid(..) | Op::Tanh(..) | Op::Softplus(..) => 4 * out,
             // One multiply + one add per input element.
             Op::RowDot(a, _) => 2 * in_elems(a),
+            // Two width-w dot products plus a two-logit log-softmax
+            // (4 per logit, as `LogSoftmaxPick`) per decision.
+            Op::PairLogp { src, rows, .. } => {
+                rows.len() as u64 * (4 * self.shape(*src).1 as u64 + 8)
+            }
             Op::SumAll(a) | Op::MeanAll(a) => in_elems(a),
             Op::SqSum(a) => 2 * in_elems(a),
             // exp + subtract + max/sum passes per element.
@@ -640,6 +673,76 @@ impl<'p> Graph<'p> {
         self.push(value, Op::RowDot(a, b))
     }
 
+    /// BCBT's pair decisions in one node: for every decision `r`, the
+    /// log-softmax over the two logits `⟨src[rows[r]], T[left[r]]⟩` and
+    /// `⟨src[rows[r]], T[right[r]]⟩`, picked at `chosen[r]`, as a
+    /// `K x 1` column. `src` and the parameter table `T` are read in
+    /// place; only the `K x 2` logits and the per-row log-sum-exp are
+    /// cached, and the backward writes `dT` straight into the
+    /// [`GradStore`].
+    ///
+    /// Bit-equal in value and gradients to
+    /// `log_softmax_pick(concat_cols(row_dot(dk, el), row_dot(dk, er)))`
+    /// over `dk = gather_var(src, rows)`, `el = gather(T, left)` and
+    /// `er = gather(T, right)` (DESIGN.md §5g): every expression below
+    /// is the unfused op's, in the unfused order.
+    ///
+    /// # Panics
+    /// Panics if the index slices differ in length, `src` and `T`
+    /// differ in width, or any index is out of range (`chosen[r] < 2`).
+    pub fn pair_logp(
+        &mut self,
+        src: Var,
+        rows: &[u32],
+        table: ParamId,
+        left: &[u32],
+        right: &[u32],
+        chosen: &[u32],
+    ) -> Var {
+        let _t = profile::fwd(OpKind::PairLogp);
+        let k = rows.len();
+        assert!(
+            left.len() == k && right.len() == k && chosen.len() == k,
+            "pair_logp length mismatch"
+        );
+        let sv = &self.nodes[src.0].value;
+        let tv = self.params.get(table);
+        assert_eq!(sv.cols(), tv.cols(), "pair_logp width mismatch");
+        check_rows(rows, sv.rows());
+        check_rows(left, tv.rows());
+        check_rows(right, tv.rows());
+        check_cols(chosen, 2);
+        // Pass 1, the logits: `row_dot`'s chain, ascending k from +0.0.
+        let dot = |x: &[f32], y: &[f32]| x.iter().zip(y).fold(0.0f32, |acc, (&x, &y)| acc + x * y);
+        let mut logits = Vec::with_capacity(2 * k);
+        for ((&r, &l), &rt) in rows.iter().zip(left).zip(right) {
+            let d = sv.row_slice(r as usize);
+            logits.push(dot(d, tv.row_slice(l as usize)));
+            logits.push(dot(d, tv.row_slice(rt as usize)));
+        }
+        // Pass 2, the pick: `log_softmax_pick`'s expressions verbatim.
+        // Keeping the libm calls out of pass 1 changes no expression.
+        let mut lse = Vec::with_capacity(k);
+        let mut picked = self.pool.take(k);
+        for (pair, &c) in logits.chunks_exact(2).zip(chosen) {
+            let max = pair.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let ls = max + pair.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+            lse.push(ls);
+            picked.push(pair[c as usize] - ls);
+        }
+        let op = Op::PairLogp {
+            src,
+            rows: rows.to_vec(),
+            table,
+            left: left.to_vec(),
+            right: right.to_vec(),
+            chosen: chosen.to_vec(),
+            logits,
+            lse,
+        };
+        self.push(Matrix::from_vec(k, 1, picked), op)
+    }
+
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
         let _t = profile::fwd(OpKind::Scale);
         let value = self.mapped(a, |x| x * alpha);
@@ -707,15 +810,30 @@ impl<'p> Graph<'p> {
         self.push(value, Op::ConcatCols(a, b))
     }
 
-    pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
+    /// Stacks `parts` row-wise, in order, as one node. For distinct
+    /// parts, bit-equal to the chain of binary stacks it replaces, in
+    /// value and gradients: the backward hands each part its own row
+    /// block.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty or the parts differ in width.
+    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
         let _t = profile::fwd(OpKind::ConcatRows);
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ac, bc, "concat_rows col mismatch");
-        let mut data = self.pool.take((ar + br) * ac);
-        data.extend_from_slice(self.nodes[a.0].value.data());
-        data.extend_from_slice(self.nodes[b.0].value.data());
-        self.push(Matrix::from_vec(ar + br, ac, data), Op::ConcatRows(a, b))
+        let (_, cols) = self.shape(*parts.first().expect("concat_rows needs a part"));
+        let mut rows = 0;
+        for &p in parts {
+            let (pr, pc) = self.shape(p);
+            assert_eq!(pc, cols, "concat_rows col mismatch");
+            rows += pr;
+        }
+        let mut data = self.pool.take(rows * cols);
+        for &p in parts {
+            data.extend_from_slice(self.nodes[p.0].value.data());
+        }
+        self.push(
+            Matrix::from_vec(rows, cols, data),
+            Op::ConcatRows(parts.to_vec()),
+        )
     }
 
     // ---- reductions & losses ----------------------------------------------
@@ -762,6 +880,7 @@ impl<'p> Graph<'p> {
         let _t = profile::fwd(OpKind::PickPerRow);
         let v = &self.nodes[a.0].value;
         assert_eq!(v.rows(), indices.len(), "pick_per_row length mismatch");
+        check_cols(indices, v.cols());
         let it = indices
             .iter()
             .enumerate()
@@ -780,6 +899,7 @@ impl<'p> Graph<'p> {
         let _t = profile::fwd(OpKind::LogSoftmaxRows);
         let v = &self.nodes[a.0].value;
         assert_eq!(v.rows(), indices.len(), "log_softmax_pick length mismatch");
+        check_cols(indices, v.cols());
         let mut lse = Vec::with_capacity(v.rows());
         for r in 0..v.rows() {
             let row = v.row_slice(r);
@@ -880,6 +1000,11 @@ impl<'p> Graph<'p> {
             Op::Mul(..) => 2 * out,
             // One seeded multiply per element of each operand's adjoint.
             Op::RowDot(a, _) => 4 * in_elems(a),
+            // Per decision: two seeds (exp + multiply each), two table
+            // scatters (2w each) and the two-term `src` update (4w).
+            Op::PairLogp { src, rows, .. } => {
+                rows.len() as u64 * (8 * self.shape(*src).1 as u64 + 8)
+            }
             Op::Relu(..) | Op::LeakyRelu(..) => out,
             Op::Sigmoid(..) | Op::Tanh(..) => 3 * out,
             Op::Softplus(..) => 4 * out,
@@ -1184,6 +1309,60 @@ impl<'p> Graph<'p> {
                     accumulate(&mut adj, *b, Adjoint::Dense(db), &mut pool);
                     pool.recycle(g);
                 }
+                Op::PairLogp {
+                    src,
+                    rows,
+                    table,
+                    left,
+                    right,
+                    chosen,
+                    logits,
+                    lse,
+                } => {
+                    // The unfused backward, replayed. `LogSoftmaxPick`
+                    // seeds each logit with `-(lp.exp() * g)` and adds
+                    // `g` at the pick; `RowDot` seeds with `0.0 + da`.
+                    // `seeds[2r..2r + 2]` = `[s_l, s_r]`.
+                    let mut seeds = pool.take(logits.len());
+                    for ((pair, &ls), (&c, &gv)) in logits
+                        .chunks_exact(2)
+                        .zip(lse)
+                        .zip(chosen.iter().zip(g.data()))
+                    {
+                        let mut da = [-((pair[0] - ls).exp() * gv), -((pair[1] - ls).exp() * gv)];
+                        da[c as usize] += gv;
+                        seeds.push(0.0 + da[0]);
+                        seeds.push(0.0 + da[1]);
+                    }
+                    let sv = &self.nodes[src.0].value;
+                    let tv = self.params.get(*table);
+                    // dT: the `right` gather ran after the `left` one,
+                    // so its scatter comes first in the reverse sweep.
+                    for (side, idx) in [(1, right), (0, left)] {
+                        let dt = grads.rows_mut(*table, idx);
+                        for ((s, &r), &t) in seeds.chunks_exact(2).zip(rows).zip(idx) {
+                            let d = sv.row_slice(r as usize);
+                            for (o, &x) in dt.row_slice_mut(t as usize).iter_mut().zip(d) {
+                                *o += s[side] * x;
+                            }
+                        }
+                    }
+                    // dsrc: the `lr` term filled `dk`'s slot, `axpy`
+                    // added the `ll` term, and `GatherVar` scattered the
+                    // sum into a zero-filled adjoint.
+                    let mut ds = pool.zeros(sv.rows(), sv.cols());
+                    for ((s, &r), (&l, &rt)) in
+                        seeds.chunks_exact(2).zip(rows).zip(left.iter().zip(right))
+                    {
+                        let (a, b) = (tv.row_slice(l as usize), tv.row_slice(rt as usize));
+                        for ((o, &a), &b) in ds.row_slice_mut(r as usize).iter_mut().zip(a).zip(b) {
+                            *o += s[1] * b + 1.0 * (s[0] * a);
+                        }
+                    }
+                    pool.put(seeds);
+                    accumulate(&mut adj, *src, Adjoint::Dense(ds), &mut pool);
+                    pool.recycle(g);
+                }
                 Op::Scale(a, alpha) => {
                     let mut da = g;
                     da.scale_inplace(*alpha);
@@ -1270,25 +1449,20 @@ impl<'p> Graph<'p> {
                     accumulate(&mut adj, *b, Adjoint::Dense(db), &mut pool);
                     pool.recycle(g);
                 }
-                Op::ConcatRows(a, b) => {
-                    let (ar, ac) = self.shape(*a);
-                    let (br, _) = self.shape(*b);
-                    let mut abuf = pool.take(ar * ac);
-                    abuf.extend_from_slice(&g.data()[..ar * ac]);
-                    let mut bbuf = pool.take(br * ac);
-                    bbuf.extend_from_slice(&g.data()[ar * ac..]);
-                    accumulate(
-                        &mut adj,
-                        *a,
-                        Adjoint::Dense(Matrix::from_vec(ar, ac, abuf)),
-                        &mut pool,
-                    );
-                    accumulate(
-                        &mut adj,
-                        *b,
-                        Adjoint::Dense(Matrix::from_vec(br, ac, bbuf)),
-                        &mut pool,
-                    );
+                Op::ConcatRows(parts) => {
+                    let mut start = 0;
+                    for &p in parts {
+                        let (pr, pc) = self.shape(p);
+                        let mut buf = pool.take(pr * pc);
+                        buf.extend_from_slice(&g.data()[start..start + pr * pc]);
+                        start += pr * pc;
+                        accumulate(
+                            &mut adj,
+                            p,
+                            Adjoint::Dense(Matrix::from_vec(pr, pc, buf)),
+                            &mut pool,
+                        );
+                    }
                     pool.recycle(g);
                 }
                 Op::SumAll(a) => {

@@ -38,6 +38,7 @@ pub enum OpKind {
     Sub,
     Mul,
     RowDot,
+    PairLogp,
     Scale,
     AddScalar,
     Relu,
@@ -59,7 +60,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in declaration order (= table index order).
-    pub const ALL: [OpKind; 27] = [
+    pub const ALL: [OpKind; 28] = [
         OpKind::Input,
         OpKind::Param,
         OpKind::Gather,
@@ -70,6 +71,7 @@ impl OpKind {
         OpKind::Sub,
         OpKind::Mul,
         OpKind::RowDot,
+        OpKind::PairLogp,
         OpKind::Scale,
         OpKind::AddScalar,
         OpKind::Relu,
@@ -101,6 +103,7 @@ impl OpKind {
             OpKind::Sub => "Sub",
             OpKind::Mul => "Mul",
             OpKind::RowDot => "RowDot",
+            OpKind::PairLogp => "PairLogp",
             OpKind::Scale => "Scale",
             OpKind::AddScalar => "AddScalar",
             OpKind::Relu => "Relu",
@@ -434,6 +437,17 @@ mod tests {
             let loss = g.sum_all(d);
             g.backward(loss, &mut grads);
         }
+        {
+            // Fourth graph pins the fused pair decisions over a stacked
+            // source: 3 decisions of width 3 against the 4x3 param.
+            let mut g = Graph::new(&params);
+            let a = g.input(Matrix::full(1, 3, 0.5));
+            let b = g.input(Matrix::full(2, 3, 0.25));
+            let src = g.concat_rows(&[a, b]);
+            let lp = g.pair_logp(src, &[0, 2, 2], w, &[1, 0, 3], &[2, 2, 0], &[0, 1, 1]);
+            let loss = g.sum_all(lp);
+            g.backward(loss, &mut grads);
+        }
         trace::disable();
 
         let profile = snapshot();
@@ -475,6 +489,23 @@ mod tests {
         assert_eq!(rd.flops, 2 * 8);
         assert_eq!(rd.bwd_flops, 4 * 8);
         assert!(profile.rows.iter().all(|r| r.kind != OpKind::Mul));
+        // PairLogp is one row per replay: two width-w dots plus a
+        // two-logit log-softmax per decision forward, seeds, two table
+        // scatters and the `src` update backward.
+        let pl = row(OpKind::PairLogp);
+        assert_eq!((pl.fwd_calls, pl.bwd_calls), (1, 1));
+        assert_eq!(pl.elems, 3); // one log-prob per decision
+        assert_eq!(pl.flops, 3 * (4 * 3 + 8));
+        assert_eq!(pl.bwd_flops, 3 * (8 * 3 + 8));
+        // The slice concat is still a copy, under ConcatRows.
+        let cr = row(OpKind::ConcatRows);
+        assert_eq!((cr.fwd_calls, cr.bwd_calls), (1, 1));
+        assert_eq!(cr.elems, 9);
+        assert_eq!((cr.flops, cr.bwd_flops), (0, 0));
+        // Neither lowers to the ops it fuses.
+        for absent in [OpKind::GatherVar, OpKind::Gather, OpKind::ConcatCols] {
+            assert!(profile.rows.iter().all(|r| r.kind != absent));
+        }
         // Input/Param appear forward-only or with trivial backwards;
         // every row that ran must carry a forward call.
         assert!(profile

@@ -115,6 +115,11 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Bytes consumed so far: the offset a [`WireError`] should name.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::new(

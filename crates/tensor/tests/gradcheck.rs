@@ -159,7 +159,7 @@ fn concat_ops() {
         let bv = g.param(b);
         let cv = g.param(c);
         let ab = g.concat_cols(av, bv); // 2 x 5
-        let abc = g.concat_rows(ab, cv); // 3 x 5
+        let abc = g.concat_rows(&[ab, cv]); // 3 x 5
         let t = g.tanh(abc);
         g.sq_sum(t)
     });
@@ -529,10 +529,10 @@ fn row_dot_is_bit_identical_to_mul_ones_matmul() {
         }
     }
 
-    // The policy's pair logits: two `row_dot`s sharing the left
-    // operand, joined by `concat_cols`, picked through a log-softmax and
-    // swept with a zero weight (every adjoint a signed zero) and with a
-    // PPO-like negative one.
+    // The BCBT pair pattern (the composition `pair_logp` fuses): two
+    // `row_dot`s sharing the left operand, joined by `concat_cols`,
+    // picked through a log-softmax and swept with a zero weight (every
+    // adjoint a signed zero) and with a PPO-like negative one.
     let policy = |fused: bool, cols: usize, weight: f32| {
         let mut rng = rng();
         let mut params = ParamSet::new();
@@ -575,6 +575,155 @@ fn row_dot_is_bit_identical_to_mul_ones_matmul() {
                 policy(false, cols, weight),
                 "policy pattern, width {cols}, weight {weight}"
             );
+        }
+    }
+}
+
+/// One `concat_rows` over many parts must replay the chain of two-part
+/// stacks it replaces bit for bit: the value, and each part's gradient
+/// under an upstream gradient carrying `±0.0`, `±inf` and NaN. A single
+/// part must pass through unchanged.
+#[test]
+fn concat_rows_slice_is_bit_identical_to_the_binary_chain() {
+    let run = |fused: bool, part_rows: &[usize], cols: usize| {
+        let mut params = ParamSet::new();
+        let ids: Vec<_> = part_rows
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| params.add(format!("p{i}"), with_specials(r, cols, i + 1)))
+            .collect();
+        let total: usize = part_rows.iter().sum();
+        let w = with_specials(total, cols, 3);
+        let mut grads = GradStore::zeros_like(&params);
+        let mut g = Graph::new(&params);
+        let parts: Vec<Var> = ids.iter().map(|&id| g.param(id)).collect();
+        let stacked = if fused {
+            g.concat_rows(&parts)
+        } else {
+            // The binary chain; one part is the part itself.
+            let mut acc = parts[0];
+            for &p in &parts[1..] {
+                acc = g.concat_rows(&[acc, p]);
+            }
+            acc
+        };
+        let wv = g.input(w);
+        let weighted = g.mul(stacked, wv);
+        let loss = g.sum_all(weighted);
+        g.backward_weighted(loss, -0.0625, &mut grads);
+        let mut bits = vec![canon_bits(g.value(stacked))];
+        bits.extend(ids.iter().map(|&id| canon_bits(grads.get(id))));
+        bits
+    };
+    let twenty = [20; 20];
+    let cases: [&[usize]; 5] = [&[5], &[0], &twenty, &[3, 0, 2, 0, 4], &[0, 0, 1]];
+    for part_rows in cases {
+        for cols in [1, 16, 17] {
+            assert_eq!(
+                run(true, part_rows, cols),
+                run(false, part_rows, cols),
+                "parts {part_rows:?}, width {cols}"
+            );
+        }
+    }
+}
+
+/// Decisions for the `pair_logp` tests: `k` decisions over a `src` of
+/// `src_rows` rows and a table of `table_rows` rows, with repeated
+/// `src` rows, some `left == right`, table rows that are `left` in one
+/// decision and `right` in another, and both picks.
+fn pair_decisions(k: usize, src_rows: u32, table_rows: u32) -> [Vec<u32>; 4] {
+    let k = k as u32;
+    let rows = (0..k).map(|r| (r * 7 + 2) % src_rows).collect();
+    let left: Vec<u32> = (0..k).map(|r| (r * 5) % table_rows).collect();
+    let right = (0..k)
+        .map(|r| {
+            if r % 6 == 0 {
+                left[r as usize]
+            } else {
+                (r * 3 + 1) % table_rows
+            }
+        })
+        .collect();
+    let chosen = (0..k).map(|r| (r * r + r / 3) % 2).collect();
+    [rows, left, right, chosen]
+}
+
+#[test]
+fn pair_logp_gradcheck() {
+    let mut rng = rng();
+    let mut params = ParamSet::new();
+    let d = params.add("d", Matrix::uniform(5, 4, 0.8, &mut rng));
+    let table = params.add("table", Matrix::uniform(6, 4, 0.8, &mut rng));
+    let [rows, left, right, chosen] = pair_decisions(11, 5, 6);
+    gradcheck(&mut params, |g| {
+        let dv = g.param(d);
+        let dt = g.tanh(dv);
+        let picked = g.pair_logp(dt, &rows, table, &left, &right, &chosen); // 11 x 1
+        g.sq_sum(picked)
+    });
+}
+
+/// `pair_logp` must replay the seven-op pipeline it replaces (two
+/// gathers from the table, one from `src`, two `row_dot`s,
+/// `concat_cols`, `log_softmax_pick`) bit for bit: the picked values,
+/// the table gradient, and the gradient that reaches `src`'s parameter
+/// (DESIGN.md §5g). Runs clean operands (where every rounding shows)
+/// and operands and upstream gradients carrying `±0.0`, `±inf` and NaN,
+/// swept with weights `0.0` (every adjoint a signed zero) and
+/// `-0.0625` (PPO-like).
+#[test]
+fn pair_logp_is_bit_identical_to_the_seven_op_pipeline() {
+    let run = |fused: bool, k: usize, cols: usize, specials: bool, weight: f32| {
+        let (src_rows, table_rows) = (9, 7);
+        let mut rng = rng();
+        let mut fill = |rows: usize, cols: usize, seed: usize| {
+            if specials {
+                with_specials(rows, cols, seed)
+            } else {
+                Matrix::uniform(rows, cols, 0.9, &mut rng)
+            }
+        };
+        let mut params = ParamSet::new();
+        let d = params.add("d", fill(src_rows, cols, 1));
+        let table = params.add("table", fill(table_rows, cols, 2));
+        let w = fill(k, 1, 3);
+        let [rows, left, right, chosen] = pair_decisions(k, src_rows as u32, table_rows as u32);
+        let mut grads = GradStore::zeros_like(&params);
+        let mut g = Graph::new(&params);
+        let dv = g.param(d);
+        let picked = if fused {
+            g.pair_logp(dv, &rows, table, &left, &right, &chosen)
+        } else {
+            let dk = g.gather_var(dv, &rows);
+            let el = g.gather(table, &left);
+            let er = g.gather(table, &right);
+            let ll = g.row_dot(dk, el);
+            let lr = g.row_dot(dk, er);
+            let logits = g.concat_cols(ll, lr);
+            g.log_softmax_pick(logits, &chosen)
+        };
+        let wv = g.input(w);
+        let weighted = g.mul(picked, wv);
+        let obj = g.sum_all(weighted);
+        g.backward_weighted(obj, weight, &mut grads);
+        (
+            canon_bits(g.value(picked)),
+            canon_bits(grads.get(table)),
+            canon_bits(grads.get(d)),
+        )
+    };
+    for cols in [1, 16, 17] {
+        for k in [0, 37] {
+            for specials in [false, true] {
+                for weight in [0.0, -0.0625] {
+                    assert_eq!(
+                        run(true, k, cols, specials, weight),
+                        run(false, k, cols, specials, weight),
+                        "width {cols}, K = {k}, specials {specials}, weight {weight}"
+                    );
+                }
+            }
         }
     }
 }

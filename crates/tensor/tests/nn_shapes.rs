@@ -203,3 +203,98 @@ mod gather_bounds {
         gather_var_from(2, 0, &[9]);
     }
 }
+
+/// Picks check every index against the column count up front, in
+/// release builds too: an index past the last column must panic, not
+/// read the next row's entry (or, in the backward sweep, write it).
+mod pick_bounds {
+    use super::*;
+
+    fn pick_from(cols: usize, indices: &[u32], fused: bool) {
+        let params = ParamSet::new();
+        let mut g = Graph::new(&params);
+        let x = g.input(Matrix::from_fn(indices.len(), cols, |r, c| {
+            (r * cols + c) as f32
+        }));
+        if fused {
+            g.log_softmax_pick(x, indices);
+        } else {
+            g.pick_per_row(x, indices);
+        }
+    }
+
+    #[test]
+    fn in_range_picks_pick() {
+        pick_from(4, &[3, 0, 2], false);
+        pick_from(4, &[3, 0, 2], true);
+        pick_from(0, &[], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "pick index 4 out of range for 4 columns")]
+    fn pick_per_row_rejects_a_column_past_the_end() {
+        pick_from(4, &[4, 0, 1], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "pick index 4 out of range for 4 columns")]
+    fn log_softmax_pick_rejects_a_column_past_the_end() {
+        pick_from(4, &[4, 0, 1], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "pick index 0 out of range for 0 columns")]
+    fn picks_reject_any_column_of_a_zero_width_node() {
+        pick_from(0, &[0, 0], false);
+    }
+}
+
+/// `pair_logp` checks its `src` rows, both table-row lists and the
+/// two-way picks up front, in release builds too.
+mod pair_logp_bounds {
+    use super::*;
+
+    /// Three decisions over a 4-row `src` and a 5-row table, with one
+    /// index replaced: `which` 0..4 selects rows, left, right, chosen.
+    fn pair_logp_with(which: usize, bad: u32) {
+        let mut params = ParamSet::new();
+        let table = params.add("t", Matrix::full(5, 3, 0.5));
+        let mut lists = [vec![0, 3, 1], vec![4, 0, 2], vec![1, 1, 3], vec![0, 1, 1]];
+        if which < lists.len() {
+            lists[which][1] = bad;
+        }
+        let [rows, left, right, chosen] = lists;
+        let mut g = Graph::new(&params);
+        let src = g.input(Matrix::full(4, 3, 0.25));
+        g.pair_logp(src, &rows, table, &left, &right, &chosen);
+    }
+
+    #[test]
+    fn in_range_decisions_run() {
+        pair_logp_with(usize::MAX, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 4 out of range for a table of 4 rows")]
+    fn rejects_a_src_row_past_the_end() {
+        pair_logp_with(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 5 out of range for a table of 5 rows")]
+    fn rejects_a_left_row_past_the_end() {
+        pair_logp_with(1, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 9 out of range for a table of 5 rows")]
+    fn rejects_a_right_row_past_the_end() {
+        pair_logp_with(2, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "pick index 2 out of range for 2 columns")]
+    fn rejects_a_pick_past_the_pair() {
+        pair_logp_with(3, 2);
+    }
+}

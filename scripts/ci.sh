@@ -36,8 +36,10 @@ cargo test -q --release -p recsys --test fine_tune_bits
 echo "==> policy replay exactness (release codegen)"
 # The PoisonRec policy's parameters and PPO signals after a few trainer
 # steps, and one seeded episode's replayed log-probs and gradients, are
-# pinned at the benchmark's policy shape (policy_bits); the fused RowDot
-# pair logits must reproduce them under --release too.
+# pinned at the benchmark's policy shape (policy_bits) for all four
+# action spaces; the fused PairLogp op (every BCBT pair decision in one
+# tape node) and the one-node D(h_t) stack must reproduce them under
+# --release too.
 cargo test -q --release -p poisonrec --test policy_bits
 
 echo "==> eval candidate table exactness (release codegen)"
