@@ -25,14 +25,18 @@
 //! `M` and spends one observation, each later step is one SPSA
 //! iteration spending two — with two invariants pinned by tests:
 //!
-//! * the RNG call order is untouched, so the legacy [`AttackMethod`]
-//!   path produces **byte-identical** poison to the pre-port code;
+//! * the RNG call order is untouched, so the step machine produces
+//!   **byte-identical** poison to the pre-port code (pinned through
+//!   `run_attack` by `tests/end_to_end_attack.rs`);
 //! * each iteration's two probes go through one `observe_batch` call,
 //!   which draws per-slot seeds in slot order — bit-identical to the
 //!   old sequential queries at any thread count.
 //!
 //! Budget refusals are checked *before* any RNG draw, so a refused
 //! step perturbs neither the random stream nor the seed ordinal.
+//! Restored state is checked against the step count and the cell's
+//! budget and catalog before it replaces anything, so a corrupt or
+//! foreign snapshot is a typed refusal instead of a later panic.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -42,10 +46,9 @@ use recsys::attack::{
     Reader, WireError, Writer,
 };
 use recsys::data::{ItemId, Trajectory};
-use recsys::system::{BlackBoxSystem, ObservableSystem, PublicInfo};
+use recsys::system::{ObservableSystem, PublicInfo};
 
 use crate::util;
-use crate::AttackMethod;
 
 /// AppGrad parameters.
 #[derive(Copy, Clone, Debug)]
@@ -295,6 +298,74 @@ impl AppGrad {
         Ok(r_plus.max(r_minus))
     }
 
+    /// Refuses decoded state this cell could not have produced, naming
+    /// the offending field: every later step indexes the pool and both
+    /// matrices with these shapes.
+    fn check_restored(
+        &self,
+        steps_done: usize,
+        run: Option<&SpsaRun>,
+        system: &GuardedSystem<'_>,
+    ) -> Result<(), AttackError> {
+        let bad = |field: &str, why: String| {
+            Err(AttackError::State(format!(
+                "AppGrad state field `{field}`: {why}"
+            )))
+        };
+        let planned = self.planned_steps();
+        if steps_done > planned {
+            return bad(
+                "steps_done",
+                format!("{steps_done} exceeds the {planned} planned steps"),
+            );
+        }
+        let run = match (steps_done, run) {
+            (0, None) => return Ok(()),
+            (0, Some(_)) => return bad("run", "present before the init step ran".into()),
+            (_, None) => return bad("run", format!("missing after {steps_done} steps")),
+            (_, Some(run)) => run,
+        };
+        let budget = system.budget();
+        if run.n != budget.fake_users as usize {
+            return bad(
+                "n",
+                format!(
+                    "{} attackers, but the budget declares {}",
+                    run.n, budget.fake_users
+                ),
+            );
+        }
+        if run.t != budget.clicks_per_user {
+            return bad(
+                "t",
+                format!(
+                    "{} clicks per attacker, but the budget declares {}",
+                    run.t, budget.clicks_per_user
+                ),
+            );
+        }
+        let info = system.public_info();
+        let catalog = info.num_items as usize + info.target_items.len();
+        if run.pool.is_empty() {
+            return bad("pool", "empty".into());
+        }
+        if let Some(item) = run.pool.iter().find(|&&item| item as usize >= catalog) {
+            return bad(
+                "pool",
+                format!("item {item} outside the {catalog}-item catalog"),
+            );
+        }
+        for (field, m) in [("m", &run.m), ("best", &run.best)] {
+            if m.len() != run.n || m.iter().any(|row| row.len() != run.pool.len()) {
+                return bad(
+                    field,
+                    format!("not {} rows of {} entries", run.n, run.pool.len()),
+                );
+            }
+        }
+        Ok(())
+    }
+
     fn put_matrix(w: &mut Writer, m: &[Vec<f32>]) {
         w.put_u64(m.len() as u64);
         for row in m {
@@ -306,32 +377,6 @@ impl AppGrad {
         // Each row costs at least its own 8-byte length prefix.
         let rows = r.get_len(8, "matrix rows")?;
         (0..rows).map(|_| r.get_f32s("matrix row")).collect()
-    }
-}
-
-impl AttackMethod for AppGrad {
-    fn name(&self) -> &'static str {
-        "AppGrad"
-    }
-
-    fn generate(&mut self, system: &BlackBoxSystem, n: usize, t: usize) -> Vec<Trajectory> {
-        // Drive the step machine to completion against an uncapped
-        // budget: same RNG stream and seed ordinals as the original
-        // single-function implementation, so the output is unchanged.
-        self.run = None;
-        self.steps_done = 0;
-        let guard = GuardedSystem::new(
-            system,
-            recsys::attack::AttackBudget {
-                fake_users: n as u32,
-                clicks_per_user: t,
-                observations: u64::MAX,
-            },
-        );
-        for _ in 0..Attack::planned_steps(self) {
-            Attack::step(self, &guard, 1).expect("uncapped budget cannot refuse");
-        }
-        Attack::poison(self).expect("all steps ran")
     }
 }
 
@@ -426,7 +471,7 @@ impl Attack for AppGrad {
     fn restore_state(
         &mut self,
         bytes: &[u8],
-        _system: &GuardedSystem<'_>,
+        system: &GuardedSystem<'_>,
     ) -> Result<(), AttackError> {
         let mut r = Reader::new(bytes);
         let rng = util::get_rng(&mut r)?;
@@ -460,6 +505,7 @@ impl Attack for AppGrad {
             }
         };
         r.expect_eof()?;
+        self.check_restored(steps_done, run.as_ref(), system)?;
         self.rng = rng;
         self.steps_done = steps_done;
         self.run = run;
@@ -470,9 +516,10 @@ impl Attack for AppGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recsys::attack::AttackBudget;
     use recsys::data::Dataset;
     use recsys::rankers::ItemPop;
-    use recsys::system::SystemConfig;
+    use recsys::system::{BlackBoxSystem, SystemConfig};
 
     fn toy_system() -> BlackBoxSystem {
         let histories = (0..50u32)
@@ -508,7 +555,7 @@ mod tests {
             },
             3,
         );
-        let poison = attack.generate(&system, 6, 15);
+        let poison = util::run_to_poison(&mut attack, &system, 6, 15);
         assert_eq!(poison.len(), 6);
         assert!(poison.iter().all(|tr| tr.len() == 15));
         assert!(poison.iter().flatten().all(|&i| i < 78));
@@ -526,37 +573,9 @@ mod tests {
             },
             5,
         );
-        let poison = attack.generate(&system, 8, 15);
+        let poison = util::run_to_poison(&mut attack, &system, 8, 15);
         let reward = system.inject_and_observe_seeded(&poison, 3);
         assert!(reward > 0, "AppGrad found nothing (RecNum {reward})");
-    }
-
-    #[test]
-    fn legacy_and_zoo_paths_are_bit_identical() {
-        // Two fresh same-config systems so seed ordinals line up; the
-        // monolithic path and the step machine must agree exactly.
-        let cfg = AppGradConfig {
-            iterations: 4,
-            ..Default::default()
-        };
-        let legacy_system = toy_system();
-        let mut legacy = AppGrad::new(cfg, 11);
-        let legacy_poison = legacy.generate(&legacy_system, 6, 12);
-
-        let zoo_system = toy_system();
-        let guard = GuardedSystem::new(
-            &zoo_system,
-            recsys::attack::AttackBudget {
-                fake_users: 6,
-                clicks_per_user: 12,
-                observations: 1 + 2 * 4,
-            },
-        );
-        let mut zoo = AppGrad::new(cfg, 11);
-        while zoo.steps_done() < Attack::planned_steps(&zoo) {
-            Attack::step(&mut zoo, &guard, 4).expect("budget covers the run");
-        }
-        assert_eq!(Attack::poison(&zoo).unwrap(), legacy_poison);
     }
 
     #[test]
@@ -564,7 +583,7 @@ mod tests {
         let system = toy_system();
         let guard = GuardedSystem::new(
             &system,
-            recsys::attack::AttackBudget {
+            AttackBudget {
                 fake_users: 6,
                 clicks_per_user: 12,
                 observations: 1, // enough for init, not for any SPSA step
@@ -589,7 +608,7 @@ mod tests {
         let system = toy_system();
         let guard = GuardedSystem::new(
             &system,
-            recsys::attack::AttackBudget {
+            AttackBudget {
                 fake_users: 4,
                 clicks_per_user: 8,
                 observations: 64,
@@ -603,5 +622,69 @@ mod tests {
         restored.restore_state(&bytes, &guard).unwrap();
         assert_eq!(restored.state_bytes(), bytes);
         assert_eq!(restored.steps_done(), 2);
+    }
+
+    #[test]
+    fn restore_refuses_impossible_state_by_field() {
+        let system = toy_system();
+        let guard = GuardedSystem::new(
+            &system,
+            AttackBudget {
+                fake_users: 4,
+                clicks_per_user: 8,
+                observations: 64,
+            },
+        );
+        let cfg = AppGradConfig::default();
+        let mut attack = AppGrad::new(cfg, 13);
+        Attack::step(&mut attack, &guard, 1).unwrap();
+        Attack::step(&mut attack, &guard, 1).unwrap();
+        let valid = attack.state_bytes();
+
+        // Valid mid-run state restores, and the restored attack steps on.
+        let mut restored = AppGrad::new(cfg, 99);
+        restored.restore_state(&valid, &guard).expect("valid state");
+        Attack::step(&mut restored, &guard, 1).expect("restored attack steps on");
+
+        type Corrupt = fn(&mut AppGrad);
+        let cases: [(&str, Corrupt); 11] = [
+            ("steps_done", |a| a.steps_done = a.planned_steps() + 1),
+            ("run", |a| a.steps_done = 0),
+            ("run", |a| a.run = None),
+            ("n", |a| a.run.as_mut().unwrap().n = 5),
+            ("t", |a| a.run.as_mut().unwrap().t = 9),
+            ("pool", |a| a.run.as_mut().unwrap().pool.clear()),
+            // One past the catalog: 70 originals + 8 targets.
+            ("pool", |a| a.run.as_mut().unwrap().pool[1] = 70 + 8),
+            ("m", |a| {
+                a.run.as_mut().unwrap().m.pop();
+            }),
+            ("m", |a| {
+                a.run.as_mut().unwrap().m[0].pop();
+            }),
+            ("best", |a| {
+                a.run.as_mut().unwrap().best.pop();
+            }),
+            ("best", |a| a.run.as_mut().unwrap().best[1].push(0.0)),
+        ];
+        for (field, corrupt) in cases {
+            let mut bad = AppGrad::new(cfg, 13);
+            bad.restore_state(&valid, &guard).unwrap();
+            corrupt(&mut bad);
+            let bytes = bad.state_bytes();
+            let mut fresh = AppGrad::new(cfg, 13);
+            let pristine = fresh.state_bytes();
+            match fresh.restore_state(&bytes, &guard) {
+                Err(AttackError::State(msg)) => {
+                    assert!(msg.contains(&format!("`{field}`")), "{field}: {msg}")
+                }
+                other => panic!("{field}: expected a typed state refusal, got {other:?}"),
+            }
+            assert_eq!(
+                fresh.state_bytes(),
+                pristine,
+                "{field}: refusal changed state"
+            );
+        }
     }
 }

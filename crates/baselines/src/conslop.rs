@@ -27,8 +27,8 @@
 //!
 //! * The struct carried a **dead, unused RNG** (`#[allow(dead_code)]`),
 //!   suggesting randomness where there is none. ConsLOP is fully
-//!   deterministic; the field is gone and `new` keeps its `seed`
-//!   parameter only for constructor compatibility.
+//!   deterministic; the field is gone, and the only constructor takes
+//!   the log and no seed.
 //! * The greedy knapsack sorted candidates by a **float ratio with no
 //!   tie-break**, so equal-ratio partners kept `sort_by`'s input order
 //!   — stable here, but one refactor away from hash-order dependence.
@@ -41,10 +41,9 @@ use recsys::attack::{
     Attack, AttackCaps, AttackError, AttackStepStats, GuardedSystem, Reader, Writer,
 };
 use recsys::data::{Dataset, ItemId, Trajectory};
-use recsys::system::{BlackBoxSystem, ObservableSystem};
+use recsys::system::ObservableSystem;
 
 use crate::util;
-use crate::AttackMethod;
 
 /// ConsLOP parameters.
 #[derive(Copy, Clone, Debug)]
@@ -64,35 +63,26 @@ impl Default for ConsLopConfig {
 /// The greedy co-visitation injection planner.
 pub struct ConsLop {
     cfg: ConsLopConfig,
-    /// Prior knowledge for the zoo path; the legacy [`AttackMethod`]
-    /// path reads the log off the in-process system instead.
-    log: Option<Dataset>,
+    /// Prior knowledge: the system interaction log (construction-time,
+    /// never crawled through the black-box interface).
+    log: Dataset,
     crafted: Option<Vec<Trajectory>>,
 }
 
 impl ConsLop {
-    /// `seed` is accepted for constructor compatibility; the planner
-    /// is deterministic and uses no randomness (see the audit notes).
-    pub fn new(cfg: ConsLopConfig, _seed: u64) -> Self {
-        Self {
-            cfg,
-            log: None,
-            crafted: None,
-        }
-    }
-
     /// Supplies the system log the co-visitation program needs.
     pub fn with_log(cfg: ConsLopConfig, log: Dataset) -> Self {
         Self {
             cfg,
-            log: Some(log),
+            log,
             crafted: None,
         }
     }
 
     /// Plans `(partner, co-visit count)` allocations for `budget`
     /// co-visitations.
-    fn plan(&self, base: &Dataset, budget: usize) -> Vec<(ItemId, usize)> {
+    fn plan(&self, budget: usize) -> Vec<(ItemId, usize)> {
+        let base = &self.log;
         // Strongest existing co-visit weight per item (the bar the
         // injected edge must clear) and per-item user reach.
         let n = base.num_items() as usize;
@@ -158,9 +148,9 @@ impl ConsLop {
 
     /// The crafting core: pure function of the log, the target list,
     /// and the `n × t` budget.
-    fn craft(&self, base: &Dataset, target: ItemId, n: usize, t: usize) -> Vec<Trajectory> {
+    fn craft(&self, target: ItemId, n: usize, t: usize) -> Vec<Trajectory> {
         let budget = n * t / 2;
-        let plan = self.plan(base, budget);
+        let plan = self.plan(budget);
 
         // Serialize the plan into co-visit click pairs (target, j) and
         // deal them round-robin across the N attacker accounts.
@@ -180,18 +170,6 @@ impl ConsLop {
         }
 
         clicks.chunks(t).take(n).map(|c| c.to_vec()).collect()
-    }
-}
-
-impl AttackMethod for ConsLop {
-    fn name(&self) -> &'static str {
-        "ConsLOP"
-    }
-
-    fn generate(&mut self, system: &BlackBoxSystem, n: usize, t: usize) -> Vec<Trajectory> {
-        // Single-target method: promote the first target item.
-        let target = system.public_info().target_items[0];
-        self.craft(system.base(), target, n, t)
     }
 }
 
@@ -225,18 +203,10 @@ impl Attack for ConsLop {
                 "ConsLOP plans in a single step; the poison is already built".into(),
             ));
         }
-        let base = self.log.as_ref().ok_or(AttackError::Capability {
-            attack: "ConsLOP".to_string(),
-            needs: "the system interaction log (supply it at construction)",
-        })?;
         let budget = system.budget();
+        // Single-target method: promote the first target item.
         let target = system.public_info().target_items[0];
-        self.crafted = Some(self.craft(
-            base,
-            target,
-            budget.fake_users as usize,
-            budget.clicks_per_user,
-        ));
+        self.crafted = Some(self.craft(target, budget.fake_users as usize, budget.clicks_per_user));
         Ok(AttackStepStats {
             step: 0,
             reward: None,
@@ -282,9 +252,8 @@ impl Attack for ConsLop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recsys::data::Dataset;
     use recsys::rankers::CoVisitation;
-    use recsys::system::SystemConfig;
+    use recsys::system::{BlackBoxSystem, SystemConfig};
 
     fn toy_system() -> BlackBoxSystem {
         // Item 0 is in everyone's history; items beyond are scattered.
@@ -303,11 +272,16 @@ mod tests {
         )
     }
 
+    /// The `n × t` plan crafted on `system` with its log.
+    fn poison(system: &BlackBoxSystem, n: u32, t: usize) -> Vec<Trajectory> {
+        let mut attack = ConsLop::with_log(ConsLopConfig::default(), system.base().clone());
+        util::run_to_poison(&mut attack, system, n, t)
+    }
+
     #[test]
     fn generates_exact_budget() {
         let system = toy_system();
-        let mut attack = ConsLop::new(ConsLopConfig::default(), 3);
-        let poison = attack.generate(&system, 6, 10);
+        let poison = poison(&system, 6, 10);
         assert_eq!(poison.len(), 6);
         assert!(poison.iter().all(|tr| tr.len() == 10));
     }
@@ -315,8 +289,7 @@ mod tests {
     #[test]
     fn pairs_target_with_partners() {
         let system = toy_system();
-        let mut attack = ConsLop::new(ConsLopConfig::default(), 3);
-        let poison = attack.generate(&system, 6, 10);
+        let poison = poison(&system, 6, 10);
         let target = system.public_info().target_items[0];
         // Roughly half the clicks are on the single target; the rest
         // are partner items.
@@ -337,8 +310,7 @@ mod tests {
     fn beats_nothing_on_covisitation() {
         let system = toy_system();
         let before = system.clean_rec_num();
-        let mut attack = ConsLop::new(ConsLopConfig::default(), 3);
-        let poison = attack.generate(&system, 16, 10);
+        let poison = poison(&system, 16, 10);
         let after = system.inject_and_observe_seeded(&poison, 7);
         assert_eq!(before, 0);
         assert!(
@@ -350,27 +322,9 @@ mod tests {
     #[test]
     fn plan_is_deterministic() {
         let system = toy_system();
-        let a = ConsLop::new(ConsLopConfig::default(), 1).generate(&system, 8, 10);
-        let b = ConsLop::new(ConsLopConfig::default(), 2).generate(&system, 8, 10);
-        // No randomness at all: different seeds, identical plans.
+        let a = poison(&system, 8, 10);
+        let b = poison(&system, 8, 10);
+        // No randomness at all: two fresh planners, identical plans.
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zoo_step_without_log_is_a_typed_capability_error() {
-        let system = toy_system();
-        let guard = recsys::attack::GuardedSystem::new(
-            &system,
-            recsys::attack::AttackBudget {
-                fake_users: 4,
-                clicks_per_user: 6,
-                observations: 0,
-            },
-        );
-        let mut attack = ConsLop::new(ConsLopConfig::default(), 3);
-        match attack.step(&guard, 1) {
-            Err(AttackError::Capability { attack, .. }) => assert_eq!(attack, "ConsLOP"),
-            other => panic!("expected capability refusal, got {other:?}"),
-        }
     }
 }

@@ -30,10 +30,9 @@ use recsys::attack::{
     Attack, AttackCaps, AttackError, AttackStepStats, GuardedSystem, Reader, Writer,
 };
 use recsys::data::{Dataset, ItemId, Trajectory};
-use recsys::system::{BlackBoxSystem, ObservableSystem, PublicInfo};
+use recsys::system::{ObservableSystem, PublicInfo};
 
 use crate::util;
-use crate::AttackMethod;
 
 /// Which heuristic rule to apply.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -120,11 +119,11 @@ impl HeuristicAttack {
         items
     }
 
-    /// The crafting core shared by the legacy [`AttackMethod`] path and
-    /// the zoo [`Attack`] path: a pure function of the RNG stream,
-    /// public info, the (optional) log, and the `n × t` budget.
+    /// The crafting core: a pure function of the RNG stream, public
+    /// info, the (optional) log, and the `n × t` budget.
     fn craft(
-        &mut self,
+        kind: HeuristicKind,
+        rng: &mut StdRng,
         info: &PublicInfo,
         power_src: Option<&Dataset>,
         n: usize,
@@ -136,7 +135,7 @@ impl HeuristicAttack {
         let unpopular: Vec<ItemId> = (0..info.num_items)
             .filter(|i| !popular_lookup.contains(i))
             .collect();
-        let power = if self.kind == HeuristicKind::PowerItem {
+        let power = if kind == HeuristicKind::PowerItem {
             let base = power_src.ok_or(AttackError::Capability {
                 attack: "PowerItem".to_string(),
                 needs: "the system interaction log (supply it at construction)",
@@ -145,13 +144,12 @@ impl HeuristicAttack {
         } else {
             Vec::new()
         };
-        let rng = &mut self.rng;
         let pick = |set: &[ItemId], rng: &mut StdRng| set[rng.gen_range(0..set.len())];
 
         Ok((0..n)
             .map(|_| {
                 (0..t)
-                    .map(|step| match self.kind {
+                    .map(|step| match kind {
                         HeuristicKind::Random => {
                             if step % 2 == 0 {
                                 pick(targets, rng)
@@ -183,31 +181,16 @@ impl HeuristicAttack {
             })
             .collect())
     }
+}
 
-    fn static_name(&self) -> &'static str {
+impl Attack for HeuristicAttack {
+    fn name(&self) -> &'static str {
         match self.kind {
             HeuristicKind::Random => "Random",
             HeuristicKind::Popular => "Popular",
             HeuristicKind::Middle => "Middle",
             HeuristicKind::PowerItem => "PowerItem",
         }
-    }
-}
-
-impl AttackMethod for HeuristicAttack {
-    fn name(&self) -> &'static str {
-        self.static_name()
-    }
-
-    fn generate(&mut self, system: &BlackBoxSystem, n: usize, t: usize) -> Vec<Trajectory> {
-        self.craft(&system.public_info(), Some(system.base()), n, t)
-            .expect("the in-process system always has its log")
-    }
-}
-
-impl Attack for HeuristicAttack {
-    fn name(&self) -> &'static str {
-        self.static_name()
     }
 
     fn caps(&self) -> AttackCaps {
@@ -236,16 +219,14 @@ impl Attack for HeuristicAttack {
             ));
         }
         let budget = system.budget();
-        let info = system.public_info();
-        let log = self.log.take();
-        let crafted = self.craft(
-            &info,
-            log.as_ref(),
+        self.crafted = Some(Self::craft(
+            self.kind,
+            &mut self.rng,
+            &system.public_info(),
+            self.log.as_ref(),
             budget.fake_users as usize,
             budget.clicks_per_user,
-        );
-        self.log = log;
-        self.crafted = Some(crafted?);
+        )?);
         Ok(AttackStepStats {
             step: 0,
             reward: None,
@@ -295,7 +276,20 @@ impl Attack for HeuristicAttack {
 mod tests {
     use super::*;
     use recsys::rankers::ItemPop;
-    use recsys::system::SystemConfig;
+    use recsys::system::{BlackBoxSystem, SystemConfig};
+
+    /// The `n × t` poison of `kind` with `seed`, crafted on `system`
+    /// with its log.
+    fn poison(
+        kind: HeuristicKind,
+        seed: u64,
+        system: &BlackBoxSystem,
+        n: u32,
+        t: usize,
+    ) -> Vec<Trajectory> {
+        let mut attack = HeuristicAttack::with_log(kind, seed, system.base().clone());
+        util::run_to_poison(&mut attack, system, n, t)
+    }
 
     fn toy_system() -> BlackBoxSystem {
         let histories = (0..50u32)
@@ -322,8 +316,7 @@ mod tests {
             HeuristicKind::Middle,
             HeuristicKind::PowerItem,
         ] {
-            let mut attack = HeuristicAttack::new(kind, 3);
-            let poison = attack.generate(&system, 5, 12);
+            let poison = poison(kind, 3, &system, 5, 12);
             assert_eq!(poison.len(), 5);
             assert!(poison.iter().all(|tr| tr.len() == 12), "{kind:?}");
             assert!(poison.iter().flatten().all(|&i| i < 88), "{kind:?}");
@@ -338,8 +331,7 @@ mod tests {
             HeuristicKind::Popular,
             HeuristicKind::PowerItem,
         ] {
-            let mut attack = HeuristicAttack::new(kind, 3);
-            let poison = attack.generate(&system, 8, 20);
+            let poison = poison(kind, 3, &system, 8, 20);
             let total: usize = poison.iter().map(Vec::len).sum();
             let on_target = poison.iter().flatten().filter(|&&i| i >= 80).count();
             assert_eq!(on_target * 2, total, "{kind:?} must alternate");
@@ -351,8 +343,7 @@ mod tests {
         let system = toy_system();
         let popular: std::collections::HashSet<_> =
             system.base().popular_set(10.0).into_iter().collect();
-        let mut attack = HeuristicAttack::new(HeuristicKind::Popular, 3);
-        let poison = attack.generate(&system, 4, 20);
+        let poison = poison(HeuristicKind::Popular, 3, &system, 4, 20);
         for traj in &poison {
             for (step, &item) in traj.iter().enumerate() {
                 if step % 2 == 1 {
@@ -392,8 +383,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let system = toy_system();
-        let a = HeuristicAttack::new(HeuristicKind::Middle, 9).generate(&system, 3, 10);
-        let b = HeuristicAttack::new(HeuristicKind::Middle, 9).generate(&system, 3, 10);
+        let a = poison(HeuristicKind::Middle, 9, &system, 3, 10);
+        let b = poison(HeuristicKind::Middle, 9, &system, 3, 10);
         assert_eq!(a, b);
     }
 

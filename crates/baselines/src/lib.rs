@@ -16,10 +16,11 @@
 //!   for RecNum feedback.
 //!
 //! Every method implements [`recsys::attack::Attack`] and is
-//! registered in [`zoo::AttackFamily`], which the shared conformance
-//! suite (`tests/attack_conformance.rs`) enumerates. The original
-//! [`AttackMethod`] interface is kept for the paper-table experiment
-//! drivers and produces byte-identical poison to the pre-zoo code.
+//! registered in [`zoo::AttackFamily`]. That is the one interface:
+//! the paper-table drivers run the baselines through
+//! [`AttackFamily::craft`] (`AttackFamily::build` + `run_attack`), and
+//! the conformance gate (`tests/conformance.rs`) enumerates the whole
+//! zoo under every defense kind.
 
 mod appgrad;
 mod conslop;
@@ -33,98 +34,3 @@ pub use conslop::{ConsLop, ConsLopConfig};
 pub use heuristic::{HeuristicAttack, HeuristicKind};
 pub use influence::{InfluenceAttack, InfluenceConfig};
 pub use zoo::{AttackFamily, ZooTuning};
-
-use recsys::data::Trajectory;
-use recsys::system::BlackBoxSystem;
-
-/// An attack method: given a black-box system and a budget of `n`
-/// attacker accounts with `t` clicks each, produce the fake
-/// trajectories to inject.
-pub trait AttackMethod {
-    fn name(&self) -> &'static str;
-
-    /// Builds the `n x t` poison. May query `system` (AppGrad does;
-    /// heuristics don't).
-    fn generate(&mut self, system: &BlackBoxSystem, n: usize, t: usize) -> Vec<Trajectory>;
-}
-
-/// Every baseline by paper name, for experiment drivers.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum BaselineKind {
-    Random,
-    Popular,
-    Middle,
-    PowerItem,
-    ConsLop,
-    AppGrad,
-}
-
-impl BaselineKind {
-    pub const ALL: [BaselineKind; 6] = [
-        BaselineKind::Random,
-        BaselineKind::Popular,
-        BaselineKind::Middle,
-        BaselineKind::PowerItem,
-        BaselineKind::ConsLop,
-        BaselineKind::AppGrad,
-    ];
-
-    /// The four log-free heuristics of Table IV.
-    pub const HEURISTICS: [BaselineKind; 4] = [
-        BaselineKind::Random,
-        BaselineKind::Popular,
-        BaselineKind::Middle,
-        BaselineKind::PowerItem,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            BaselineKind::Random => "Random",
-            BaselineKind::Popular => "Popular",
-            BaselineKind::Middle => "Middle",
-            BaselineKind::PowerItem => "PowerItem",
-            BaselineKind::ConsLop => "ConsLOP",
-            BaselineKind::AppGrad => "AppGrad",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL
-            .iter()
-            .copied()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-    }
-
-    /// Instantiates the method with default parameters and `seed`.
-    pub fn build(self, seed: u64) -> Box<dyn AttackMethod> {
-        match self {
-            BaselineKind::Random => Box::new(HeuristicAttack::new(HeuristicKind::Random, seed)),
-            BaselineKind::Popular => Box::new(HeuristicAttack::new(HeuristicKind::Popular, seed)),
-            BaselineKind::Middle => Box::new(HeuristicAttack::new(HeuristicKind::Middle, seed)),
-            BaselineKind::PowerItem => {
-                Box::new(HeuristicAttack::new(HeuristicKind::PowerItem, seed))
-            }
-            BaselineKind::ConsLop => Box::new(ConsLop::new(ConsLopConfig::default(), seed)),
-            BaselineKind::AppGrad => Box::new(AppGrad::new(AppGradConfig::default(), seed)),
-        }
-    }
-}
-
-impl std::fmt::Display for BaselineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_round_trips() {
-        for k in BaselineKind::ALL {
-            assert_eq!(BaselineKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(BaselineKind::parse("nope"), None);
-    }
-}

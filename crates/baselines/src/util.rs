@@ -3,6 +3,11 @@
 use rand::rngs::StdRng;
 use recsys::attack::{Reader, WireError, Writer};
 use recsys::data::Trajectory;
+#[cfg(test)]
+use recsys::{
+    attack::{Attack, AttackBudget, GuardedSystem},
+    system::ObservableSystem,
+};
 
 /// Serializes the full xoshiro256++ RNG state so a restored attack
 /// resumes the exact random stream.
@@ -43,6 +48,32 @@ pub fn get_trajectories(r: &mut Reader<'_>) -> Result<Vec<Trajectory>, WireError
         poison.push(traj);
     }
     Ok(poison)
+}
+
+/// Test driver: runs every planned step of `attack` against `system`
+/// under an `n × t` budget with unlimited observations, on one thread,
+/// and returns the poison.
+#[cfg(test)]
+pub fn run_to_poison(
+    attack: &mut dyn Attack,
+    system: &dyn ObservableSystem,
+    n: u32,
+    t: usize,
+) -> Vec<Trajectory> {
+    let guard = GuardedSystem::new(
+        system,
+        AttackBudget {
+            fake_users: n,
+            clicks_per_user: t,
+            observations: u64::MAX,
+        },
+    );
+    while attack.steps_done() < attack.planned_steps() {
+        attack
+            .step(&guard, 1)
+            .expect("an unlimited budget cannot refuse");
+    }
+    attack.poison().expect("every planned step ran")
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! and the conformance suite enumerate the whole zoo from a single
 //! list (DESIGN.md §5h).
 
-use poisonrec::{PoisonRecAttack, PoisonRecConfig};
-use recsys::attack::{Attack, AttackError};
-use recsys::data::Dataset;
+use poisonrec::{run_attack, PoisonRecAttack, PoisonRecConfig, ZooConfig};
+use recsys::attack::{Attack, AttackBudget, AttackError};
+use recsys::data::{Dataset, Trajectory};
+use recsys::system::BlackBoxSystem;
 
 use crate::{
     AppGrad, AppGradConfig, ConsLop, ConsLopConfig, HeuristicAttack, HeuristicKind,
@@ -35,6 +36,17 @@ impl AttackFamily {
         AttackFamily::Popular,
         AttackFamily::Middle,
         AttackFamily::PowerItem,
+    ];
+
+    /// The six baselines of the paper's Table III, in its column order
+    /// (the order experiment drivers print them in).
+    pub const BASELINES: [AttackFamily; 6] = [
+        AttackFamily::Random,
+        AttackFamily::Popular,
+        AttackFamily::Middle,
+        AttackFamily::PowerItem,
+        AttackFamily::ConsLop,
+        AttackFamily::AppGrad,
     ];
 
     pub fn name(self) -> &'static str {
@@ -123,6 +135,31 @@ impl AttackFamily {
                 need_log()?,
             )),
         })
+    }
+
+    /// Runs the family to completion against `system` under an `n × t`
+    /// budget with exactly its planned observations, and returns the
+    /// poison. The log is the system's own; no final evaluation query
+    /// is spent, so the system's seed ordinal advances by the family's
+    /// planned observations and nothing else.
+    pub fn craft(
+        self,
+        tuning: &ZooTuning,
+        system: &BlackBoxSystem,
+        n: usize,
+        t: usize,
+    ) -> Result<Vec<Trajectory>, AttackError> {
+        let mut attack = self.build(tuning, Some(system.base()))?;
+        let budget = AttackBudget {
+            fake_users: n as u32,
+            clicks_per_user: t,
+            observations: self.planned_observations(tuning),
+        };
+        let cfg = ZooConfig {
+            evaluate_final: false,
+            ..ZooConfig::new(budget)
+        };
+        Ok(run_attack(attack.as_mut(), system, &cfg, &mut |_| {})?.poison)
     }
 }
 

@@ -10,7 +10,7 @@
 //! reproduction target. Regenerates `results/table3.{csv,md}`.
 
 use analysis::{write_text, Table};
-use baselines::BaselineKind;
+use baselines::{AttackFamily, ZooTuning};
 use bench::{run_parallel, ExpArgs};
 use datasets::PaperDataset;
 use poisonrec::ActionSpaceKind;
@@ -66,10 +66,15 @@ fn run_cell(args: &ExpArgs, dataset: PaperDataset, ranker: RankerKind) -> Cell {
     let n = args.attackers;
     let t = args.trajectory;
     let mut results = Vec::with_capacity(7);
+    let tuning = ZooTuning {
+        seed: args.seed ^ 0xBA5E,
+        ..ZooTuning::default()
+    };
 
-    for kind in BaselineKind::ALL {
-        let mut method = kind.build(args.seed ^ 0xBA5E);
-        let poison = method.generate(&system, n, t);
+    for family in AttackFamily::BASELINES {
+        let poison = family
+            .craft(&tuning, &system, n, t)
+            .unwrap_or_else(|err| panic!("{family}: {err}"));
         // Average over a few retrain seeds — single-shot attacks are
         // retraining-noise sensitive.
         let mut total = 0u32;
@@ -77,7 +82,7 @@ fn run_cell(args: &ExpArgs, dataset: PaperDataset, ranker: RankerKind) -> Cell {
         for rep in 0..REPS {
             total += system.inject_and_observe_seeded(&poison, args.seed ^ (7000 + rep));
         }
-        results.push((kind.name().to_string(), total / REPS as u32));
+        results.push((family.name().to_string(), total / REPS as u32));
     }
 
     // PoisonRec: train, then evaluate the best strategy found.

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use analysis::{write_text, Table};
-use baselines::BaselineKind;
+use baselines::{AttackFamily, ZooTuning};
 use bench::ExpArgs;
 use datasets::PaperDataset;
 use poisonrec::checkpoint::{atomic_write, fnv1a64, seal, unseal};
@@ -131,8 +131,13 @@ fn main() {
         } else {
             let system = args.build_system(PaperDataset::Steam, ranker);
             // A fixed mid-strength attack: the Popular heuristic.
-            let mut attack = BaselineKind::Popular.build(args.seed);
-            let poison = attack.generate(&system, args.attackers, args.trajectory);
+            let tuning = ZooTuning {
+                seed: args.seed,
+                ..ZooTuning::default()
+            };
+            let poison = AttackFamily::Popular
+                .craft(&tuning, &system, args.attackers, args.trajectory)
+                .expect("Popular crafts within its budget");
             Some((system, poison))
         };
         let samples: Vec<f32> = (0..REPS)

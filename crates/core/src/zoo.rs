@@ -28,8 +28,8 @@
 //! the guard's usage ledger, the step history, the attack's own
 //! [`Attack::state_bytes`] blob, and the victim's serialized defense
 //! state (adaptive defenses calibrate online), so a resumed run
-//! continues **bit-identically** (pinned per family by
-//! `tests/attack_conformance.rs` and `tests/defense_conformance.rs`).
+//! continues **bit-identically** (pinned per family, undefended and
+//! defended, by `tests/conformance.rs`).
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -30,8 +30,8 @@
 //! system's pre-seeded ordinal stream, so the repo's determinism
 //! invariants survive for free: a zoo attack is bit-identical across
 //! thread counts, in-process vs over the wire ([`crate::remote`]), and
-//! kill+resume — the conformance suite (`tests/attack_conformance.rs`)
-//! pins all three for **every** registered family.
+//! kill+resume — the conformance gate (`tests/conformance.rs`) pins
+//! all three for **every** registered family under every defense kind.
 //!
 //! ## Checkpointing
 //!

@@ -12,11 +12,13 @@
 //! * **The layered stack** — [`DefenseStack`] composes a calibrated
 //!   detector with a session-length token bucket, a decaying
 //!   reputation score, and an adaptive threshold ladder driven by an
-//!   always-on [`Cusum`] drift detector, yielding one [`Verdict`] per
-//!   incoming trajectory. Everything is calibrated *before*
-//!   deployment on organic data; online adaptation only moves an
-//!   index into the precomputed ladder, which is what keeps defended
-//!   runs bit-identical local vs wire and at any thread count.
+//!   always-on [`Cusum`] drift detector (the metrics plane's CUSUM
+//!   machine, owned directly so no metrics toggle can gate it),
+//!   yielding one [`Verdict`] per incoming trajectory. Everything is
+//!   calibrated *before* deployment on organic data; online adaptation
+//!   only moves an index into the precomputed ladder, which is what
+//!   keeps defended runs bit-identical local vs wire and at any thread
+//!   count.
 //! * **The defended victim** — [`DefendedSystem`] wraps a
 //!   [`BlackBoxSystem`] so `run_attack` (and the serving layer, which
 //!   embeds the same stack at `POST /feedback` admission) evaluates
@@ -35,6 +37,7 @@ use crate::data::{Dataset, ItemId, Trajectory};
 use crate::system::{
     BlackBoxSystem, ConfigError, ObservableSystem, Observation, PublicInfo, SystemConfig,
 };
+use telemetry::stream::Cusum;
 use tensor::wire::{Reader, WireError, Writer};
 
 /// Number of behavioral features the LOF detector embeds a session
@@ -302,101 +305,27 @@ fn keep_nearest(best: &mut Vec<(f64, usize)>, k: usize, cand: (f64, usize)) {
     best.insert(at, cand);
 }
 
-/// Deterministic two-sided CUSUM drift detector over a scalar stream.
-///
-/// Mirrors `telemetry::stream::DriftDetector` exactly (EWMA reference
-/// via West's update, standardized residual fed into `s⁺`/`s⁻`, same
-/// default `k`/`h`/`alpha`/`warmup`) but is *always on*: the
-/// telemetry-plane detector no-ops when the stream plane is disabled,
-/// and a defense whose decisions depended on a metrics toggle would
-/// break bit-identical local-vs-wire runs. The defense therefore owns
-/// its own copy of the state machine, and its full state serializes
-/// into checkpoints.
-#[derive(Clone, Debug)]
-pub struct Cusum {
-    k: f64,
-    h: f64,
-    alpha: f64,
-    warmup: u64,
-    n: u64,
-    mean: f64,
-    var: f64,
-    s_pos: f64,
-    s_neg: f64,
-    alarms: u64,
+/// Writes the six state fields of the defense's drift detector, in the
+/// checkpoint's field order.
+fn put_cusum(w: &mut Writer, c: &Cusum) {
+    w.put_u64(c.n);
+    w.put_f64(c.mean);
+    w.put_f64(c.var);
+    w.put_f64(c.s_pos);
+    w.put_f64(c.s_neg);
+    w.put_u64(c.alarms);
 }
 
-impl Default for Cusum {
-    fn default() -> Self {
-        Self {
-            k: 0.5,
-            h: 8.0,
-            alpha: 0.05,
-            warmup: 32,
-            n: 0,
-            mean: 0.0,
-            var: 0.0,
-            s_pos: 0.0,
-            s_neg: 0.0,
-            alarms: 0,
-        }
-    }
-}
-
-impl Cusum {
-    /// Feed one observation; returns `true` iff it raised an alarm.
-    pub fn observe(&mut self, x: f64) -> bool {
-        if x.is_nan() {
-            return false;
-        }
-        self.n += 1;
-        if self.n == 1 {
-            self.mean = x;
-            self.var = 0.0;
-            return false;
-        }
-        let a = self.alpha;
-        let delta = x - self.mean;
-        self.mean += a * delta;
-        self.var = (1.0 - a) * (self.var + a * delta * delta);
-        if self.n <= self.warmup {
-            return false;
-        }
-        let z = delta / self.var.sqrt().max(1e-12);
-        self.s_pos = (self.s_pos + z - self.k).max(0.0);
-        self.s_neg = (self.s_neg - z - self.k).max(0.0);
-        if self.s_pos > self.h || self.s_neg > self.h {
-            self.s_pos = 0.0;
-            self.s_neg = 0.0;
-            self.alarms += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub fn alarms(&self) -> u64 {
-        self.alarms
-    }
-
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.n);
-        w.put_f64(self.mean);
-        w.put_f64(self.var);
-        w.put_f64(self.s_pos);
-        w.put_f64(self.s_neg);
-        w.put_u64(self.alarms);
-    }
-
-    fn decode(&mut self, r: &mut Reader) -> Result<(), WireError> {
-        self.n = r.get_u64("cusum n")?;
-        self.mean = r.get_f64("cusum mean")?;
-        self.var = r.get_f64("cusum var")?;
-        self.s_pos = r.get_f64("cusum s_pos")?;
-        self.s_neg = r.get_f64("cusum s_neg")?;
-        self.alarms = r.get_u64("cusum alarms")?;
-        Ok(())
-    }
+/// Reads what [`put_cusum`] wrote into a default-configured detector.
+fn get_cusum(r: &mut Reader) -> Result<Cusum, WireError> {
+    let mut c = Cusum::default();
+    c.n = r.get_u64("cusum n")?;
+    c.mean = r.get_f64("cusum mean")?;
+    c.var = r.get_f64("cusum var")?;
+    c.s_pos = r.get_f64("cusum s_pos")?;
+    c.s_neg = r.get_f64("cusum s_neg")?;
+    c.alarms = r.get_u64("cusum alarms")?;
+    Ok(c)
 }
 
 /// Admission decision for one incoming trajectory.
@@ -528,7 +457,9 @@ struct DefenseState {
     level: u32,
     /// Source-population trust in `[0, 1]`.
     reputation: f64,
-    /// Always-on drift detector over the score stream.
+    /// Always-on drift detector over the score stream: unlike the
+    /// metrics plane's `DriftDetector`, it has no enable switch, so
+    /// verdicts never depend on the telemetry toggle.
     cusum: Cusum,
     counts: VerdictCounts,
 }
@@ -695,7 +626,7 @@ impl DefenseStack {
         let mut w = Writer::new();
         w.put_u32(self.state.level);
         w.put_f64(self.state.reputation);
-        self.state.cusum.encode(&mut w);
+        put_cusum(&mut w, &self.state.cusum);
         w.put_u64(self.state.counts.admitted);
         w.put_u64(self.state.counts.flagged);
         w.put_u64(self.state.counts.rate_limited);
@@ -708,8 +639,7 @@ impl DefenseStack {
         let mut r = Reader::new(bytes);
         let level = r.get_u32("defense level")?;
         let reputation = r.get_f64("defense reputation")?;
-        let mut cusum = Cusum::default();
-        cusum.decode(&mut r)?;
+        let cusum = get_cusum(&mut r)?;
         let counts = VerdictCounts {
             admitted: r.get_u64("defense admitted")?,
             flagged: r.get_u64("defense flagged")?,

@@ -588,15 +588,95 @@ impl Default for CusumConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct CusumState {
-    n: u64,
-    mean: f64,
-    var: f64,
-    s_pos: f64,
-    s_neg: f64,
-    alarms: u64,
-    last_alarm: u64,
+/// Deterministic two-sided CUSUM over a scalar stream: the one CUSUM
+/// state machine in the workspace. It is plain data with no lock and
+/// no enable switch, so a caller whose decisions must not depend on
+/// the metrics toggle (the defense's adaptive ladder) owns one
+/// directly and serializes its six state fields, while
+/// [`DriftDetector`] puts one behind a mutex for the metrics plane.
+///
+/// The reference distribution is tracked with EWMA mean/variance
+/// (West's update): `mean += a·δ`, `var = (1−a)·(var + a·δ²)` where
+/// `δ = x − mean_old`. Each observation is standardised against the
+/// reference, `z = δ / dev`, and fed into the classic two-sided
+/// cumulative sums `s⁺ = max(0, s⁺ + z − k)`, `s⁻ = max(0, s⁻ − z − k)`.
+/// Crossing `h` raises an alarm and resets both sums. During warmup
+/// only the reference calibrates.
+#[derive(Clone, Debug)]
+pub struct Cusum {
+    cfg: CusumConfig,
+    /// Observations consumed (NaNs excluded).
+    pub n: u64,
+    /// EWMA reference mean.
+    pub mean: f64,
+    /// EWMA reference variance.
+    pub var: f64,
+    pub s_pos: f64,
+    pub s_neg: f64,
+    /// Alarms raised so far.
+    pub alarms: u64,
+}
+
+impl Cusum {
+    pub fn new(cfg: CusumConfig) -> Self {
+        assert!(cfg.k >= 0.0 && cfg.h > 0.0, "CUSUM needs k >= 0 and h > 0");
+        assert!(
+            cfg.alpha > 0.0 && cfg.alpha <= 1.0,
+            "CUSUM alpha must be in (0, 1]"
+        );
+        Self {
+            cfg,
+            n: 0,
+            mean: 0.0,
+            var: 0.0,
+            s_pos: 0.0,
+            s_neg: 0.0,
+            alarms: 0,
+        }
+    }
+
+    /// Feed one observation. Returns `true` iff this observation raised
+    /// an alarm. NaN observations are ignored.
+    pub fn observe(&mut self, x: f64) -> bool {
+        if x.is_nan() {
+            return false;
+        }
+        self.n += 1;
+        if self.n == 1 {
+            self.mean = x;
+            self.var = 0.0;
+            return false;
+        }
+        let a = self.cfg.alpha;
+        let delta = x - self.mean;
+        self.mean += a * delta;
+        self.var = (1.0 - a) * (self.var + a * delta * delta);
+        if self.n <= self.cfg.warmup {
+            return false;
+        }
+        let dev = self.var.sqrt().max(1e-12);
+        let z = delta / dev;
+        self.s_pos = (self.s_pos + z - self.cfg.k).max(0.0);
+        self.s_neg = (self.s_neg - z - self.cfg.k).max(0.0);
+        if self.s_pos > self.cfg.h || self.s_neg > self.cfg.h {
+            self.s_pos = 0.0;
+            self.s_neg = 0.0;
+            self.alarms += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    pub fn alarms(&self) -> u64 {
+        self.alarms
+    }
+}
+
+impl Default for Cusum {
+    fn default() -> Self {
+        Self::new(CusumConfig::default())
+    }
 }
 
 /// Published detector state, all fields exported as metrics.
@@ -613,74 +693,38 @@ pub struct DriftState {
     pub drifted: bool,
 }
 
-/// Two-sided CUSUM drift detector over a scalar stream.
-///
-/// The reference distribution is tracked with EWMA mean/variance
-/// (West's update): `mean += a·δ`, `var = (1−a)·(var + a·δ²)` where
-/// `δ = x − mean_old`. Each observation is standardised against the
-/// reference, `z = (x − mean) / dev`, and fed into the classic
-/// two-sided cumulative sums `s⁺ = max(0, s⁺ + z − k)`,
-/// `s⁻ = max(0, s⁻ − z − k)`. Crossing `h` raises an alarm and resets
-/// both sums. During warmup only the reference calibrates.
+/// The metrics plane's drift detector: one [`Cusum`] behind a mutex,
+/// gated by the stream plane's [`enabled`] switch (a disabled plane
+/// observes nothing), plus the observation ordinal of the last alarm,
+/// which only [`DriftState::drifted`] reads.
 pub struct DriftDetector {
-    cfg: CusumConfig,
-    state: Mutex<CusumState>,
+    state: Mutex<(Cusum, u64)>,
 }
 
 impl DriftDetector {
     pub fn new(cfg: CusumConfig) -> Self {
-        assert!(cfg.k >= 0.0 && cfg.h > 0.0, "CUSUM needs k >= 0 and h > 0");
-        assert!(
-            cfg.alpha > 0.0 && cfg.alpha <= 1.0,
-            "CUSUM alpha must be in (0, 1]"
-        );
         Self {
-            cfg,
-            state: Mutex::new(CusumState::default()),
+            state: Mutex::new((Cusum::new(cfg), 0)),
         }
-    }
-
-    pub fn config(&self) -> CusumConfig {
-        self.cfg
     }
 
     /// Feed one observation. Returns `true` iff this observation raised
-    /// an alarm. NaN observations are ignored.
+    /// an alarm. NaN observations, and every observation while the
+    /// plane is disabled, are ignored.
     pub fn observe(&self, x: f64) -> bool {
-        if x.is_nan() || !enabled() {
+        if !enabled() {
             return false;
         }
-        let mut st = self.state.lock().unwrap();
-        st.n += 1;
-        if st.n == 1 {
-            st.mean = x;
-            st.var = 0.0;
-            return false;
+        let (cusum, last_alarm) = &mut *self.state.lock().unwrap();
+        let alarm = cusum.observe(x);
+        if alarm {
+            *last_alarm = cusum.n;
         }
-        let a = self.cfg.alpha;
-        let delta = x - st.mean;
-        st.mean += a * delta;
-        st.var = (1.0 - a) * (st.var + a * delta * delta);
-        if st.n <= self.cfg.warmup {
-            return false;
-        }
-        let dev = st.var.sqrt().max(1e-12);
-        let z = delta / dev;
-        st.s_pos = (st.s_pos + z - self.cfg.k).max(0.0);
-        st.s_neg = (st.s_neg - z - self.cfg.k).max(0.0);
-        if st.s_pos > self.cfg.h || st.s_neg > self.cfg.h {
-            st.s_pos = 0.0;
-            st.s_neg = 0.0;
-            st.alarms += 1;
-            st.last_alarm = st.n;
-            true
-        } else {
-            false
-        }
+        alarm
     }
 
     pub fn state(&self) -> DriftState {
-        let st = self.state.lock().unwrap();
+        let (st, last_alarm) = &*self.state.lock().unwrap();
         DriftState {
             observations: st.n,
             mean: st.mean,
@@ -688,7 +732,7 @@ impl DriftDetector {
             s_pos: st.s_pos,
             s_neg: st.s_neg,
             alarms: st.alarms,
-            drifted: st.alarms > 0 && st.n - st.last_alarm < self.cfg.warmup.max(1),
+            drifted: st.alarms > 0 && st.n - last_alarm < st.cfg.warmup.max(1),
         }
     }
 }

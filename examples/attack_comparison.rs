@@ -6,7 +6,7 @@
 //! cargo run --release --example attack_comparison
 //! ```
 
-use baselines::BaselineKind;
+use baselines::{AttackFamily, ZooTuning};
 use datasets::PaperDataset;
 use poisonrec::{ActionSpaceKind, PoisonRecConfig, PoisonRecTrainer, PolicyConfig, PpoConfig};
 use recsys::data::LogView;
@@ -33,11 +33,16 @@ fn main() {
 
     let mut board: Vec<(String, u32)> = Vec::new();
 
-    for kind in BaselineKind::ALL {
-        let mut method = kind.build(99);
-        let poison = method.generate(&system, n, t);
+    let tuning = ZooTuning {
+        seed: 99,
+        ..ZooTuning::default()
+    };
+    for family in AttackFamily::BASELINES {
+        let poison = family
+            .craft(&tuning, &system, n, t)
+            .expect("every baseline crafts on the in-process system");
         let rec_num = system.inject_and_observe_seeded(&poison, 1);
-        board.push((kind.name().to_string(), rec_num));
+        board.push((family.name().to_string(), rec_num));
     }
 
     // PoisonRec with a small training budget.

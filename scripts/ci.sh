@@ -248,19 +248,23 @@ awk -F, '
     }
 ' "$def_dir/defense.csv"
 
-echo "==> attack zoo conformance suite (release)"
-# Every registered family through the pinned checks: thread
-# invariance, wire transparency, interrupt+resume
-# bit-identity, and the budget/capability property tests — re-proven
-# under release codegen, which is what the experiment grids run.
-# defense_conformance re-proves the same gate with a stateful
-# admission judge in the path (every family x defense kind), plus
-# kill+resume with the defense state sealed into the checkpoint.
+echo "==> conformance gate (release)"
+# One gate, re-proven under release codegen, which is what the
+# experiment grids run: every registered family x every defense kind
+# (none = the plain attack) through thread invariance, wire
+# transparency and interrupt+resume bit-identity, with the verdict
+# ledger compared whenever a stateful admission judge is in the path
+# and the defense state sealed into the checkpoint; plus the
+# cross-cell and defended-into-undefended refusals, the defense state
+# round-trip and the ledger balance (conformance), and the
+# budget/capability property tests (attack_budget).
+# baseline_poison_bits_are_pinned pins the six Table III baselines'
+# poison and observation spend through AttackFamily + run_attack.
 # The recsys `defense` unit tests re-prove, at release speed, that the
 # bounded k-NN selection equals sort + truncate bit for bit and that
 # the calibrated thresholds and judged state match their pinned bits.
-cargo test -q --release --test attack_conformance --test attack_budget \
-    --test defense_conformance
+cargo test -q --release --test conformance --test attack_budget
+cargo test -q --release --test end_to_end_attack baseline_poison_bits_are_pinned
 cargo test -q --release -p recsys defense
 
 echo "==> perf gate (tiny bench snapshot + perf_diff both ways)"

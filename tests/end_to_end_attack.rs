@@ -2,7 +2,7 @@
 //! PoisonRec training → measurable item promotion, plus baseline
 //! comparisons. This is the full paper pipeline at miniature scale.
 
-use baselines::BaselineKind;
+use baselines::{AppGradConfig, AttackFamily, ZooTuning};
 use datasets::PaperDataset;
 use poisonrec::{ActionSpaceKind, PoisonRecConfig, PoisonRecTrainer, PolicyConfig, PpoConfig};
 use recsys::data::LogView;
@@ -83,19 +83,17 @@ fn poisonrec_promotes_targets_on_covisitation() {
 fn every_baseline_runs_against_every_cheap_ranker() {
     for ranker in [RankerKind::ItemPop, RankerKind::CoVisitation] {
         let system = small_system(ranker, 11);
-        for kind in BaselineKind::ALL {
-            // AppGrad queries the system; keep its budget tiny here.
-            let mut method = match kind {
-                BaselineKind::AppGrad => Box::new(baselines::AppGrad::new(
-                    baselines::AppGradConfig {
-                        iterations: 2,
-                        ..Default::default()
-                    },
-                    11,
-                )) as Box<dyn baselines::AttackMethod>,
-                other => other.build(11),
-            };
-            let poison = method.generate(&system, 6, 8);
+        // AppGrad queries the system; keep its budget tiny here.
+        let tuning = ZooTuning {
+            seed: 11,
+            appgrad: AppGradConfig {
+                iterations: 2,
+                ..Default::default()
+            },
+            ..ZooTuning::default()
+        };
+        for kind in AttackFamily::BASELINES {
+            let poison = kind.craft(&tuning, &system, 6, 8).expect("crafts");
             assert_eq!(poison.len(), 6, "{kind} wrong account count on {ranker}");
             assert!(poison.iter().all(|t| t.len() == 8), "{kind} wrong length");
             let rec_num = system.inject_and_observe_seeded(&poison, 1);
@@ -109,17 +107,20 @@ fn conslop_beats_random_on_covisitation() {
     // ConsLOP is white-box for CoVisitation; it must clearly beat the
     // log-free Random heuristic there (paper §IV-D).
     let system = small_system(RankerKind::CoVisitation, 13);
-    let score = |kind: BaselineKind| -> u32 {
-        let mut method = kind.build(13);
-        let poison = method.generate(&system, 10, 10);
+    let tuning = ZooTuning {
+        seed: 13,
+        ..ZooTuning::default()
+    };
+    let score = |kind: AttackFamily| -> u32 {
+        let poison = kind.craft(&tuning, &system, 10, 10).expect("crafts");
         // Average a few retrain seeds to damp noise.
         (0..3)
             .map(|s| system.inject_and_observe_seeded(&poison, s))
             .sum::<u32>()
             / 3
     };
-    let conslop = score(BaselineKind::ConsLop);
-    let random = score(BaselineKind::Random);
+    let conslop = score(AttackFamily::ConsLop);
+    let random = score(AttackFamily::Random);
     assert!(
         conslop > random,
         "ConsLOP ({conslop}) should beat Random ({random}) on CoVisitation"
@@ -149,4 +150,75 @@ fn trained_policy_beats_untrained_policy() {
         trained > untrained,
         "training did not help: untrained {untrained}, trained {trained}"
     );
+}
+
+/// FNV-1a over each trajectory's length and items, in order.
+fn poison_hash(poison: &[Vec<u32>]) -> u64 {
+    let mut bytes = Vec::new();
+    for traj in poison {
+        bytes.extend_from_slice(&(traj.len() as u32).to_le_bytes());
+        for &item in traj {
+            bytes.extend_from_slice(&item.to_le_bytes());
+        }
+    }
+    poisonrec::checkpoint::fnv1a64(&bytes)
+}
+
+#[test]
+fn baseline_poison_bits_are_pinned() {
+    // One Table III cell per cheap ranker, as `exp_table3` builds it at
+    // `--seed 1 --scale 0.04` with N = T = 20: the six baselines run in
+    // column order on one system, so each attack's seed ordinals follow
+    // the previous one's spend. Each entry is (family, FNV-1a of the
+    // poison, the system's lifetime observation spend after it ran),
+    // recorded from the pre-zoo crafting code.
+    const ITEMPOP: [(&str, u64, u64); 6] = [
+        ("Random", 5264002095066466873, 0),
+        ("Popular", 863852572379577136, 0),
+        ("Middle", 9311101232699201276, 0),
+        ("PowerItem", 9002745878642169460, 0),
+        ("ConsLOP", 6504447656677347320, 0),
+        ("AppGrad", 7936612419256458817, 61),
+    ];
+    const COVISITATION: [(&str, u64, u64); 6] = [
+        ("Random", 5264002095066466873, 0),
+        ("Popular", 863852572379577136, 0),
+        ("Middle", 9311101232699201276, 0),
+        ("PowerItem", 9002745878642169460, 0),
+        ("ConsLOP", 6504447656677347320, 0),
+        ("AppGrad", 3294011546769457417, 61),
+    ];
+    let seed = 1u64;
+    let (n, t) = (20usize, 20usize);
+    for (ranker, pins) in [
+        (RankerKind::ItemPop, ITEMPOP),
+        (RankerKind::CoVisitation, COVISITATION),
+    ] {
+        let data = PaperDataset::Steam.generate_scaled(0.04, seed);
+        let boxed = ranker.build(&LogView::clean(&data), 32);
+        let system = BlackBoxSystem::build(
+            data,
+            boxed,
+            SystemConfig {
+                eval_users: 96,
+                seed,
+                reserve_attackers: 32,
+                ..SystemConfig::default()
+            },
+        );
+        let tuning = ZooTuning {
+            seed: seed ^ 0xBA5E,
+            ..ZooTuning::default()
+        };
+        for (family, (name, hash, spent)) in AttackFamily::BASELINES.into_iter().zip(pins) {
+            assert_eq!(family.name(), name);
+            let poison = family.craft(&tuning, &system, n, t).expect("crafts");
+            assert_eq!(poison_hash(&poison), hash, "{name} poison on {ranker}");
+            assert_eq!(
+                system.observations_spent(),
+                spent,
+                "{name} spend on {ranker}"
+            );
+        }
+    }
 }
