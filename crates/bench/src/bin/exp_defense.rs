@@ -35,8 +35,7 @@
 //!
 //! With `--telemetry FILE` every finished cell lands as one
 //! `defense_cell` summary (validated by `validate_jsonl --defense`).
-//! `--bench-json` writes per-cell wall seconds in the `BENCH_*`
-//! schema. Writes `results/defense.csv`.
+//! Writes `results/defense.csv`, each cell's wall seconds included.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -542,25 +541,6 @@ fn main() {
     }
     std::fs::write(&csv_path, csv).expect("write defense.csv");
     println!("defense matrix -> {}", csv_path.display());
-
-    // ---- Bench snapshot -------------------------------------------------
-    let metrics: Vec<(String, f64)> = outcomes
-        .iter()
-        .map(|cell| {
-            (
-                format!(
-                    "defense/{}/{}/{}/n{}t{}/secs",
-                    cell.attack.name(),
-                    cell.defense.label(),
-                    cell.ranker.name(),
-                    cell.n,
-                    cell.t
-                ),
-                cell.secs,
-            )
-        })
-        .collect();
-    args.write_bench_json("defense", &metrics, &tensor::OpProfile::default());
 
     let refused = outcomes.iter().filter(|c| c.result.is_err()).count();
     println!(

@@ -38,9 +38,9 @@
 //! (default `200`), `SERVE_IDLE_CONNS` (default `10000`, `0`
 //! disables), `SERVE_ACCESS_LOG` (default `<out>/serve_access.jsonl`).
 //!
-//! With `--bench-json FILE`, writes a `poisonrec-bench-v1` snapshot;
-//! `--bench-base FILE` seeds it with a prior snapshot's metrics so the
-//! chained `scripts/bench_snapshot.sh` produces one cumulative file.
+//! Serving speed claims are measured by the repository benchmark
+//! (`perfbench --workload serve-mixed`, `scripts/perf_pairs.sh`); the
+//! numbers printed here back the serving docs (DESIGN.md §5e–§5f).
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +52,6 @@ use poisonrec::{ActionSpaceKind, PoisonRecTrainer};
 use recsys::remote::{HttpClient, RemoteSystem};
 use serve::{RecApp, Server, ServerConfig};
 use telemetry::json::Json;
-use telemetry::perf::BenchSnapshot;
 
 /// Phase 5 alternates plane-off and plane-on reads over this many
 /// rounds of [`PLANE_READS_PER_ROUND`] reads per arm, so each arm pools
@@ -167,14 +166,6 @@ fn run_load(addr: &str, conns: usize, requests: usize, num_users: u32) -> LoadSt
     }
 }
 
-struct GridCell {
-    conns: usize,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    requests_per_conn: f64,
-}
-
 fn start_server(
     args: &ExpArgs,
     dataset: PaperDataset,
@@ -251,7 +242,6 @@ fn main() {
 
     // ---- Phase 2: load grid (persistent connections per cell) -----------
     println!("phase 2: load grid — conns {conns_grid:?} × {requests} request(s)");
-    let mut cells: Vec<GridCell> = Vec::new();
     for &conns in &conns_grid {
         let stats = run_load(&addr, conns, requests, num_users);
         // The keep-alive contract this grid exists to measure:
@@ -262,21 +252,15 @@ fn main() {
             stats.dials,
             stats.completed
         );
-        let cell = GridCell {
-            conns,
-            p50: percentile(&stats.sorted, 0.50),
-            p95: percentile(&stats.sorted, 0.95),
-            p99: percentile(&stats.sorted, 0.99),
-            requests_per_conn: stats.completed as f64 / stats.dials.max(1) as f64,
-        };
         println!(
-            "  c={:>3}: p50 {:.6}s  p95 {:.6}s  p99 {:.6}s  ({:.0} req/conn)",
-            cell.conns, cell.p50, cell.p95, cell.p99, cell.requests_per_conn
+            "  c={conns:>3}: p50 {:.6}s  p95 {:.6}s  p99 {:.6}s  ({:.0} req/conn)",
+            percentile(&stats.sorted, 0.50),
+            percentile(&stats.sorted, 0.95),
+            percentile(&stats.sorted, 0.99),
+            stats.completed as f64 / stats.dials.max(1) as f64
         );
-        cells.push(cell);
     }
 
-    let mut idle_summary: Option<(usize, f64, f64, u64)> = None;
     if idle_conns_target > 0 {
         // Client + server fds live in this one process.
         let budget = serve::raise_nofile((2 * idle_conns_target + 4096) as u64).unwrap_or(1024);
@@ -305,12 +289,6 @@ fn main() {
             percentile(&probe.sorted, 0.99),
             threads_now
         );
-        idle_summary = Some((
-            fleet.len(),
-            percentile(&probe.sorted, 0.50),
-            percentile(&probe.sorted, 0.99),
-            threads_now,
-        ));
         drop(fleet);
         // Dropping the fleet floods the loop with FINs; wait
         // for the teardown storm to clear so phase 4 measures
@@ -407,50 +385,4 @@ fn main() {
         stats.dropped()
     );
     assert_eq!(stats.dropped(), 0, "graceful shutdown dropped requests");
-
-    // ---- Bench snapshot -------------------------------------------------
-    if let Some(path) = &args.bench_json {
-        let mut snapshot = match &args.bench_base {
-            Some(base) => {
-                let text = std::fs::read_to_string(base)
-                    .unwrap_or_else(|err| panic!("cannot read {}: {err}", base.display()));
-                let doc = telemetry::json::parse(&text)
-                    .unwrap_or_else(|err| panic!("{}: {err}", base.display()));
-                BenchSnapshot::from_json(&doc)
-                    .unwrap_or_else(|err| panic!("{}: {err}", base.display()))
-            }
-            None => BenchSnapshot::new("serve"),
-        };
-        for cell in &cells {
-            let prefix = format!("serve/c{}", cell.conns);
-            snapshot.push(format!("{prefix}/p50_secs"), cell.p50, "s");
-            snapshot.push(format!("{prefix}/p95_secs"), cell.p95, "s");
-            snapshot.push(format!("{prefix}/p99_secs"), cell.p99, "s");
-            snapshot.push(
-                format!("{prefix}/requests_per_conn"),
-                cell.requests_per_conn,
-                "req/conn",
-            );
-        }
-        if let Some((held, p50, p99, threads_now)) = idle_summary {
-            snapshot.push("serve/idle_keepalive_conns", held as f64, "conn");
-            snapshot.push("serve/idle_keepalive_read_p50_secs", p50, "s");
-            snapshot.push("serve/idle_keepalive_read_p99_secs", p99, "s");
-            snapshot.push("serve/idle_keepalive_threads", threads_now as f64, "thread");
-        }
-        snapshot.push("serve/retrain_idle_read_p99_secs", idle_p99, "s");
-        snapshot.push("serve/retrain_churn_read_p99_secs", under_p99, "s");
-        snapshot.push("serve/plane_off_read_p50_secs", off_pair.0, "s");
-        snapshot.push("serve/plane_off_read_p99_secs", off_pair.1, "s");
-        snapshot.push("serve/plane_on_read_p50_secs", on_pair.0, "s");
-        snapshot.push("serve/plane_on_read_p99_secs", on_pair.1, "s");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("bench output dir");
-            }
-        }
-        std::fs::write(path, snapshot.to_json().render())
-            .unwrap_or_else(|err| panic!("cannot write {}: {err}", path.display()));
-        println!("bench snapshot -> {}", path.display());
-    }
 }

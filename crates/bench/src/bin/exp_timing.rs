@@ -15,9 +15,9 @@
 //! `--telemetry run.jsonl` the real-step runs stream per-step events
 //! (labelled with their thread count) plus a closing metrics snapshot.
 //! With `--trace trace.json` the run records a Chrome trace (plus the
-//! per-op autodiff profile); with `--bench-json BENCH.json` it writes a
-//! perf snapshot (stand-in step times, real-step phase medians, per-op
-//! ns/call) that `perf_diff` can gate future changes against.
+//! per-op autodiff profile) for `trace_report`. Speed claims about the
+//! trainer are measured by the repository benchmark (`perfbench`,
+//! `scripts/perf_pairs.sh`), not by this experiment.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,7 +88,7 @@ fn real_steps_time(
     threads: usize,
     steps: usize,
     sink: Option<&Arc<JsonlSink>>,
-) -> (f64, f32, Vec<poisonrec::StepStats>) {
+) -> (f64, f32) {
     // Size the cell so the M per-episode system retrains dominate the
     // step (that is what the thread knob parallelizes); keep the
     // policy small so sampling + PPO stay in the noise.
@@ -125,16 +125,7 @@ fn real_steps_time(
     args.drive_trainer(&mut trainer, &system, &slug, steps);
     let elapsed = start.elapsed().as_secs_f64();
     let mean = trainer.history().last().map_or(0.0, |s| s.mean_reward);
-    (elapsed, mean, trainer.history().to_vec())
-}
-
-/// Median of a sample (not necessarily sorted); 0 when empty.
-fn median(mut values: Vec<f64>) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(f64::total_cmp);
-    values[values.len() / 2]
+    (elapsed, mean)
 }
 
 fn main() {
@@ -143,7 +134,6 @@ fn main() {
     args.init_trace();
     let sizes = [3_000u32, 10_000, 30_000];
     let episodes = args.episodes.min(8); // timing needs few episodes
-    let mut bench_metrics: Vec<(String, f64)> = Vec::new();
 
     let mut table = Table::new(["items", "Plain (s)", "BCBT (s)", "speedup"]);
     println!("one full training step (sample {episodes} episodes + PPO), stand-in reward");
@@ -154,8 +144,6 @@ fn main() {
             "|I| = {n:>6}: Plain {plain:>7.3} s   BCBT {bcbt:>7.3} s   speedup {:.1}x",
             plain / bcbt
         );
-        bench_metrics.push((format!("standin/plain_{n}_secs"), plain));
-        bench_metrics.push((format!("standin/bcbt_{n}_secs"), bcbt));
         table.push([
             n.to_string(),
             format!("{plain:.3}"),
@@ -176,22 +164,7 @@ fn main() {
         args.episodes
     );
     let mut threads_table = Table::new(["threads", "time (s)", "speedup", "mean RecNum"]);
-    let (base_time, base_reward, base_stats) = real_steps_time(&args, 1, steps, sink.as_ref());
-    // Per-phase medians over the single-thread lane's steps: the
-    // perf-baseline rows `perf_diff` gates future PRs against.
-    type Pick = fn(&poisonrec::StepStats) -> f64;
-    let picks: [(&str, Pick); 4] = [
-        ("sample", |s| s.sample_secs),
-        ("score", |s| s.score_secs),
-        ("update", |s| s.update_secs),
-        ("total", |s| s.sample_secs + s.score_secs + s.update_secs),
-    ];
-    for (name, pick) in picks {
-        bench_metrics.push((
-            format!("step/{name}_secs_median"),
-            median(base_stats.iter().map(pick).collect()),
-        ));
-    }
+    let (base_time, base_reward) = real_steps_time(&args, 1, steps, sink.as_ref());
     let mut thread_counts = vec![1usize, 2, args.threads];
     thread_counts.sort_unstable();
     thread_counts.dedup();
@@ -199,8 +172,7 @@ fn main() {
         let (time, reward) = if threads == 1 {
             (base_time, base_reward)
         } else {
-            let (time, reward, _) = real_steps_time(&args, threads, steps, sink.as_ref());
-            (time, reward)
+            real_steps_time(&args, threads, steps, sink.as_ref())
         };
         assert_eq!(
             reward, base_reward,
@@ -233,6 +205,5 @@ fn main() {
         sink.emit_metrics_snapshot()
             .expect("telemetry metrics write");
     }
-    let profile = args.finish_trace();
-    args.write_bench_json("timing", &bench_metrics, &profile);
+    args.finish_trace();
 }

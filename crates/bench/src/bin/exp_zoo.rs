@@ -26,8 +26,8 @@
 //!
 //! With `--telemetry FILE` every step lands as a `zoo_step` event and
 //! every finished cell as a `zoo_cell` summary (validated by
-//! `validate_jsonl --zoo`). `--bench-json` writes per-cell wall
-//! seconds in the `BENCH_*` schema.
+//! `validate_jsonl --zoo`). Each cell's wall seconds land in the
+//! `secs` column of `zoo.csv`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -385,24 +385,6 @@ fn main() {
     }
     std::fs::write(&csv_path, csv).expect("write zoo.csv");
     println!("zoo grid -> {}", csv_path.display());
-
-    // ---- Bench snapshot -------------------------------------------------
-    let metrics: Vec<(String, f64)> = outcomes
-        .iter()
-        .map(|cell| {
-            (
-                format!(
-                    "zoo/{}/{}/n{}t{}/secs",
-                    cell.attack.name(),
-                    cell.ranker.name(),
-                    cell.n,
-                    cell.t
-                ),
-                cell.secs,
-            )
-        })
-        .collect();
-    args.write_bench_json("zoo", &metrics, &tensor::OpProfile::default());
 
     let refused = outcomes.iter().filter(|c| c.result.is_err()).count();
     println!(

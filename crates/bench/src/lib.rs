@@ -65,12 +65,6 @@ pub struct ExpArgs {
     /// the run and write a Chrome Trace Event JSON file here (open in
     /// Perfetto; inspect with `trace_report`).
     pub trace: Option<PathBuf>,
-    /// When set, write a `BENCH_*`-schema perf snapshot here (compare
-    /// with `perf_diff`). Which metrics land in it is up to the binary.
-    pub bench_json: Option<PathBuf>,
-    /// When set, seed the `--bench-json` snapshot with the metrics of
-    /// this prior snapshot (so chained binaries accumulate one file).
-    pub bench_base: Option<PathBuf>,
 }
 
 impl Default for ExpArgs {
@@ -96,8 +90,6 @@ impl Default for ExpArgs {
             resume: None,
             fault_kill_step: None,
             trace: None,
-            bench_json: None,
-            bench_base: None,
         }
     }
 }
@@ -144,8 +136,6 @@ impl ExpArgs {
                         Some(take("--fault-kill-step").parse().expect("fault-kill-step"))
                 }
                 "--trace" => args.trace = Some(PathBuf::from(take("--trace"))),
-                "--bench-json" => args.bench_json = Some(PathBuf::from(take("--bench-json"))),
-                "--bench-base" => args.bench_base = Some(PathBuf::from(take("--bench-base"))),
                 "--rankers" => {
                     args.rankers = take("--rankers")
                         .split(',')
@@ -182,8 +172,7 @@ impl ExpArgs {
                          --dim E --eval-users U --seed S --out DIR --threads K \
                          --telemetry FILE.jsonl --rankers A,B --datasets X,Y --paper \
                          --checkpoint-every N --checkpoint-dir DIR --resume DIR \
-                         --fault-kill-step N --trace FILE.json --bench-json FILE.json \
-                         --bench-base FILE.json"
+                         --fault-kill-step N --trace FILE.json"
                     );
                     std::process::exit(0);
                 }
@@ -438,12 +427,10 @@ impl ExpArgs {
 
     /// Stops tracing, drains the ring buffers, and writes the Chrome
     /// Trace Event file named by `--trace` with the op profile embedded
-    /// as the `"opProfile"` top-level field. Returns the op profile so
-    /// binaries can also fold per-op rows into a `--bench-json`
-    /// snapshot. No-op (empty profile) without `--trace`.
-    pub fn finish_trace(&self) -> tensor::OpProfile {
+    /// as the `"opProfile"` top-level field. No-op without `--trace`.
+    pub fn finish_trace(&self) {
         let Some(path) = &self.trace else {
-            return tensor::OpProfile::default();
+            return;
         };
         telemetry::trace::disable();
         let snapshot = telemetry::TraceCollector::collect();
@@ -457,50 +444,6 @@ impl ExpArgs {
             snapshot.tracks.len(),
             path.display()
         );
-        profile
-    }
-
-    /// Writes a `BENCH_*`-schema snapshot to `--bench-json` (no-op
-    /// without the flag). `metrics` are `(name, seconds)` pairs from
-    /// the binary; per-op average wall times from `profile` are
-    /// appended as `op/<Kind>/{fwd,bwd}_ns_per_call` rows.
-    pub fn write_bench_json(
-        &self,
-        label: &str,
-        metrics: &[(String, f64)],
-        profile: &tensor::OpProfile,
-    ) {
-        let Some(path) = &self.bench_json else {
-            return;
-        };
-        let mut snapshot = telemetry::perf::BenchSnapshot::new(label);
-        for (name, secs) in metrics {
-            snapshot.push(name.clone(), *secs, "s");
-        }
-        for row in &profile.rows {
-            if row.fwd_calls > 0 {
-                snapshot.push(
-                    format!("op/{}/fwd_ns_per_call", row.kind.name()),
-                    row.fwd_ns as f64 / row.fwd_calls as f64,
-                    "ns",
-                );
-            }
-            if row.bwd_calls > 0 {
-                snapshot.push(
-                    format!("op/{}/bwd_ns_per_call", row.kind.name()),
-                    row.bwd_ns as f64 / row.bwd_calls as f64,
-                    "ns",
-                );
-            }
-        }
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("bench output dir");
-            }
-        }
-        std::fs::write(path, snapshot.to_json().render())
-            .unwrap_or_else(|err| panic!("cannot write bench snapshot {}: {err}", path.display()));
-        println!("bench snapshot -> {}", path.display());
     }
 }
 

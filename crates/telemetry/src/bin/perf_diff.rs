@@ -1,122 +1,142 @@
-//! Compares two `BENCH_*.json` performance snapshots and fails on
-//! regression — the perf gate behind `scripts/bench_snapshot.sh` and
-//! the CI bench stage (DESIGN.md §5d).
+//! Judges a parent/change benchmark comparison run as alternated pairs
+//! (`scripts/perf_pairs.sh`; the rules are in `telemetry::perf`).
 //!
 //! ```text
-//! perf_diff <baseline.json> <candidate.json> [--threshold R] [--only PREFIX]...
+//! perf_diff BENCHMARK.json PARENT.jsonl CHANGE.jsonl
 //! ```
 //!
-//! Every metric is lower-is-better wall time. A metric regresses when
-//! `candidate > baseline * (1 + R)`; `R` defaults to 0.10 (+10%). A
-//! *negative* threshold turns the gate into a must-improve check:
-//! `--threshold -0.5` fails any metric that is not at least 2x faster
-//! than baseline, `--threshold -0.6667` demands 3x. Repeatable
-//! `--only PREFIX` restricts the comparison to metrics whose name
-//! starts with any given prefix (so a must-improve gate can target the
-//! hot path without demanding speedups everywhere). Metrics present on
-//! only one side are reported but never fail the gate. Exit code: 0
-//! when no compared metric regressed, 1 otherwise (or on a malformed
-//! snapshot, or when `--only` matches nothing).
+//! Result line *i* of the two pair files is pair *i*; manifest lines
+//! are skipped. Prints, per end-to-end metric of `BENCHMARK.json`, the
+//! parent and change medians, the parent IQR, the change's wins and
+//! losses, and the label (`gain`, `regression`, `unresolved`, `level`).
+//!
+//! Exit code: 0 when the comparison passes; 1 when a metric is a
+//! `regression`, a run reports `"correct": false`, or the change failed
+//! a larger share of its attempted operations than the parent; 2 on a
+//! usage, IO or parse error, or when the pair files hold different
+//! numbers of runs.
 
 use std::process::ExitCode;
 
 use telemetry::json;
-use telemetry::perf::{self, BenchSnapshot, Verdict};
+use telemetry::perf::{self, Label, MetricSpec, RunResult, Verdict};
 
-fn fail(msg: String) -> ExitCode {
-    eprintln!("perf_diff: {msg}");
-    ExitCode::FAILURE
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))
 }
 
-fn load(path: &str) -> Result<BenchSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-    let doc = json::parse(&text).map_err(|err| format!("{path}: {err}"))?;
-    BenchSnapshot::from_json(&doc).map_err(|err| format!("{path}: {err}"))
+fn load_runs(path: &str) -> Result<Vec<RunResult>, String> {
+    let runs = perf::parse_runs(&read(path)?).map_err(|err| format!("{path}: {err}"))?;
+    if runs.is_empty() {
+        return Err(format!("{path}: no result line"));
+    }
+    Ok(runs)
+}
+
+/// Four significant digits, whatever the magnitude.
+fn sig4(v: f64) -> String {
+    let digits = if v == 0.0 {
+        0
+    } else {
+        (3 - v.abs().log10().floor() as i32).clamp(0, 12) as usize
+    };
+    format!("{v:.digits$}")
+}
+
+type Compared = (Vec<RunResult>, Vec<RunResult>, Vec<(MetricSpec, Verdict)>);
+
+/// Loads the three files and judges every end-to-end metric.
+fn compare(bench_path: &str, parent_path: &str, change_path: &str) -> Result<Compared, String> {
+    let bench = json::parse(&read(bench_path)?).map_err(|err| format!("{bench_path}: {err}"))?;
+    let specs = perf::specs(&bench).map_err(|err| format!("{bench_path}: {err}"))?;
+    let parent = load_runs(parent_path)?;
+    let change = load_runs(change_path)?;
+    if parent.len() != change.len() {
+        return Err(format!(
+            "{parent_path} has {} runs but {change_path} has {}",
+            parent.len(),
+            change.len()
+        ));
+    }
+    let column = |runs: &[RunResult], path: &str, name: &str| {
+        runs.iter()
+            .enumerate()
+            .map(|(i, run)| {
+                run.metric(name)
+                    .ok_or_else(|| format!("{path}: run {} lacks `{name}`", i + 1))
+            })
+            .collect::<Result<Vec<f64>, String>>()
+    };
+    let mut verdicts = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let p = column(&parent, parent_path, &spec.name)?;
+        let c = column(&change, change_path, &spec.name)?;
+        let verdict = perf::judge(&spec, &p, &c);
+        verdicts.push((spec, verdict));
+    }
+    Ok((parent, change, verdicts))
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let (Some(base_path), Some(cand_path)) = (args.next(), args.next()) else {
-        return fail(
-            "usage: perf_diff <baseline.json> <candidate.json> [--threshold R] [--only PREFIX]..."
-                .into(),
-        );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [bench_path, parent_path, change_path] = args.as_slice() else {
+        eprintln!("usage: perf_diff BENCHMARK.json PARENT.jsonl CHANGE.jsonl");
+        return ExitCode::from(2);
     };
-    let mut threshold = perf::DEFAULT_THRESHOLD;
-    let mut only: Vec<String> = Vec::new();
-    while let Some(flag) = args.next() {
-        match (flag.as_str(), args.next()) {
-            ("--threshold", Some(v)) => match v.parse() {
-                Ok(r) => threshold = r,
-                Err(_) => return fail(format!("bad threshold: {v}")),
-            },
-            ("--only", Some(prefix)) => only.push(prefix),
-            (other, _) => return fail(format!("bad flag or value: {other}")),
+    let (parent, change, verdicts) = match compare(bench_path, parent_path, change_path) {
+        Ok(compared) => compared,
+        Err(err) => {
+            eprintln!("perf_diff: {err}");
+            return ExitCode::from(2);
         }
-    }
-
-    let baseline = match load(&base_path) {
-        Ok(snapshot) => snapshot,
-        Err(err) => return fail(err),
-    };
-    let candidate = match load(&cand_path) {
-        Ok(snapshot) => snapshot,
-        Err(err) => return fail(err),
     };
 
     println!(
-        "baseline `{}` ({}) vs candidate `{}` ({}), threshold {:+.1}%",
-        baseline.label,
-        base_path,
-        candidate.label,
-        cand_path,
-        threshold * 100.0
+        "{} pairs: parent {parent_path} vs change {change_path}",
+        parent.len()
     );
     println!(
-        "{:<44} {:>14} {:>14} {:>9}  verdict",
-        "metric", "baseline", "candidate", "delta"
+        "{:<14} {:>5} {:>12} {:>12} {:>12} {:>11}  label",
+        "metric", "unit", "parent_med", "change_med", "parent_iqr", "wins/losses"
     );
-    let mut rows = perf::diff(&baseline, &candidate, threshold);
-    if !only.is_empty() {
-        rows.retain(|row| only.iter().any(|prefix| row.name.starts_with(prefix)));
-        if rows.is_empty() {
-            return fail(format!("--only {} matched no metrics", only.join(" ")));
-        }
-    }
-    for row in &rows {
-        let fmt = |v: Option<f64>| v.map_or_else(|| "-".into(), |v| format!("{v:.6}"));
-        let delta = row
-            .relative
-            .map_or_else(|| "-".into(), |r| format!("{:+.1}%", r * 100.0));
-        let verdict = match row.verdict {
-            Verdict::Ok => "ok",
-            Verdict::Regressed => "REGRESSED",
-            Verdict::BaselineOnly => "baseline-only",
-            Verdict::CandidateOnly => "candidate-only",
-        };
+    for (spec, v) in &verdicts {
         println!(
-            "{:<44} {:>14} {:>14} {:>9}  {verdict}",
-            row.name,
-            fmt(row.baseline),
-            fmt(row.candidate),
-            delta
+            "{:<14} {:>5} {:>12} {:>12} {:>12} {:>11}  {}",
+            spec.name,
+            spec.unit,
+            sig4(v.parent_median),
+            sig4(v.change_median),
+            sig4(v.parent_iqr),
+            format!("{}/{} of {}", v.wins, v.losses, v.pairs),
+            v.label.name()
         );
     }
 
-    let regressed = rows
-        .iter()
-        .filter(|r| r.verdict == Verdict::Regressed)
-        .count();
-    if regressed > 0 {
-        eprintln!(
-            "perf_diff: {regressed} metric(s) regressed beyond {:+.1}%",
-            threshold * 100.0
-        );
-        return ExitCode::FAILURE;
+    let mut failures = Vec::new();
+    for (side, runs) in [("parent", &parent), ("change", &change)] {
+        for (i, run) in runs.iter().enumerate() {
+            if !run.correct {
+                failures.push(format!("{side} run {} reports \"correct\": false", i + 1));
+            }
+        }
     }
-    println!(
-        "perf_diff: no regression ({} metric(s) compared)",
-        rows.len()
-    );
-    ExitCode::SUCCESS
+    let (p_share, c_share) = (perf::failed_share(&parent), perf::failed_share(&change));
+    println!("failed share: parent {p_share} change {c_share}");
+    if c_share > p_share {
+        failures.push(format!("change failed share {c_share} > parent {p_share}"));
+    }
+    for (spec, v) in &verdicts {
+        if v.label == Label::Regression {
+            failures.push(format!("{} regressed", spec.name));
+        }
+    }
+    if failures.is_empty() {
+        println!("perf_diff: pass");
+        ExitCode::SUCCESS
+    } else {
+        for failure in &failures {
+            eprintln!("perf_diff: {failure}");
+        }
+        ExitCode::FAILURE
+    }
 }

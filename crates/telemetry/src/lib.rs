@@ -25,8 +25,8 @@
 //!   drained by [`trace::TraceCollector`] into Chrome Trace Event
 //!   Format JSON (open in Perfetto or `chrome://tracing`). See
 //!   DESIGN.md §5d.
-//! * [`perf`] — the `BENCH_*.json` snapshot schema shared by
-//!   `scripts/bench_snapshot.sh` and the `perf_diff` regression gate.
+//! * [`perf`] — the parent-vs-change verdict over alternated benchmark
+//!   pairs, behind `scripts/perf_pairs.sh` and the `perf_diff` bin.
 //! * [`stream`] — the streaming observability plane (DESIGN.md §5i):
 //!   sliding-window counters/histograms over a rotated bucket ring,
 //!   EWMA smoothers, CUSUM drift detectors, and labeled counter

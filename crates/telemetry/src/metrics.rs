@@ -248,8 +248,8 @@ impl Snapshot {
     /// Renders the snapshot as one JSON object keyed by metric name
     /// (counters/gauges as numbers, histograms as
     /// `{count, nan_count, sum, p50, p95, p99, buckets: [{le, count}]}`
-    /// — quantiles pre-computed here so `trace_report`/`perf_diff`
-    /// never re-derive them from raw buckets; they render as `null`
+    /// — quantiles pre-computed here so readers never re-derive them
+    /// from raw buckets; they render as `null`
     /// on an empty histogram).
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();

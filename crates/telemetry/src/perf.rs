@@ -1,271 +1,352 @@
-//! The `BENCH_*.json` performance-snapshot schema and the regression
-//! comparison behind the `perf_diff` bin.
+//! The pair verdict behind the `perf_diff` bin.
 //!
-//! A snapshot is one JSON object:
+//! `scripts/perf_pairs.sh` runs the repository benchmark (`perfbench`)
+//! on a parent and a change revision as N alternated pairs at seeds
+//! `SEED0..`, appending each run's output lines to `parent.jsonl` and
+//! `change.jsonl`. Each run ends with one result line:
 //!
 //! ```json
-//! {
-//!   "schema": "poisonrec-bench-v1",
-//!   "label": "PR4",
-//!   "metrics": [
-//!     {"name": "step_total_secs_median", "value": 0.0123, "unit": "s"},
-//!     {"name": "op/MatMul/fwd_ns_per_call", "value": 84000.0, "unit": "ns"}
-//!   ]
-//! }
+//! {"correct": true, "attempted": 1000, "failed": 0,
+//!  "metrics": {"op_p10_s": {"value": 0.0011, "unit": "s"}, ...}}
 //! ```
 //!
-//! Every metric is **lower-is-better** wall time (seconds or
-//! nanoseconds); [`diff`] flags a metric as regressed when the
-//! candidate exceeds the baseline by more than the relative threshold
-//! (default [`DEFAULT_THRESHOLD`], i.e. +10%). Metrics present on only
-//! one side are reported but never fail the gate — op tables legitimately
-//! gain and lose rows as instrumentation evolves.
-
-use std::collections::BTreeMap;
+//! Manifest lines (`{"manifest": {...}}`) are skipped, so result line
+//! *i* of each file is pair *i*. For every end-to-end metric that
+//! `BENCHMARK.json` declares (its name, `better` and `bound`), [`judge`]
+//! compares the two sides pair by pair and labels the metric:
+//!
+//! * **regression** — the change's median is worse than the parent's by
+//!   more than `bound` (relative), or the change lost at least 9/10 of
+//!   the pairs and its median is worse by more than the parent's IQR;
+//! * **unresolved** — either side's IQR exceeds `bound` × its median,
+//!   and the change's runs do not all beat all of the parent's;
+//! * **gain** — the change won at least 9/10 of the pairs and its
+//!   median is better by more than the parent's IQR;
+//! * **level** — none of the above.
+//!
+//! Quartiles and medians interpolate linearly between order statistics
+//! ([`quantile`]). A tie counts for neither side.
 
 use crate::json::Json;
 
-/// Identifies the snapshot format; bump on breaking changes.
-pub const SCHEMA: &str = "poisonrec-bench-v1";
-
-/// Default relative-increase tolerance for [`diff`]: +10%. Chosen so
-/// same-file self-comparison always passes while the CI +20% synthetic
-/// regression fixture always fails.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
-
-/// One named lower-is-better measurement.
+/// One end-to-end metric as `BENCHMARK.json` declares it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Metric {
+pub struct MetricSpec {
     pub name: String,
-    pub value: f64,
     pub unit: String,
+    pub lower_is_better: bool,
+    /// Largest tolerated relative worsening of the median.
+    pub bound: f64,
 }
 
-/// A parsed `BENCH_*.json` snapshot.
-#[derive(Clone, Debug, Default)]
-pub struct BenchSnapshot {
-    pub label: String,
-    pub metrics: Vec<Metric>,
-}
-
-impl BenchSnapshot {
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Appends one measurement; non-finite values are refused at the
-    /// source rather than poisoning a later [`diff`].
-    pub fn push(&mut self, name: impl Into<String>, value: f64, unit: impl Into<String>) {
-        assert!(value.is_finite(), "bench metric must be finite");
-        self.metrics.push(Metric {
-            name: name.into(),
-            value,
-            unit: unit.into(),
+/// Reads the `end_to_end` metric list of a `BENCHMARK.json` document.
+pub fn specs(benchmark: &Json) -> Result<Vec<MetricSpec>, String> {
+    let Some(Json::Arr(rows)) = benchmark.get("end_to_end") else {
+        return Err("missing `end_to_end` array".into());
+    };
+    let mut specs = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let name = row
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("end_to_end[{i}]: missing `name`"))?;
+        let lower_is_better = match row.get("better").and_then(Json::as_str) {
+            Some("lower") => true,
+            Some("higher") => false,
+            _ => {
+                return Err(format!(
+                    "`{name}`: `better` must be \"lower\" or \"higher\""
+                ))
+            }
+        };
+        let bound = row
+            .get("bound")
+            .and_then(Json::as_f64)
+            .filter(|b| b.is_finite() && *b >= 0.0)
+            .ok_or_else(|| format!("`{name}`: missing non-negative `bound`"))?;
+        specs.push(MetricSpec {
+            name: name.to_string(),
+            unit: row.get("unit").and_then(Json::as_str).unwrap_or("").into(),
+            lower_is_better,
+            bound,
         });
     }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("schema", SCHEMA)
-            .field("label", self.label.as_str())
-            .field(
-                "metrics",
-                Json::Arr(
-                    self.metrics
-                        .iter()
-                        .map(|m| {
-                            Json::obj()
-                                .field("name", m.name.as_str())
-                                .field("value", m.value)
-                                .field("unit", m.unit.as_str())
-                        })
-                        .collect(),
-                ),
-            )
+    if specs.is_empty() {
+        return Err("`end_to_end` declares no metric".into());
     }
-
-    /// Parses and schema-checks a snapshot document.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(SCHEMA) => {}
-            Some(other) => return Err(format!("unknown bench schema `{other}`")),
-            None => return Err("missing `schema` field".into()),
-        }
-        let label = doc
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let Some(Json::Arr(rows)) = doc.get("metrics") else {
-            return Err("missing `metrics` array".into());
-        };
-        let mut snapshot = Self::new(label);
-        for (i, row) in rows.iter().enumerate() {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("metric {i}: missing `name`"))?;
-            let value = row
-                .get("value")
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| format!("metric {i} (`{name}`): missing finite `value`"))?;
-            let unit = row.get("unit").and_then(Json::as_str).unwrap_or("");
-            snapshot.push(name, value, unit);
-        }
-        Ok(snapshot)
-    }
+    Ok(specs)
 }
 
-/// Verdict for one metric name across the two snapshots.
+/// The result line of one benchmark run.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Verdict {
-    /// Within threshold (includes improvements).
-    Ok,
-    /// Candidate exceeded baseline by more than the threshold.
-    Regressed,
-    /// Present only in the baseline.
-    BaselineOnly,
-    /// Present only in the candidate.
-    CandidateOnly,
+pub struct RunResult {
+    pub correct: bool,
+    pub attempted: u64,
+    pub failed: u64,
+    /// `(name, value)` in line order.
+    pub metrics: Vec<(String, f64)>,
 }
 
-/// One row of a [`diff`] report.
-#[derive(Clone, Debug)]
-pub struct DiffRow {
-    pub name: String,
-    pub baseline: Option<f64>,
-    pub candidate: Option<f64>,
-    /// `(candidate - baseline) / baseline`; `None` when either side is
-    /// missing or the baseline is zero.
-    pub relative: Option<f64>,
-    pub verdict: Verdict,
-}
-
-/// Compares `candidate` against `baseline` metric-by-metric. A metric
-/// regresses when `candidate > baseline * (1 + threshold)` (with a
-/// zero baseline, when the candidate is positive at all). Rows come
-/// back in baseline order, candidate-only rows appended.
-pub fn diff(baseline: &BenchSnapshot, candidate: &BenchSnapshot, threshold: f64) -> Vec<DiffRow> {
-    let cand: BTreeMap<&str, f64> = candidate
-        .metrics
-        .iter()
-        .map(|m| (m.name.as_str(), m.value))
-        .collect();
-    let base_names: BTreeMap<&str, f64> = baseline
-        .metrics
-        .iter()
-        .map(|m| (m.name.as_str(), m.value))
-        .collect();
-    let mut rows = Vec::new();
-    for metric in &baseline.metrics {
-        let row = match cand.get(metric.name.as_str()) {
-            Some(&now) => {
-                let relative = if metric.value > 0.0 {
-                    Some((now - metric.value) / metric.value)
-                } else {
-                    None
-                };
-                let regressed = if metric.value > 0.0 {
-                    now > metric.value * (1.0 + threshold)
-                } else {
-                    now > 0.0
-                };
-                DiffRow {
-                    name: metric.name.clone(),
-                    baseline: Some(metric.value),
-                    candidate: Some(now),
-                    relative,
-                    verdict: if regressed {
-                        Verdict::Regressed
-                    } else {
-                        Verdict::Ok
-                    },
-                }
-            }
-            None => DiffRow {
-                name: metric.name.clone(),
-                baseline: Some(metric.value),
-                candidate: None,
-                relative: None,
-                verdict: Verdict::BaselineOnly,
-            },
-        };
-        rows.push(row);
+impl RunResult {
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
-    for metric in &candidate.metrics {
-        if !base_names.contains_key(metric.name.as_str()) {
-            rows.push(DiffRow {
-                name: metric.name.clone(),
-                baseline: None,
-                candidate: Some(metric.value),
-                relative: None,
-                verdict: Verdict::CandidateOnly,
-            });
+
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        let correct = doc
+            .get("correct")
+            .and_then(Json::as_bool)
+            .ok_or("missing boolean `correct`")?;
+        let count = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing count `{key}`"))
+        };
+        let Some(Json::Obj(fields)) = doc.get("metrics") else {
+            return Err("missing `metrics` object".into());
+        };
+        let metrics = fields
+            .iter()
+            .map(|(name, m)| {
+                m.get("value")
+                    .and_then(Json::as_f64)
+                    .filter(|v| v.is_finite())
+                    .map(|v| (name.clone(), v))
+                    .ok_or_else(|| format!("`{name}`: missing finite `value`"))
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Self {
+            correct,
+            attempted: count("attempted")?,
+            failed: count("failed")?,
+            metrics,
+        })
+    }
+}
+
+/// Parses the result lines of a pair file, in order; blank lines and
+/// manifest lines are skipped.
+pub fn parse_runs(text: &str) -> Result<Vec<RunResult>, String> {
+    let mut runs = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let doc = crate::json::parse(line).map_err(|err| format!("line {}: {err}", i + 1))?;
+        if doc.get("manifest").is_some() {
+            continue;
+        }
+        runs.push(RunResult::from_json(&doc).map_err(|err| format!("line {}: {err}", i + 1))?);
+    }
+    Ok(runs)
+}
+
+/// The `q`-quantile of `values`, interpolating linearly between the
+/// order statistics at ranks `floor(h)` and `ceil(h)`, `h = (n-1)·q`.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    assert!(!values.is_empty(), "quantile of an empty sample");
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let h = (sorted.len() - 1) as f64 * q;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (h - lo as f64)
+}
+
+fn iqr(values: &[f64]) -> f64 {
+    quantile(values, 0.75) - quantile(values, 0.25)
+}
+
+/// The label [`judge`] gives one metric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Label {
+    Gain,
+    Regression,
+    Unresolved,
+    Level,
+}
+
+impl Label {
+    pub fn name(self) -> &'static str {
+        match self {
+            Label::Gain => "gain",
+            Label::Regression => "regression",
+            Label::Unresolved => "unresolved",
+            Label::Level => "level",
         }
     }
-    rows
 }
 
-/// Whether any row fails the gate.
-pub fn has_regression(rows: &[DiffRow]) -> bool {
-    rows.iter().any(|r| r.verdict == Verdict::Regressed)
+/// One metric's comparison over all pairs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Verdict {
+    pub parent_median: f64,
+    pub change_median: f64,
+    pub parent_iqr: f64,
+    /// Pairs the change won and lost; ties count for neither.
+    pub wins: usize,
+    pub losses: usize,
+    pub pairs: usize,
+    pub label: Label,
+}
+
+/// Compares `change[i]` with `parent[i]` for every pair `i`.
+pub fn judge(spec: &MetricSpec, parent: &[f64], change: &[f64]) -> Verdict {
+    assert_eq!(parent.len(), change.len(), "one value per side per pair");
+    // Orient every value so that larger is worse.
+    let worse = |v: f64| if spec.lower_is_better { v } else { -v };
+    let p: Vec<f64> = parent.iter().map(|&v| worse(v)).collect();
+    let c: Vec<f64> = change.iter().map(|&v| worse(v)).collect();
+    let (p_med, c_med) = (quantile(&p, 0.5), quantile(&c, 0.5));
+    let (p_iqr, c_iqr) = (iqr(&p), iqr(&c));
+    let wins = p.iter().zip(&c).filter(|(p, c)| c < p).count();
+    let losses = p.iter().zip(&c).filter(|(p, c)| c > p).count();
+    let pairs = p.len();
+    let nine_in_ten = |k: usize| k * 10 >= pairs * 9;
+    let shift = c_med - p_med;
+
+    let label = if shift > spec.bound * p_med.abs() || (nine_in_ten(losses) && shift > p_iqr) {
+        Label::Regression
+    } else if (p_iqr > spec.bound * p_med.abs() || c_iqr > spec.bound * c_med.abs())
+        && c.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            >= p.iter().copied().fold(f64::INFINITY, f64::min)
+    {
+        Label::Unresolved
+    } else if nine_in_ten(wins) && -shift > p_iqr {
+        Label::Gain
+    } else {
+        Label::Level
+    };
+    Verdict {
+        parent_median: worse(p_med),
+        change_median: worse(c_med),
+        parent_iqr: p_iqr,
+        wins,
+        losses,
+        pairs,
+        label,
+    }
+}
+
+/// Failed operations over attempted ones, summed over `runs`.
+pub fn failed_share(runs: &[RunResult]) -> f64 {
+    let attempted: u64 = runs.iter().map(|r| r.attempted).sum();
+    let failed: u64 = runs.iter().map(|r| r.failed).sum();
+    if attempted == 0 {
+        0.0
+    } else {
+        failed as f64 / attempted as f64
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
-    fn snap(pairs: &[(&str, f64)]) -> BenchSnapshot {
-        let mut s = BenchSnapshot::new("test");
-        for &(name, value) in pairs {
-            s.push(name, value, "s");
+    fn spec(lower_is_better: bool) -> MetricSpec {
+        MetricSpec {
+            name: "m".into(),
+            unit: "s".into(),
+            lower_is_better,
+            bound: 0.25,
         }
-        s
     }
 
     #[test]
-    fn self_compare_is_clean() {
-        let s = snap(&[("a", 1.0), ("b", 0.5)]);
-        let rows = diff(&s, &s, DEFAULT_THRESHOLD);
-        assert_eq!(rows.len(), 2);
-        assert!(!has_regression(&rows));
-        assert!(rows.iter().all(|r| r.relative == Some(0.0)));
+    fn quartiles_interpolate_linearly() {
+        // Odd n: the quartiles fall on order statistics.
+        let odd = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(quantile(&odd, 0.25), 2.0);
+        assert_eq!(quantile(&odd, 0.5), 3.0);
+        assert_eq!(quantile(&odd, 0.75), 4.0);
+        // Even n: h = 3 * q lands between order statistics.
+        let even = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(quantile(&even, 0.25), 1.75);
+        assert_eq!(quantile(&even, 0.5), 2.5);
+        assert_eq!(quantile(&even, 0.75), 3.25);
+        assert_eq!(iqr(&even), 1.5);
+        assert_eq!(quantile(&[7.0], 0.25), 7.0);
     }
 
     #[test]
-    fn twenty_percent_slower_fails_default_gate() {
-        let base = snap(&[("step", 1.0)]);
-        let worse = snap(&[("step", 1.2)]);
-        assert!(has_regression(&diff(&base, &worse, DEFAULT_THRESHOLD)));
-        // ...while a 20% tolerance would (just) let +20% through at 1.2
-        // == 1.0 * 1.2 — strictly-greater comparison, not >=.
-        assert!(!has_regression(&diff(&base, &worse, 0.20)));
-        let faster = snap(&[("step", 0.4)]);
-        assert!(!has_regression(&diff(&base, &faster, DEFAULT_THRESHOLD)));
+    fn ties_count_for_neither_side() {
+        let parent = [1.0, 1.0, 1.0, 2.0];
+        let change = [1.0, 1.0, 0.5, 3.0];
+        let v = judge(&spec(true), &parent, &change);
+        assert_eq!((v.wins, v.losses, v.pairs), (1, 1, 4));
+        // Nine ties and one win is not a gain, however large the win.
+        let parent = [1.0; 10];
+        let mut change = [1.0; 10];
+        change[0] = 0.1;
+        let v = judge(&spec(true), &parent, &change);
+        assert_eq!((v.wins, v.losses), (1, 0));
+        assert_eq!(v.label, Label::Level);
     }
 
     #[test]
-    fn missing_metrics_report_but_do_not_fail() {
-        let base = snap(&[("old", 1.0)]);
-        let cand = snap(&[("new", 1.0)]);
-        let rows = diff(&base, &cand, DEFAULT_THRESHOLD);
-        assert!(!has_regression(&rows));
-        assert_eq!(rows[0].verdict, Verdict::BaselineOnly);
-        assert_eq!(rows[1].verdict, Verdict::CandidateOnly);
+    fn higher_is_better_flips_every_rule() {
+        let parent: Vec<f64> = (0..10).map(|i| 100.0 + i as f64).collect();
+        let up: Vec<f64> = parent.iter().map(|v| v * 1.2).collect();
+        let down: Vec<f64> = parent.iter().map(|v| v * 0.8).collect();
+        let gain = judge(&spec(false), &parent, &up);
+        assert_eq!((gain.wins, gain.label), (10, Label::Gain));
+        assert_eq!(gain.parent_median, 104.5);
+        assert_eq!(gain.parent_iqr, 4.5);
+        let loss = judge(&spec(false), &parent, &down);
+        assert_eq!((loss.losses, loss.label), (10, Label::Regression));
+        // The same numbers read as lower-is-better swap the labels.
+        assert_eq!(judge(&spec(true), &parent, &up).label, Label::Regression);
+        assert_eq!(judge(&spec(true), &parent, &down).label, Label::Gain);
     }
 
     #[test]
-    fn snapshot_round_trips_through_json() {
-        let s = snap(&[("a", 0.125), ("b", 3.0)]);
-        let doc = json::parse(&s.to_json().render()).expect("renders valid JSON");
-        let back = BenchSnapshot::from_json(&doc).expect("parses back");
-        assert_eq!(back.label, "test");
-        assert_eq!(back.metrics, s.metrics);
-        assert!(BenchSnapshot::from_json(&json::parse("{}").unwrap()).is_err());
+    fn bound_and_spread_rules() {
+        // Beyond the bound regresses even without 9/10 losses.
+        let parent = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let mut change = [1.3; 10];
+        change[..3].copy_from_slice(&[0.9; 3]);
+        assert_eq!(
+            judge(&spec(true), &parent, &change).label,
+            Label::Regression
+        );
+        // A spread wider than the bound is unresolved...
+        let wide = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0];
+        let v = judge(&spec(true), &wide, &wide);
+        assert_eq!(v.label, Label::Unresolved);
+        // ...unless every change run beats every parent run.
+        let apart: Vec<f64> = wide.iter().map(|v| v * 0.1).collect();
+        assert_eq!(judge(&spec(true), &wide, &apart).label, Label::Gain);
+    }
+
+    #[test]
+    fn manifests_are_skipped_and_results_parsed() {
+        let text = "{\"manifest\": {\"nproc\": 2, \"git_rev\": \"abc\"}}\n\
+            {\"correct\": true, \"attempted\": 9, \"failed\": 1, \
+             \"metrics\": {\"op_p10_s\": {\"value\": 0.5, \"unit\": \"s\"}}}\n\n";
+        let runs = parse_runs(text).expect("parses");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].metric("op_p10_s"), Some(0.5));
+        assert_eq!(runs[0].metric("setup_s"), None);
+        assert_eq!(failed_share(&runs), 1.0 / 9.0);
+        assert!(parse_runs("{\"correct\": true}").is_err());
+        assert!(parse_runs("not json").is_err());
+    }
+
+    #[test]
+    fn specs_read_the_benchmark_declaration() {
+        let doc = crate::json::parse(
+            "{\"end_to_end\": [{\"name\": \"a\", \"unit\": \"s\", \"better\": \"lower\", \
+             \"bound\": 0.25}, {\"name\": \"b\", \"better\": \"higher\", \"bound\": 0.1}]}",
+        )
+        .unwrap();
+        let specs = specs(&doc).expect("valid");
+        assert_eq!(specs.len(), 2);
+        assert!(specs[0].lower_is_better && !specs[1].lower_is_better);
+        assert_eq!(specs[1].bound, 0.1);
+        let bad = crate::json::parse("{\"end_to_end\": [{\"name\": \"a\", \"bound\": 1}]}");
+        assert!(super::specs(&bad.unwrap()).is_err());
     }
 }

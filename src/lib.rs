@@ -18,7 +18,7 @@
 //! * [`serve`] — zero-dep HTTP/1.1 recommendation server; with
 //!   [`recsys::remote::RemoteSystem`], the attack runs over a socket.
 //! * [`runtime`] — worker pool, fault injection, snapshot publication.
-//! * [`telemetry`] — metrics, JSONL sinks, tracing, perf snapshots.
+//! * [`telemetry`] — metrics, JSONL sinks, tracing, the perf verdict.
 
 pub use analysis;
 pub use baselines;
