@@ -65,10 +65,11 @@ const LOF_DIM: usize = 5;
 /// Fitting z-normalizes features over the organic users and
 /// precomputes each organic point's k-nearest neighbors, k-distance,
 /// and local reachability density, plus every organic user's own
-/// score; scoring a query is one k-NN pass. Neighborhoods are ordered
-/// by `(distance, organic user id)` (distance via `total_cmp`), and
-/// every feature sums in a fixed order, so scores are bit-stable
-/// across fits, platforms and run orders.
+/// score; scoring a query is one exact k-NN search of a k-d tree over
+/// the organic points. Neighborhoods are ordered by `(distance,
+/// organic user id)` (distance via `total_cmp`), and every feature
+/// sums in a fixed order, so scores are bit-stable across fits,
+/// platforms and run orders.
 pub struct LofDetector {
     k: usize,
     /// `log(1+pop)` at or below this marks an item "cold".
@@ -80,6 +81,9 @@ pub struct LofDetector {
     feat_dev: [f64; LOF_DIM],
     /// Normalized organic feature points, indexed by user id.
     points: Vec<[f64; LOF_DIM]>,
+    /// Exact k-d tree over `points`: derived from them in `fit` and
+    /// never serialized.
+    tree: KdTree,
     kdist: Vec<f64>,
     lrd: Vec<f64>,
     /// Every organic user's score, sorted by `total_cmp`: the
@@ -116,6 +120,7 @@ impl LofDetector {
             feat_mean: [0.0; LOF_DIM],
             feat_dev: [1.0; LOF_DIM],
             points: Vec::new(),
+            tree: KdTree::build(&[]),
             kdist: Vec::new(),
             lrd: Vec::new(),
             organic_scores: Vec::new(),
@@ -132,6 +137,7 @@ impl LofDetector {
             detector.feat_dev[d] = var.sqrt().max(1e-9);
         }
         detector.points = raw.iter().map(|f| detector.normalize(*f)).collect();
+        detector.tree = KdTree::build(&detector.points);
 
         // Classic LOF precomputation: k-distance then local
         // reachability density, each point's own slot excluded from
@@ -207,16 +213,10 @@ impl LofDetector {
     /// The k nearest organic points to `query`, sorted by
     /// `(distance, user id)` — the user-id tie-break is what makes
     /// neighborhoods (and therefore scores) deterministic when
-    /// distances collide. One pass keeping the k best so far: the
-    /// order is total, so this is exactly a full sort truncated to k.
+    /// distances collide. The order is total and the tree search is
+    /// exact, so this is exactly a full sort truncated to k.
     fn nearest(&self, query: &[f64; LOF_DIM], skip: Option<usize>) -> Vec<(f64, usize)> {
-        let mut best = Vec::with_capacity(self.k);
-        for (j, p) in self.points.iter().enumerate() {
-            if Some(j) != skip {
-                keep_nearest(&mut best, self.k, (distance(query, p), j));
-            }
-        }
-        best
+        self.tree.nearest(query, skip, self.k)
     }
 
     /// Organic user `u`'s score from its neighborhood with `u` itself
@@ -270,18 +270,165 @@ impl LofDetector {
 }
 
 /// Euclidean distance between two feature points, summed in dimension
-/// order. A NaN distance (from a NaN or infinite feature) comes back as
-/// the positive quiet NaN, which `total_cmp` sorts after every number:
+/// order. A NaN distance (from a NaN or infinite feature) comes back
+/// with its sign bit clear, so `total_cmp` sorts it after every number:
 /// the sign of a computed NaN follows operand order in the generated
 /// code, so a raw one could sort first in one build and last in another.
+/// The sign is cleared with `abs`, a bit operation, because the
+/// optimizer folds a value test such as `if d.is_nan() { NAN } else
+/// { d }` away. A sum of squares is at least +0, so `abs` leaves every
+/// number as it is.
 fn distance(a: &[f64; LOF_DIM], b: &[f64; LOF_DIM]) -> f64 {
     let d2: f64 = (0..LOF_DIM).map(|d| (a[d] - b[d]).powi(2)).sum();
-    let d = d2.sqrt();
-    if d.is_nan() {
-        f64::NAN
-    } else {
-        d
+    d2.sqrt().abs()
+}
+
+/// Most points a [`KdTree`] leaf holds.
+const LEAF_SIZE: usize = 8;
+
+/// An exact k-d tree over the organic feature points. Each inner node
+/// splits its points at the median of its widest axis, ordered by
+/// `(total_cmp coordinate, id)`; leaves hold at most [`LEAF_SIZE`]
+/// points. A search visits the near side first, then skips the far
+/// side only when the split plane's bound `sqrt((q[a] - split)^2)` is
+/// strictly greater than the current k-th distance. That bound never
+/// exceeds the computed [`distance`] to a point behind the plane (float
+/// subtraction and squaring are monotone in |x|, a float sum of
+/// non-negative terms is at least each term, and `sqrt` is monotone),
+/// so a skipped point could not have entered; a point at exactly the
+/// k-th distance with a smaller id is still visited. A NaN bound or
+/// k-th distance compares false, so it never skips, and a point with a
+/// NaN coordinate lies at a NaN distance, which sorts after every
+/// number whichever side of a split it is on. Leaves offer their
+/// points through [`keep_nearest`], so the result is exactly the full
+/// sort by [`by_distance`] truncated to k.
+struct KdTree {
+    nodes: Vec<KdNode>,
+    /// Point ids in tree order: each node covers one contiguous run.
+    ids: Vec<usize>,
+    /// The points in the same order, so a leaf reads one run.
+    points: Vec<[f64; LOF_DIM]>,
+}
+
+enum KdNode {
+    /// Tree-order positions `start..end`.
+    Leaf { start: usize, end: usize },
+    /// Points below the median on `axis` lie in the next node, the rest
+    /// (from the median point, whose coordinate is `split`) in `right`.
+    Split {
+        axis: usize,
+        split: f64,
+        right: usize,
+    },
+}
+
+impl KdTree {
+    fn build(points: &[[f64; LOF_DIM]]) -> Self {
+        let mut ids: Vec<usize> = (0..points.len()).collect();
+        let mut nodes = Vec::new();
+        Self::build_node(points, &mut ids, 0, &mut nodes);
+        let points = ids.iter().map(|&j| points[j]).collect();
+        Self { nodes, ids, points }
     }
+
+    /// Appends the subtree over `ids` (tree-order positions from
+    /// `start`), its root first.
+    fn build_node(
+        points: &[[f64; LOF_DIM]],
+        ids: &mut [usize],
+        start: usize,
+        nodes: &mut Vec<KdNode>,
+    ) {
+        if ids.len() <= LEAF_SIZE {
+            nodes.push(KdNode::Leaf {
+                start,
+                end: start + ids.len(),
+            });
+            return;
+        }
+        let axis = widest_axis(points, ids);
+        let mid = ids.len() / 2;
+        ids.select_nth_unstable_by(mid, |&a, &b| {
+            points[a][axis].total_cmp(&points[b][axis]).then(a.cmp(&b))
+        });
+        let split = points[ids[mid]][axis];
+        let at = nodes.len();
+        nodes.push(KdNode::Split {
+            axis,
+            split,
+            right: 0,
+        });
+        let (left, right) = ids.split_at_mut(mid);
+        Self::build_node(points, left, start, nodes);
+        let right_at = nodes.len();
+        if let KdNode::Split { right, .. } = &mut nodes[at] {
+            *right = right_at;
+        }
+        Self::build_node(points, right, start + mid, nodes);
+    }
+
+    /// The k nearest points to `query` other than `skip`, in
+    /// [`by_distance`] order.
+    fn nearest(&self, query: &[f64; LOF_DIM], skip: Option<usize>, k: usize) -> Vec<(f64, usize)> {
+        let mut best = Vec::with_capacity(k);
+        self.search(0, query, skip, k, &mut best);
+        best
+    }
+
+    fn search(
+        &self,
+        node: usize,
+        query: &[f64; LOF_DIM],
+        skip: Option<usize>,
+        k: usize,
+        best: &mut Vec<(f64, usize)>,
+    ) {
+        match self.nodes[node] {
+            KdNode::Leaf { start, end } => {
+                for (p, &j) in self.points[start..end].iter().zip(&self.ids[start..end]) {
+                    if Some(j) != skip {
+                        keep_nearest(best, k, (distance(query, p), j));
+                    }
+                }
+            }
+            KdNode::Split { axis, split, right } => {
+                let (near, far) = if query[axis] < split {
+                    (node + 1, right)
+                } else {
+                    (right, node + 1)
+                };
+                self.search(near, query, skip, k, best);
+                let bound = (query[axis] - split).powi(2).sqrt();
+                let beyond_kth = best.len() >= k && best.last().is_some_and(|&(d, _)| bound > d);
+                if !beyond_kth {
+                    self.search(far, query, skip, k, best);
+                }
+            }
+        }
+    }
+}
+
+/// The axis along which `ids`' points spread widest (the first such
+/// axis on a tie; an axis whose spread is NaN never wins).
+fn widest_axis(points: &[[f64; LOF_DIM]], ids: &[usize]) -> usize {
+    let spread = |axis: usize| {
+        let (lo, hi) = ids
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &j| {
+                (lo.min(points[j][axis]), hi.max(points[j][axis]))
+            });
+        hi - lo
+    };
+    (0..LOF_DIM)
+        .map(|axis| (axis, spread(axis)))
+        .fold((0, f64::NEG_INFINITY), |widest, (axis, s)| {
+            if s > widest.1 {
+                (axis, s)
+            } else {
+                widest
+            }
+        })
+        .0
 }
 
 /// The neighborhood order: distance by `total_cmp`, then user id.
@@ -634,11 +781,40 @@ impl DefenseStack {
         w.into_bytes()
     }
 
-    /// Restores state captured by [`DefenseStack::state_bytes`].
+    /// Restores state captured by [`DefenseStack::state_bytes`]. State
+    /// that [`DefenseStack::judge`] cannot reach is refused with the
+    /// field named, and nothing is replaced: a level above the ladder's
+    /// top rung (or above 0 without the adaptive layer), a reputation
+    /// outside `[0, 1]` or NaN (or other than 1 without the reputation
+    /// layer).
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::new(bytes);
+        let at = r.position();
         let level = r.get_u32("defense level")?;
+        let top = if self.adaptive_on {
+            self.ladder.len() as u32 - 1
+        } else {
+            0
+        };
+        if level > top {
+            return Err(WireError::new(
+                at,
+                format!("defense level {level} is above the top rung {top} this stack reaches"),
+            ));
+        }
+        let at = r.position();
         let reputation = r.get_f64("defense reputation")?;
+        let reachable = if self.reputation_on {
+            (0.0..=1.0).contains(&reputation)
+        } else {
+            reputation == 1.0
+        };
+        if !reachable {
+            return Err(WireError::new(
+                at,
+                format!("defense reputation {reputation} is not one this stack reaches"),
+            ));
+        }
         let cusum = get_cusum(&mut r)?;
         let counts = VerdictCounts {
             admitted: r.get_u64("defense admitted")?,
@@ -648,7 +824,7 @@ impl DefenseStack {
         };
         r.expect_eof()?;
         self.state = DefenseState {
-            level: level.min(self.ladder.len() as u32 - 1),
+            level,
             reputation,
             cusum,
             counts,
@@ -853,9 +1029,10 @@ mod tests {
         assert!(shifted.alarms() > 0, "sustained shift never alarmed");
     }
 
-    /// The full sort + truncate that [`LofDetector::nearest`] must equal,
-    /// over the same distances (bit identity with the distances of the
-    /// original sort-based search is what the pinned test holds).
+    /// The full sort + truncate that the tree search behind
+    /// [`LofDetector::nearest`] must equal, over the same distances (bit
+    /// identity with the distances of the original sort-based search is
+    /// what the pinned test holds).
     fn nearest_by_sort(
         det: &LofDetector,
         query: &[f64; LOF_DIM],
@@ -882,6 +1059,7 @@ mod tests {
             pairs: HashMap::new(),
             feat_mean: [0.0; LOF_DIM],
             feat_dev: [1.0; LOF_DIM],
+            tree: KdTree::build(&points),
             points,
             kdist: Vec::new(),
             lrd: Vec::new(),
@@ -889,11 +1067,13 @@ mod tests {
         }
     }
 
-    /// The bounded selection returns the same entries in the same order
-    /// as sort + truncate, bit for bit, on seeded clouds with forced
-    /// exact ties (coordinates from a tiny grid, so duplicates abound),
-    /// with and without a skipped point, for k below, at and above n,
-    /// on the empty cloud, and with ±inf and ±NaN features.
+    /// The tree search returns the same entries in the same order as
+    /// sort + truncate, bit for bit, on seeded clouds with forced exact
+    /// ties (coordinates from a tiny grid, so duplicates abound), with
+    /// and without a skipped point, for k below, at and above n, on the
+    /// empty cloud, on clouds deep enough for many tree levels, and
+    /// with ±inf and ±NaN features. A prune on an equal bound (`>=`)
+    /// drops tied points with smaller ids and fails here.
     #[test]
     fn bounded_selection_equals_sort_and_truncate() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -909,7 +1089,7 @@ mod tests {
             })
         };
         let mut cases = 0;
-        for n in [0usize, 1, 2, 5, 10, 11, 40, 150] {
+        for n in [0usize, 1, 2, 5, 10, 11, 40, 150, 1000] {
             for special_rate in [0.0, 0.05] {
                 let points: Vec<_> = (0..n).map(|_| point(&mut rng, special_rate)).collect();
                 for k in [1, 3, 10, n, n + 4] {
@@ -934,6 +1114,80 @@ mod tests {
             }
         }
         assert!(cases > 1000);
+    }
+
+    /// A NaN distance has its sign bit clear in every build, so
+    /// `total_cmp` sorts it after every number: a point with a NaN or
+    /// infinite feature is never a neighbor while k points lie at finite
+    /// distances. Release code generation makes a negative NaN for
+    /// these inputs, which a value test on `is_nan` does not repair;
+    /// `black_box` keeps the pinned calls from folding at compile time.
+    #[test]
+    fn nan_distances_sort_last() {
+        let zero = [0.0; LOF_DIM];
+        let mut neg_nan = zero;
+        neg_nan[0] = -f64::NAN;
+        let mut inf = zero;
+        inf[0] = f64::INFINITY;
+        for (a, b) in [(neg_nan, zero), (zero, neg_nan), (inf, inf)] {
+            assert_eq!(
+                distance(std::hint::black_box(&a), std::hint::black_box(&b)).to_bits(),
+                f64::NAN.to_bits(),
+                "{a:?} vs {b:?}"
+            );
+        }
+
+        let k = 4;
+        let mut points: Vec<[f64; LOF_DIM]> = (0..30)
+            .map(|i| std::array::from_fn(|d| f64::from((i * 7 + d as i32 * 3) % 11) - 5.0))
+            .collect();
+        let specials = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (i, special) in specials.into_iter().enumerate() {
+            let mut p = points[i];
+            p[i % LOF_DIM] = special;
+            points.push(p);
+        }
+        let det = cloud_detector(points.clone(), k);
+        for (q, query) in points[..30].iter().enumerate() {
+            for skip in [None, Some(q)] {
+                let neigh = det.nearest(query, skip);
+                assert_eq!(neigh.len(), k);
+                for &(d, j) in &neigh {
+                    assert!(d.is_finite() && j < 30, "query {q}: {j} at {d}");
+                }
+            }
+        }
+    }
+
+    /// At real scale (the Steam ×0.1 twin, 650 users) the tree finds
+    /// the sort + truncate neighborhood bit for bit for every organic
+    /// user with itself skipped (the calibration sweep) and for organic
+    /// and Popular-crafted judge queries.
+    #[test]
+    fn tree_equals_sort_at_real_scale() {
+        let d = steam_twin(0.1, 1);
+        let det = LofDetector::fit(&d, LofDetector::DEFAULT_K);
+        let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+            v.iter().map(|&(d, j)| (d.to_bits(), j)).collect()
+        };
+        for (i, point) in det.points.iter().enumerate() {
+            let got = det.nearest(point, Some(i));
+            assert_eq!(
+                bits(&got),
+                bits(&nearest_by_sort(&det, point, Some(i))),
+                "user {i}"
+            );
+        }
+        let organic = (0..256).map(|u| d.sequence(u * 7 % d.num_users()).to_vec());
+        for seq in organic.chain(popular_crafted(&d, 256, 20, 7)) {
+            let query = det.normalize(det.raw_features(&seq));
+            let got = det.nearest(&query, None);
+            assert_eq!(
+                bits(&got),
+                bits(&nearest_by_sort(&det, &query, None)),
+                "{seq:?}"
+            );
+        }
     }
 
     /// Each organic score that `fit` derives from the skip-self
@@ -1083,6 +1337,56 @@ mod tests {
             stack.reputation().to_bits()
         );
         assert_eq!(restored.threshold().to_bits(), stack.threshold().to_bits());
+    }
+
+    /// `restore_state` refuses a level above the top rung and a NaN,
+    /// negative or above-one reputation, naming the field and leaving
+    /// the state as it was; a valid mid-run state round-trips. A stack
+    /// without the adaptive or reputation layer never moves the level
+    /// or the reputation, so it refuses any other value of them.
+    #[test]
+    fn restore_state_refuses_impossible_state() {
+        let d = organic_like();
+        let mut stack = DefenseStack::build(DefenseKind::Full, &d, 0.05).unwrap();
+        for u in 0..d.num_users() {
+            stack.judge(&d, d.sequence(u));
+        }
+        let valid = stack.state_bytes();
+        let top = LADDER_RUNGS as u32 - 1;
+        let with = |level: u32, reputation: f64| {
+            let mut bytes = valid.clone();
+            bytes[..4].copy_from_slice(&level.to_le_bytes());
+            bytes[4..12].copy_from_slice(&reputation.to_le_bytes());
+            bytes
+        };
+        let cases = [
+            (with(top + 1, 0.5), "defense level"),
+            (with(u32::MAX, 0.5), "defense level"),
+            (with(0, f64::NAN), "defense reputation"),
+            (with(0, -0.25), "defense reputation"),
+            (with(0, 1.5), "defense reputation"),
+            (with(0, f64::INFINITY), "defense reputation"),
+        ];
+        for (bytes, field) in cases {
+            let err = stack.restore_state(&bytes).unwrap_err();
+            assert!(err.message.contains(field), "{err}");
+            assert_eq!(stack.state_bytes(), valid, "{err} replaced state");
+        }
+        let mut restored = DefenseStack::build(DefenseKind::Full, &d, 0.05).unwrap();
+        for bytes in [valid.clone(), with(top, 0.0), with(0, 1.0)] {
+            restored.restore_state(&bytes).unwrap();
+            assert_eq!(restored.state_bytes(), bytes);
+        }
+
+        let mut lof = DefenseStack::build(DefenseKind::Lof, &d, 0.05).unwrap();
+        for (bytes, field) in [
+            (with(1, 1.0), "defense level"),
+            (with(0, 0.5), "defense reputation"),
+        ] {
+            let err = lof.restore_state(&bytes).unwrap_err();
+            assert!(err.message.contains(field), "{err}");
+        }
+        lof.restore_state(&with(0, 1.0)).unwrap();
     }
 
     /// The ladder rungs loosen monotonically: rung `i+1` is calibrated

@@ -260,9 +260,12 @@ echo "==> conformance gate (release)"
 # budget/capability property tests (attack_budget).
 # baseline_poison_bits_are_pinned pins the six Table III baselines'
 # poison and observation spend through AttackFamily + run_attack.
-# The recsys `defense` unit tests re-prove, at release speed, that the
-# bounded k-NN selection equals sort + truncate bit for bit and that
+# The recsys `defense` unit tests re-prove under release codegen that
+# the LOF k-d tree search equals sort + truncate bit for bit and that
 # the calibrated thresholds and judged state match their pinned bits.
+# This run is the only one that catches a NaN canonicalization the
+# optimizer folds away (nan_distances_sort_last): tier-1 tests run
+# debug, where the fold does not happen.
 cargo test -q --release --test conformance --test attack_budget
 cargo test -q --release --test end_to_end_attack baseline_poison_bits_are_pinned
 cargo test -q --release -p recsys defense
