@@ -106,8 +106,7 @@ impl Ranker for Bpr {
     }
 
     fn score(&self, user: UserId, _history: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
-        let t = self.tables();
-        candidates.iter().map(|&c| t.predict(user, c)).collect()
+        self.tables().predict_many(user, candidates)
     }
 
     fn boxed_clone(&self) -> Box<dyn Ranker> {

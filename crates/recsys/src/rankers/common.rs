@@ -172,6 +172,171 @@ mod tests {
         assert!(dodged > 95);
     }
 
+    /// `predict` as one indexed scalar loop: the reference that
+    /// `predict`, `predict_many` and the SGD steps must match bit for bit.
+    fn predict_reference(t: &MfTables, u: UserId, i: ItemId) -> f32 {
+        let dim = t.dim;
+        let (r, ii) = (u as usize, i as usize);
+        let mut acc = t.item_bias[ii];
+        for d in 0..dim {
+            acc += t.user[r * dim + d] * t.item[ii * dim + d];
+        }
+        acc
+    }
+
+    /// The indexed `sgd_pointwise` loop, the reference for the sliced one.
+    fn sgd_pointwise_reference(t: &mut MfTables, u: UserId, i: ItemId, y: f32, lr: f32, reg: f32) {
+        let err = predict_reference(t, u, i) - y;
+        let (r, ii) = (u as usize, i as usize);
+        let dim = t.dim;
+        for d in 0..dim {
+            let pu = t.user[r * dim + d];
+            let qi = t.item[ii * dim + d];
+            t.user[r * dim + d] -= lr * (err * qi + reg * pu);
+            t.item[ii * dim + d] -= lr * (err * pu + reg * qi);
+        }
+        t.item_bias[ii] -= lr * (err + reg * t.item_bias[ii]);
+    }
+
+    /// The indexed `sgd_bpr` loop, the reference for the sliced one.
+    fn sgd_bpr_reference(t: &mut MfTables, u: UserId, i: ItemId, j: ItemId, lr: f32, reg: f32) {
+        let x = predict_reference(t, u, i) - predict_reference(t, u, j);
+        let s = tensor::stable_sigmoid(-x);
+        let (r, ii, jj) = (u as usize, i as usize, j as usize);
+        let dim = t.dim;
+        for d in 0..dim {
+            let pu = t.user[r * dim + d];
+            let qi = t.item[ii * dim + d];
+            let qj = t.item[jj * dim + d];
+            t.user[r * dim + d] += lr * (s * (qi - qj) - reg * pu);
+            t.item[ii * dim + d] += lr * (s * pu - reg * qi);
+            t.item[jj * dim + d] += lr * (-s * pu - reg * qj);
+        }
+        t.item_bias[ii] += lr * (s - reg * t.item_bias[ii]);
+        t.item_bias[jj] += lr * (-s - reg * t.item_bias[jj]);
+    }
+
+    const KERNEL_CATALOG: u32 = 24;
+
+    /// Tables of `dim` columns with uniform entries, item biases set, and
+    /// (when `specials`) some entries replaced by `-0.0`, ±inf or NaN.
+    fn kernel_tables(dim: usize, specials: bool, seed: u64) -> MfTables {
+        let cfg = EmbeddingConfig {
+            base_users: 3,
+            reserve_attackers: 1,
+            catalog: KERNEL_CATALOG,
+            num_items: KERNEL_CATALOG - 2,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = MfTables::init(cfg, dim, 0.5, &mut rng);
+        for b in &mut t.item_bias {
+            *b = rng.gen_range(-0.5..=0.5);
+        }
+        if specials {
+            let values = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+            for (n, &v) in values.iter().cycle().take(12).enumerate() {
+                let table = match n % 3 {
+                    0 => &mut t.user,
+                    1 => &mut t.item,
+                    _ => &mut t.item_bias,
+                };
+                let at = rng.gen_range(0..table.len());
+                table[at] = v;
+            }
+        }
+        t
+    }
+
+    /// Equal bit for bit, except that any NaN matches any NaN.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                if x.is_nan() || y.is_nan() {
+                    x.is_nan() && y.is_nan()
+                } else {
+                    x.to_bits() == y.to_bits()
+                }
+            })
+    }
+
+    fn same_tables(a: &MfTables, b: &MfTables) -> bool {
+        same_bits(&a.user, &b.user)
+            && same_bits(&a.item, &b.item)
+            && same_bits(&a.item_bias, &b.item_bias)
+    }
+
+    #[test]
+    fn predict_many_matches_predict_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for dim in [1, 5, 16, 19] {
+            for specials in [false, true] {
+                let t = kernel_tables(dim, specials, dim as u64);
+                for u in 0..t.cfg().user_rows() {
+                    for n in 0..=17 {
+                        let candidates: Vec<ItemId> =
+                            (0..n).map(|_| rng.gen_range(0..KERNEL_CATALOG)).collect();
+                        let want: Vec<f32> = candidates
+                            .iter()
+                            .map(|&c| predict_reference(&t, u, c))
+                            .collect();
+                        let one_by_one: Vec<f32> =
+                            candidates.iter().map(|&c| t.predict(u, c)).collect();
+                        let got = t.predict_many(u, &candidates);
+                        assert!(same_bits(&one_by_one, &want), "predict dim={dim} n={n}");
+                        assert!(same_bits(&got, &want), "predict_many dim={dim} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sgd_bpr_matches_the_indexed_loop_bit_for_bit() {
+        // i < j, i > j and i == j (the sampler's fallback draw), twice
+        // each so the second step reads the first step's writes.
+        let triples = [
+            (0, 3, 17),
+            (1, 20, 2),
+            (2, 5, 5),
+            (3, 23, 0),
+            (0, 3, 17),
+            (2, 5, 5),
+        ];
+        for dim in [1, 5, 16, 19] {
+            for specials in [false, true] {
+                let mut got = kernel_tables(dim, specials, 40 + dim as u64);
+                let mut want = got.clone();
+                for &(u, i, j) in &triples {
+                    got.sgd_bpr(u, i, j, 0.05, 0.01);
+                    sgd_bpr_reference(&mut want, u, i, j, 0.05, 0.01);
+                    assert!(same_tables(&got, &want), "dim={dim} ({u}, {i}, {j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sgd_pointwise_matches_the_indexed_loop_bit_for_bit() {
+        let steps = [
+            (0, 3, 1.0),
+            (1, 20, 0.0),
+            (3, 23, 1.0),
+            (0, 3, 0.0),
+            (2, 0, 0.0),
+        ];
+        for dim in [1, 5, 16, 19] {
+            for specials in [false, true] {
+                let mut got = kernel_tables(dim, specials, 80 + dim as u64);
+                let mut want = got.clone();
+                for &(u, i, y) in &steps {
+                    got.sgd_pointwise(u, i, y, 0.05, 0.02);
+                    sgd_pointwise_reference(&mut want, u, i, y, 0.05, 0.02);
+                    assert!(same_tables(&got, &want), "dim={dim} ({u}, {i}, {y})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn child_seed_streams_differ() {
         let a = child_seed(42, 0);
@@ -192,9 +357,9 @@ pub struct MfTables {
     cfg: EmbeddingConfig,
     user: Vec<f32>,
     item: Vec<f32>,
-    /// Per-item bias; empty when the model is bias-free (classic PMF
-    /// is a pure inner product — keeping it that way also removes an
-    /// unrealistic global-boost attack pathway).
+    /// Per-item bias, one entry per catalog item. `init` zeroes it and
+    /// both SGD steps train it, so PMF and BPR alike score
+    /// `p_u · q_i + b_i`.
     pub item_bias: Vec<f32>,
 }
 
@@ -237,16 +402,46 @@ impl MfTables {
         tensor::Matrix::from_vec(self.cfg.catalog as usize, self.dim, self.item.clone())
     }
 
-    /// Predicted preference `p_u · q_i (+ b_i)`.
+    /// Predicted preference `p_u · q_i + b_i`: the bias, then
+    /// `p[d] * q[d]` added for `d` ascending.
     #[inline]
     pub fn predict(&self, u: UserId, i: ItemId) -> f32 {
         let p = self.user_vec(u);
         let q = self.item_vec(i);
-        let mut acc = self.item_bias.get(i as usize).copied().unwrap_or(0.0);
+        let mut acc = self.item_bias[i as usize];
         for (a, b) in p.iter().zip(q) {
             acc += a * b;
         }
         acc
+    }
+
+    /// `predict(u, c)` for every candidate, bit for bit. Candidates go
+    /// in blocks of `PREDICT_LANES`, one accumulator each, so the
+    /// block's dependent add chains overlap instead of running one
+    /// after another; each chain is exactly `predict`'s. The remainder
+    /// goes through `predict`.
+    pub fn predict_many(&self, u: UserId, candidates: &[ItemId]) -> Vec<f32> {
+        let p = self.user_vec(u);
+        let dim = p.len();
+        let mut out = Vec::with_capacity(candidates.len());
+        let mut blocks = candidates.chunks_exact(PREDICT_LANES);
+        for block in &mut blocks {
+            // Rows sliced to `p`'s length, so `rows[k][d]` needs no
+            // bounds check inside the loop.
+            let rows: [&[f32]; PREDICT_LANES] =
+                std::array::from_fn(|k| &self.item_vec(block[k])[..dim]);
+            let mut acc: [f32; PREDICT_LANES] =
+                std::array::from_fn(|k| self.item_bias[block[k] as usize]);
+            for (d, &pd) in p.iter().enumerate() {
+                let q: [f32; PREDICT_LANES] = std::array::from_fn(|k| rows[k][d]);
+                for (acc, q) in acc.iter_mut().zip(q) {
+                    *acc += pd * q;
+                }
+            }
+            out.extend_from_slice(&acc);
+        }
+        out.extend(blocks.remainder().iter().map(|&c| self.predict(u, c)));
+        out
     }
 
     /// Re-randomizes the reserved attacker rows (called at the start of
@@ -260,23 +455,32 @@ impl MfTables {
     }
 
     /// One SGD step of squared-error loss `(pred - y)^2` with L2 `reg`.
+    /// The user row and the item row live in different tables, so the
+    /// loop runs over two disjoint slices and vectorizes; each element
+    /// reads only its own pre-update `pu` and `qi`.
     pub fn sgd_pointwise(&mut self, u: UserId, i: ItemId, y: f32, lr: f32, reg: f32) {
         let err = self.predict(u, i) - y;
         let r = self.cfg.user_row(u);
         let ii = i as usize;
         let dim = self.dim;
-        for d in 0..dim {
-            let pu = self.user[r * dim + d];
-            let qi = self.item[ii * dim + d];
-            self.user[r * dim + d] -= lr * (err * qi + reg * pu);
-            self.item[ii * dim + d] -= lr * (err * pu + reg * qi);
+        let p = &mut self.user[r * dim..(r + 1) * dim];
+        let q = &mut self.item[ii * dim..(ii + 1) * dim];
+        for (p, q) in p.iter_mut().zip(q) {
+            let (pu, qi) = (*p, *q);
+            *p -= lr * (err * qi + reg * pu);
+            *q -= lr * (err * pu + reg * qi);
         }
-        if let Some(b) = self.item_bias.get_mut(ii) {
-            *b -= lr * (err + reg * *b);
-        }
+        let b = &mut self.item_bias[ii];
+        *b -= lr * (err + reg * *b);
     }
 
     /// One SGD step of the BPR pairwise loss `-ln σ(x_ui - x_uj)`.
+    ///
+    /// For `i != j` the user row and the two item rows are disjoint
+    /// slices updated in one vectorizable loop. `i == j` happens (the
+    /// negative sampler's fallback draw may return the positive), and
+    /// then the `j` update must read the value the `i` update just
+    /// wrote, so that case keeps the element-by-element loop.
     pub fn sgd_bpr(&mut self, u: UserId, i: ItemId, j: ItemId, lr: f32, reg: f32) {
         let x = self.predict(u, i) - self.predict(u, j);
         // d/dx [-ln σ(x)] = -(1 - σ(x)) = -σ(-x)
@@ -284,17 +488,41 @@ impl MfTables {
         let r = self.cfg.user_row(u);
         let (ii, jj) = (i as usize, j as usize);
         let dim = self.dim;
-        for d in 0..dim {
-            let pu = self.user[r * dim + d];
-            let qi = self.item[ii * dim + d];
-            let qj = self.item[jj * dim + d];
-            self.user[r * dim + d] += lr * (s * (qi - qj) - reg * pu);
-            self.item[ii * dim + d] += lr * (s * pu - reg * qi);
-            self.item[jj * dim + d] += lr * (-s * pu - reg * qj);
+        let p = &mut self.user[r * dim..(r + 1) * dim];
+        if ii == jj {
+            let q = &mut self.item[ii * dim..(ii + 1) * dim];
+            for d in 0..dim {
+                let (pu, qi, qj) = (p[d], q[d], q[d]);
+                p[d] += lr * (s * (qi - qj) - reg * pu);
+                q[d] += lr * (s * pu - reg * qi);
+                q[d] += lr * (-s * pu - reg * qj);
+            }
+        } else {
+            let (qi, qj) = two_rows_mut(&mut self.item, ii, jj, dim);
+            for ((p, a), b) in p.iter_mut().zip(qi).zip(qj) {
+                let (pu, qi, qj) = (*p, *a, *b);
+                *p += lr * (s * (qi - qj) - reg * pu);
+                *a += lr * (s * pu - reg * qi);
+                *b += lr * (-s * pu - reg * qj);
+            }
         }
-        if !self.item_bias.is_empty() {
-            self.item_bias[ii] += lr * (s - reg * self.item_bias[ii]);
-            self.item_bias[jj] += lr * (-s - reg * self.item_bias[jj]);
-        }
+        self.item_bias[ii] += lr * (s - reg * self.item_bias[ii]);
+        self.item_bias[jj] += lr * (-s - reg * self.item_bias[jj]);
+    }
+}
+
+/// Candidates scored together by `MfTables::predict_many`.
+const PREDICT_LANES: usize = 8;
+
+/// Rows `i` and `j` (`i != j`) of a row-major table with `dim` columns,
+/// borrowed mutably at once.
+fn two_rows_mut(table: &mut [f32], i: usize, j: usize, dim: usize) -> (&mut [f32], &mut [f32]) {
+    debug_assert_ne!(i, j);
+    let (lo, hi) = table.split_at_mut(i.max(j) * dim);
+    let (low_row, high_row) = (&mut lo[i.min(j) * dim..][..dim], &mut hi[..dim]);
+    if i < j {
+        (low_row, high_row)
+    } else {
+        (high_row, low_row)
     }
 }

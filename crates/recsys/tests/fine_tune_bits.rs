@@ -99,3 +99,8 @@ fn ngcf_score_bits_are_pinned() {
 fn bpr_score_bits_are_pinned() {
     check(RankerKind::Bpr, 0xb6a4_d3f2_5e2d_e2f8);
 }
+
+#[test]
+fn pmf_score_bits_are_pinned() {
+    check(RankerKind::Pmf, 0x588b_e202_0289_8d5d);
+}

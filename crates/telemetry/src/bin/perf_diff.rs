@@ -8,7 +8,9 @@
 //! Result line *i* of the two pair files is pair *i*; manifest lines
 //! are skipped. Prints, per end-to-end metric of `BENCHMARK.json`, the
 //! parent and change medians, the parent IQR, the change's wins and
-//! losses, and the label (`gain`, `regression`, `unresolved`, `level`).
+//! losses, and the label (`gain`, `regression`, `unresolved`, `level`);
+//! then the change's wins in the first and the second half of the
+//! pairs, where a split between the halves points at host drift.
 //!
 //! Exit code: 0 when the comparison passes; 1 when a metric is a
 //! `regression`, a run reports `"correct": false`, or the change failed
@@ -110,6 +112,11 @@ fn main() -> ExitCode {
             format!("{}/{} of {}", v.wins, v.losses, v.pairs),
             v.label.name()
         );
+    }
+    println!("change wins by half of the pairs (first | second; a split points at host drift):");
+    for (spec, v) in &verdicts {
+        let [(w1, n1), (w2, n2)] = v.halves;
+        println!("  {:<14} {w1}/{n1} | {w2}/{n2}", spec.name);
     }
 
     let mut failures = Vec::new();

@@ -26,6 +26,12 @@
 //!
 //! Quartiles and medians interpolate linearly between order statistics
 //! ([`quantile`]). A tie counts for neither side.
+//!
+//! Alternating which side runs first does not cancel drift of the host
+//! over the session, so the verdict also counts the change's wins in
+//! the first and the second half of the pairs ([`Verdict::halves`]). A
+//! real effect wins in both halves; wins piled into one half on a
+//! metric the change cannot move point at the host.
 
 use crate::json::Json;
 
@@ -190,6 +196,9 @@ pub struct Verdict {
     pub wins: usize,
     pub losses: usize,
     pub pairs: usize,
+    /// `(wins, pairs)` of the change in the first `pairs / 2` pairs and
+    /// in the rest.
+    pub halves: [(usize, usize); 2],
     pub label: Label,
 }
 
@@ -202,9 +211,12 @@ pub fn judge(spec: &MetricSpec, parent: &[f64], change: &[f64]) -> Verdict {
     let c: Vec<f64> = change.iter().map(|&v| worse(v)).collect();
     let (p_med, c_med) = (quantile(&p, 0.5), quantile(&c, 0.5));
     let (p_iqr, c_iqr) = (iqr(&p), iqr(&c));
-    let wins = p.iter().zip(&c).filter(|(p, c)| c < p).count();
+    let won: Vec<bool> = p.iter().zip(&c).map(|(p, c)| c < p).collect();
+    let wins = won.iter().filter(|&&w| w).count();
     let losses = p.iter().zip(&c).filter(|(p, c)| c > p).count();
     let pairs = p.len();
+    let (first, second) = won.split_at(pairs / 2);
+    let half = |won: &[bool]| (won.iter().filter(|&&w| w).count(), won.len());
     let nine_in_ten = |k: usize| k * 10 >= pairs * 9;
     let shift = c_med - p_med;
 
@@ -227,6 +239,7 @@ pub fn judge(spec: &MetricSpec, parent: &[f64], change: &[f64]) -> Verdict {
         wins,
         losses,
         pairs,
+        halves: [half(first), half(second)],
         label,
     }
 }
@@ -300,6 +313,21 @@ mod tests {
         // The same numbers read as lower-is-better swap the labels.
         assert_eq!(judge(&spec(true), &parent, &up).label, Label::Regression);
         assert_eq!(judge(&spec(true), &parent, &down).label, Label::Gain);
+    }
+
+    #[test]
+    fn wins_are_counted_per_half() {
+        // Drift: the change loses the first half and wins the second.
+        let parent = [1.0; 10];
+        let change = [1.1, 1.1, 1.1, 1.0, 1.1, 0.9, 0.9, 0.9, 0.9, 0.9];
+        let v = judge(&spec(true), &parent, &change);
+        assert_eq!(v.halves, [(0, 5), (5, 5)]);
+        assert_eq!((v.wins, v.losses), (5, 4));
+        // An odd count puts the middle pair in the second half, and
+        // higher-is-better flips what a win is.
+        let v = judge(&spec(false), &[1.0; 5], &[2.0, 0.5, 2.0, 2.0, 0.5]);
+        assert_eq!(v.halves, [(1, 2), (2, 3)]);
+        assert_eq!(judge(&spec(true), &[1.0], &[0.5]).halves, [(0, 0), (1, 1)]);
     }
 
     #[test]

@@ -29,9 +29,13 @@ echo "==> row-sparse gradient exactness (release codegen)"
 # The row-sparse SGD step and gradient reset must write the bits of the
 # dense passes they replace (optim.rs unit tests), and the gradient
 # rankers' score bits after fit + fine-tunes are pinned
-# (fine_tune_bits). Both are re-proven under --release here.
+# (fine_tune_bits). Both are re-proven under --release here. So are the
+# MF row kernels (rankers::common unit tests): the sliced BPR/PMF SGD
+# steps and the blocked predict_many must match the indexed scalar
+# loops bit for bit, and only release codegen vectorizes them.
 cargo test -q --release -p tensor
 cargo test -q --release -p recsys --test fine_tune_bits
+cargo test -q --release -p recsys rankers::common
 
 echo "==> policy replay exactness (release codegen)"
 # The PoisonRec policy's parameters and PPO signals after a few trainer
