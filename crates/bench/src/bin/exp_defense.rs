@@ -16,12 +16,16 @@
 //!   organic interaction log — the price paid by real users;
 //! * RecNum-lift degradation vs the undefended (`none`) baseline cell.
 //!
-//! Transports mirror `exp_zoo`: `both` runs local and wire against
-//! identically-built systems and asserts histories, poison, final
-//! RecNum **and the verdict ledger** are bit-identical — the defense
-//! judges the same trajectories in the same order on both paths.
+//! `DEF_DEFENSES=none` is the attack-zoo grid (DESIGN.md §5h): every
+//! family × ranker × budget against the bare system, as in the paper's
+//! Table III. Transports: `local` runs attacks in-process; `wire`
+//! serves each cell's system on 127.0.0.1 and attacks it through
+//! [`RemoteSystem`]; `both` runs the two against identically-built
+//! systems and asserts histories, poison, final RecNum **and the
+//! verdict ledger** are bit-identical — the defense judges the same
+//! trajectories in the same order on both paths.
 //!
-//! Environment knobs (shrunk by `scripts/ci.sh` for the smoke stage):
+//! Environment knobs (shrunk by `scripts/ci.sh` for the smoke stages):
 //! * `DEF_ATTACKS` — comma list of family names (default: all eight);
 //! * `DEF_DEFENSES` — comma list of defense kinds
 //!   (default `none,lof,reputation,adaptive,full`; `none` is always
@@ -33,9 +37,13 @@
 //! * `DEF_APPGRAD_ITERS` / `DEF_INFLUENCE_ROUNDS` — query-hungry
 //!   family sizes (defaults `30` / `5`).
 //!
-//! With `--telemetry FILE` every finished cell lands as one
-//! `defense_cell` summary (validated by `validate_jsonl --defense`).
-//! Writes `results/defense.csv`, each cell's wall seconds included.
+//! A knob that does not parse panics and names the variable.
+//! Checkpointing, resume and scripted faults ride the shared `ExpArgs`
+//! flags. With `--telemetry FILE` every step lands as a `zoo_step`
+//! event (plus `zoo_checkpoint` / `zoo_resumed`) and every finished
+//! cell as one `defense_cell` summary, all validated by
+//! `validate_jsonl --defense`. Writes `defense_matrix.csv`, each cell's
+//! wall seconds included.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,13 +58,14 @@ use recsys::defense::{parse_fpr, DefendedSystem, DefenseKind, DefenseStack, Verd
 use recsys::remote::RemoteSystem;
 use recsys::system::ObservableSystem;
 use serve::{RecApp, Server, ServerConfig};
-use telemetry::Json;
+use telemetry::{Json, JsonlSink};
 
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    std::env::var(name).map_or(default, |raw| {
+        raw.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} {raw:?} is not a count"))
+    })
 }
 
 fn env_attacks() -> Vec<AttackFamily> {
@@ -127,6 +136,14 @@ impl Transport {
             Ok(other) => panic!("DEF_TRANSPORT {other:?} is not local|wire|both"),
         }
     }
+
+    fn name(self) -> &'static str {
+        match self {
+            Transport::Local => "local",
+            Transport::Wire => "wire",
+            Transport::Both => "both",
+        }
+    }
 }
 
 /// The organic price of a defense: replay every organic session of the
@@ -159,9 +176,20 @@ struct Cell<'a> {
     tuning: &'a ZooTuning,
     log: &'a Dataset,
     fpr: f64,
+    sink: Option<&'a Arc<JsonlSink>>,
 }
 
 impl Cell<'_> {
+    /// Tags a telemetry event with the cell it belongs to.
+    fn labels(&self, json: Json, transport: &str) -> Json {
+        json.field("attack", self.attack.name())
+            .field("defense", self.defense.label())
+            .field("ranker", self.ranker.name())
+            .field("n", u64::from(self.budget.fake_users))
+            .field("t", self.budget.clicks_per_user as u64)
+            .field("transport", transport)
+    }
+
     fn slug(&self, transport: &str) -> String {
         format!(
             "def-{}-{}-{}-n{}t{}-{transport}",
@@ -199,14 +227,41 @@ impl Cell<'_> {
     }
 
     /// Drives the attack against `system` (undefended or hardened —
-    /// the attack cannot tell: it sees only the observation API).
+    /// the attack cannot tell: it sees only the observation API),
+    /// streaming every step to the telemetry log.
     fn run(
         &self,
         system: &dyn ObservableSystem,
         transport: &'static str,
     ) -> Result<ZooRun, AttackError> {
         let mut attack = self.attack.build(self.tuning, Some(self.log))?;
-        let mut on_event = |_event: ZooEvent<'_>| {};
+        let mut on_event = |event: ZooEvent<'_>| {
+            let Some(sink) = self.sink else { return };
+            let json = match event {
+                ZooEvent::Step(stats) => {
+                    let mut json = Json::obj()
+                        .field("type", "zoo_step")
+                        .field("step", stats.step as u64)
+                        .field("observations", stats.observations);
+                    if let Some(reward) = stats.reward {
+                        json = json.field("reward", f64::from(reward));
+                    }
+                    if let Some(best) = stats.best_reward {
+                        json = json.field("best_reward", f64::from(best));
+                    }
+                    json
+                }
+                ZooEvent::Checkpoint { step, bytes } => Json::obj()
+                    .field("type", "zoo_checkpoint")
+                    .field("step", step as u64)
+                    .field("bytes", bytes),
+                ZooEvent::Resumed { step } => Json::obj()
+                    .field("type", "zoo_resumed")
+                    .field("step", step as u64),
+            };
+            sink.emit(&self.labels(json, transport))
+                .expect("telemetry write");
+        };
         run_attack(
             attack.as_mut(),
             system,
@@ -313,11 +368,7 @@ fn main() {
         args.ranker_list().len(),
         budgets.len(),
         dataset.name(),
-        match transport {
-            Transport::Local => "local",
-            Transport::Wire => "wire",
-            Transport::Both => "both",
-        },
+        transport.name(),
     );
 
     let mut outcomes: Vec<CellOutcome> = Vec::new();
@@ -343,6 +394,7 @@ fn main() {
                         tuning: &tuning,
                         log: &log,
                         fpr,
+                        sink: sink.as_ref(),
                     };
 
                     let start = Instant::now();
@@ -419,14 +471,13 @@ fn main() {
                             }
                         }
                         if let (Some(sink), Ok(run)) = (sink.as_ref(), &result) {
-                            let mut json = Json::obj()
-                                .field("type", "defense_cell")
-                                .field("attack", attack.name())
-                                .field("defense", defense.label())
-                                .field("ranker", ranker.name())
-                                .field("transport", label)
-                                .field("n", u64::from(n))
-                                .field("t", t as u64)
+                            let mut json = cell
+                                .labels(Json::obj().field("type", "defense_cell"), label)
+                                .field("steps", run.history.len() as u64)
+                                .field("observations", run.usage.observations)
+                                .field("budget_observations", cell.budget.observations)
+                                .field("peak_fake_users", run.usage.peak_fake_users)
+                                .field("peak_clicks_per_user", run.usage.peak_clicks_per_user)
                                 .field("offered", offered)
                                 .field("admitted", counts.admitted)
                                 .field("flagged", counts.flagged)
@@ -495,7 +546,9 @@ fn main() {
 
     // ---- CSV artifact ---------------------------------------------------
     std::fs::create_dir_all(&args.out_dir).expect("output dir");
-    let csv_path = args.out_dir.join("defense.csv");
+    // Not `defense.csv`: that name in `results/` is a pinned historical
+    // table of another schema.
+    let csv_path = args.out_dir.join("defense_matrix.csv");
     let mut csv = String::from(
         "attack,ranker,defense,n,t,transport,offered,admitted,flagged,rate_limited,\
          throttled,recall,precision,organic_fpr,final_rec_num,undefended_rec_num,\
@@ -539,7 +592,7 @@ fn main() {
             cell.secs
         ));
     }
-    std::fs::write(&csv_path, csv).expect("write defense.csv");
+    std::fs::write(&csv_path, csv).expect("write defense_matrix.csv");
     println!("defense matrix -> {}", csv_path.display());
 
     let refused = outcomes.iter().filter(|c| c.result.is_err()).count();
@@ -547,9 +600,8 @@ fn main() {
         "defense done: {} cell(s), {refused} refusal(s), {} transport",
         outcomes.len(),
         match transport {
-            Transport::Local => "local",
-            Transport::Wire => "wire",
             Transport::Both => "both (bit-identity + ledger asserted)",
+            other => other.name(),
         }
     );
 }

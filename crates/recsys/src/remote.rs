@@ -81,8 +81,6 @@ pub struct HttpClient {
     read_timeout: Duration,
     /// TCP connections dialed over this client's lifetime.
     dials: u64,
-    /// Requests that received a fully-framed response.
-    completed: u64,
 }
 
 impl HttpClient {
@@ -94,20 +92,13 @@ impl HttpClient {
             stream: None,
             read_timeout: Duration::from_secs(30),
             dials: 0,
-            completed: 0,
         }
     }
 
     /// Connections dialed so far — with healthy keep-alive this stays
-    /// at 1 no matter how many requests flow (the bench reports
-    /// `completed_requests() / dials()` as requests-per-connection).
+    /// at 1 no matter how many requests flow.
     pub fn dials(&self) -> u64 {
         self.dials
-    }
-
-    /// Requests that received a complete, well-framed response.
-    pub fn completed_requests(&self) -> u64 {
-        self.completed
     }
 
     /// Overrides the per-response read timeout (default 30 s).
@@ -197,7 +188,6 @@ impl HttpClient {
             self.stream = None;
         }
         let (status, close, text) = result?;
-        self.completed += 1;
         if close {
             self.stream = None;
         }

@@ -520,11 +520,6 @@ impl Server {
         self.addr
     }
 
-    /// The generation currently being served.
-    pub fn generation(&self) -> u64 {
-        self.shared.app.generation()
-    }
-
     /// The driver actually running (the event driver may have fallen
     /// back to blocking on targets without a poller).
     pub fn driver(&self) -> DriverKind {
@@ -536,13 +531,6 @@ impl Server {
     /// the socket.
     pub fn app(&self) -> &RecApp {
         &self.shared.app
-    }
-
-    /// Connections currently registered with the driver. Benchmarks
-    /// use this to wait out a teardown storm after dropping a client
-    /// fleet before taking latency measurements.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active_connections.load(Ordering::SeqCst)
     }
 
     /// Stops accepting, waits for every in-flight request to drain,

@@ -17,16 +17,6 @@
 //!   monotone per track, and `B`/`E` events nest LIFO per track
 //!   (see `telemetry::trace::validate_chrome`). `--trace` may also be
 //!   used alone, without a run log.
-//! * with `--zoo`, the run log is an attack-zoo grid log (`exp_zoo`)
-//!   instead: after the manifest, `zoo_step` events per cell (`attack`
-//!   × `ranker` × `n` × `t` × `transport` labels) must be strictly
-//!   increasing and gap-free — starting from 0 unless the cell logged
-//!   a `zoo_resumed` event first — with non-decreasing cumulative
-//!   `observations`; every stepping cell must finish with exactly one
-//!   `zoo_cell` summary whose `observations` respects its declared
-//!   `budget_observations` and whose `peak_fake_users` /
-//!   `peak_clicks_per_user` respect the cell's `n` / `t` labels (the
-//!   guard's budget accounting, visible in telemetry);
 //! * with `--access-log FILE`, `FILE` validates as a serve access log:
 //!   a leading `{"type":"manifest","kind":"access-log"}` line, then
 //!   `access` events whose `method` is a known verb, whose `status` is
@@ -48,14 +38,22 @@
 //!   bracket must balance — `pending == pending_before + accepted`
 //!   with `accepted <= offered`, i.e. rejected feedback never
 //!   increments queue depth;
-//! * with `--defense`, the run log is a defense-matrix log
-//!   (`exp_defense`) instead: after the manifest, every cell (`attack`
-//!   × `defense` × `ranker` × `transport` labels) must log exactly one
-//!   `defense_cell` summary whose verdict counts balance against the
-//!   stack's ledger (`admitted + flagged + rate_limited + throttled ==
-//!   offered`), whose `precision` / `recall` / `organic_fpr` are
-//!   finite and inside `[0, 1]`, and whose undefended cells
-//!   (`defense == "none"`) reject nothing.
+//! * with `--defense`, the run log is an attack-grid log
+//!   (`exp_defense`; its `none` rows are the attack zoo) instead. After
+//!   the manifest, events are grouped per cell (`attack` × `defense` ×
+//!   `ranker` × `n` × `t` × `transport` labels). `zoo_step` events
+//!   must be strictly increasing and gap-free — starting from 0 unless
+//!   the cell logged a `zoo_resumed` event first — with non-decreasing
+//!   cumulative `observations`. Every stepping cell must log exactly
+//!   one `defense_cell` summary, and nothing after it. The summary's
+//!   `observations` must respect its declared `budget_observations`,
+//!   its `peak_fake_users` / `peak_clicks_per_user` the cell's `n` /
+//!   `t` labels (the guard's budget accounting, visible in telemetry),
+//!   and its verdict counts must balance against the stack's ledger
+//!   (`admitted + flagged + rate_limited + throttled == offered`).
+//!   `precision` / `recall` / `organic_fpr` must be finite and inside
+//!   `[0, 1]`, and undefended cells (`defense == "none"`) reject
+//!   nothing.
 //!
 //! Exit code 0 on success, 1 with a diagnostic on the first violation.
 
@@ -253,17 +251,18 @@ fn check_access_log(path: &str) -> Result<String, String> {
     ))
 }
 
-/// Per-cell bookkeeping for the `--zoo` schema.
-struct ZooCellState {
+/// Per-cell bookkeeping for the `--defense` schema.
+#[derive(Default)]
+struct GridCellState {
     next_step: Option<u64>,
     resumed: bool,
     observations: u64,
     summarized: bool,
 }
 
-/// Validates an `exp_zoo` grid log; returns (cells, summary line).
-fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
+/// Validates the text of an `exp_defense` grid log read from `path`;
+/// returns (cells, summary line).
+fn check_defense_log(path: &str, text: &str) -> Result<(usize, String), String> {
     let mut lines = text.lines().enumerate();
     let Some((_, first)) = lines.next() else {
         return Err(format!("{path} is empty"));
@@ -273,8 +272,9 @@ fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
         return Err(format!("{path} line 1 is not a manifest: {first}"));
     }
 
-    let mut cells: BTreeMap<String, ZooCellState> = BTreeMap::new();
+    let mut cells: BTreeMap<String, GridCellState> = BTreeMap::new();
     let mut events = 0u64;
+    let mut summaries = 0u64;
     for (lineno, line) in lines {
         let at = |msg: String| format!("{path} line {}: {msg}", lineno + 1);
         let value = json::parse(line).map_err(|err| at(err.to_string()))?;
@@ -282,7 +282,7 @@ fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| at("no string `type` field".into()))?;
-        if !kind.starts_with("zoo_") {
+        if kind != "defense_cell" && !kind.starts_with("zoo_") {
             continue; // metrics/... trailers only need to parse
         }
         events += 1;
@@ -292,29 +292,24 @@ fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| at(format!("{kind} event without numeric `{name}`")))
         };
-        let cell_key = {
-            let mut parts = Vec::new();
-            for label in ["attack", "ranker", "n", "t", "transport"] {
-                let v = value
-                    .get(label)
-                    .ok_or_else(|| at(format!("{kind} event without `{label}` label")))?;
-                parts.push(match v {
-                    Json::Str(s) => s.clone(),
-                    other => other.render(),
-                });
-            }
-            parts.join("|")
-        };
-        let state = cells.entry(cell_key.clone()).or_insert(ZooCellState {
-            next_step: None,
-            resumed: false,
-            observations: 0,
-            summarized: false,
-        });
-        if state.summarized && kind != "zoo_cell" {
-            return Err(at(format!(
-                "cell `{cell_key}` logged {kind} after its zoo_cell summary"
-            )));
+        let mut parts = Vec::new();
+        for label in ["attack", "defense", "ranker", "n", "t", "transport"] {
+            let v = value
+                .get(label)
+                .ok_or_else(|| at(format!("{kind} event without `{label}` label")))?;
+            parts.push(match v {
+                Json::Str(s) => s.clone(),
+                other => other.render(),
+            });
+        }
+        let cell_key = parts.join("|");
+        let state = cells.entry(cell_key.clone()).or_default();
+        if state.summarized {
+            return Err(at(if kind == "defense_cell" {
+                format!("cell `{cell_key}` summarized twice")
+            } else {
+                format!("cell `{cell_key}` logged {kind} after its defense_cell summary")
+            }));
         }
         match kind {
             "zoo_step" => {
@@ -352,11 +347,9 @@ fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
                 field("step")?;
                 field("bytes")?;
             }
-            "zoo_cell" => {
-                if state.summarized {
-                    return Err(at(format!("cell `{cell_key}` summarized twice")));
-                }
+            "defense_cell" => {
                 state.summarized = true;
+                summaries += 1;
                 let steps = field("steps")?;
                 let observations = field("observations")?;
                 let budget = field("budget_observations")?;
@@ -387,127 +380,62 @@ fn check_zoo_log(path: &str) -> Result<(usize, String), String> {
                 }
                 // The n/t labels ARE the declared budget: the guard
                 // must have kept the peaks inside them.
-                let n = value.get("n").and_then(Json::as_u64).unwrap_or(0);
-                let t = value.get("t").and_then(Json::as_u64).unwrap_or(0);
+                let (n, t) = (field("n")?, field("t")?);
                 if peak_n > n || peak_t > t {
                     return Err(at(format!(
                         "cell `{cell_key}` peaks {peak_n}x{peak_t} exceed the \
                          declared {n}x{t} budget"
                     )));
                 }
+                let offered = field("offered")?;
+                let admitted = field("admitted")?;
+                let flagged = field("flagged")?;
+                let rate_limited = field("rate_limited")?;
+                let throttled = field("throttled")?;
+                let rejected = flagged + rate_limited + throttled;
+                if admitted + rejected != offered {
+                    return Err(at(format!(
+                        "cell `{cell_key}` verdict counts do not balance the ledger: \
+                         admitted {admitted} + flagged {flagged} + rate_limited {rate_limited} \
+                         + throttled {throttled} != offered {offered}"
+                    )));
+                }
+                // A rejection in an undefended cell means verdicts
+                // leaked from another cell's stack.
+                if parts[1] == "none" && rejected != 0 {
+                    return Err(at(format!(
+                        "undefended cell `{cell_key}` rejected {rejected} trajectorie(s)"
+                    )));
+                }
+                for name in ["precision", "recall", "organic_fpr"] {
+                    let v = value
+                        .get(name)
+                        .and_then(Json::as_f64)
+                        .ok_or_else(|| at(format!("defense_cell without numeric `{name}`")))?;
+                    if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+                        return Err(at(format!("`{name}` = {v} is not a probability in [0, 1]")));
+                    }
+                }
             }
             other => return Err(at(format!("unknown zoo event type `{other}`"))),
         }
     }
-    for (cell_key, state) in &cells {
-        if !state.summarized {
-            return Err(format!(
-                "{path}: cell `{cell_key}` logged events but no zoo_cell summary"
-            ));
-        }
-    }
-    Ok((
-        cells.len(),
-        format!("zoo log OK — {events} event(s), {} cell(s)", cells.len()),
-    ))
-}
-
-/// Validates an `exp_defense` matrix log; returns (cells, summary).
-///
-/// Every cell (`attack` × `defense` × `ranker` × `transport`) must
-/// summarize exactly once, its verdict counts must balance against the
-/// stack's ledger, and its detection-quality fields must be sane
-/// probabilities. Undefended cells must reject nothing — a nonzero
-/// rejection count under `defense == "none"` means verdicts leaked
-/// from another cell's stack.
-fn check_defense_log(path: &str) -> Result<(usize, String), String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-    let mut lines = text.lines().enumerate();
-    let Some((_, first)) = lines.next() else {
-        return Err(format!("{path} is empty"));
-    };
-    let manifest = json::parse(first).map_err(|err| format!("{path} line 1: {err}"))?;
-    if manifest.get("type").and_then(Json::as_str) != Some("manifest") {
-        return Err(format!("{path} line 1 is not a manifest: {first}"));
-    }
-
-    let mut cells: BTreeMap<String, u64> = BTreeMap::new();
-    let mut events = 0u64;
-    for (lineno, line) in lines {
-        let at = |msg: String| format!("{path} line {}: {msg}", lineno + 1);
-        let value = json::parse(line).map_err(|err| at(err.to_string()))?;
-        let kind = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| at("no string `type` field".into()))?;
-        if kind != "defense_cell" {
-            continue; // metrics/... trailers only need to parse
-        }
-        events += 1;
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| at(format!("defense_cell without numeric `{name}`")))
-        };
-        let ratio = |name: &str| {
-            let v = value
-                .get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| at(format!("defense_cell without numeric `{name}`")))?;
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(at(format!("`{name}` = {v} is not a probability in [0, 1]")));
-            }
-            Ok(v)
-        };
-        let mut parts = Vec::new();
-        for label in ["attack", "defense", "ranker", "transport"] {
-            let v = value
-                .get(label)
-                .and_then(Json::as_str)
-                .ok_or_else(|| at(format!("defense_cell without `{label}` label")))?;
-            parts.push(v.to_string());
-        }
-        let defense = parts[1].clone();
-        let cell_key = parts.join("|");
-        let count = cells.entry(cell_key.clone()).or_insert(0);
-        *count += 1;
-        if *count > 1 {
-            return Err(at(format!("cell `{cell_key}` summarized twice")));
-        }
-        let offered = field("offered")?;
-        let admitted = field("admitted")?;
-        let flagged = field("flagged")?;
-        let rate_limited = field("rate_limited")?;
-        let throttled = field("throttled")?;
-        let rejected = flagged + rate_limited + throttled;
-        if admitted + rejected != offered {
-            return Err(at(format!(
-                "cell `{cell_key}` verdict counts do not balance the ledger: \
-                 admitted {admitted} + flagged {flagged} + rate_limited {rate_limited} \
-                 + throttled {throttled} != offered {offered}"
-            )));
-        }
-        if defense == "none" && rejected != 0 {
-            return Err(at(format!(
-                "undefended cell `{cell_key}` rejected {rejected} trajectorie(s)"
-            )));
-        }
-        ratio("precision")?;
-        ratio("recall")?;
-        ratio("organic_fpr")?;
+    if let Some((cell_key, _)) = cells.iter().find(|(_, state)| !state.summarized) {
+        return Err(format!(
+            "{path}: cell `{cell_key}` logged events but no defense_cell summary"
+        ));
     }
     if cells.is_empty() {
         return Err(format!("{path} has no defense_cell summaries"));
     }
     Ok((
         cells.len(),
-        format!("defense log OK — {events} cell summarie(s)"),
+        format!("defense log OK — {events} event(s), {summaries} cell summarie(s)"),
     ))
 }
 
 fn main() -> ExitCode {
-    let usage = "usage: validate_jsonl [<run.jsonl>] [--zoo] [--defense] [--expect-steps N] \
+    let usage = "usage: validate_jsonl [<run.jsonl>] [--defense] [--expect-steps N] \
                  [--expect-cells N] [--trace FILE] [--access-log FILE]";
     let mut args = std::env::args().skip(1);
     let Some(first) = args.next() else {
@@ -517,7 +445,6 @@ fn main() -> ExitCode {
     let mut expect_cells: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut access_path: Option<String> = None;
-    let mut zoo = false;
     let mut defense = false;
     let path = if first == "--trace" || first == "--access-log" {
         match args.next() {
@@ -531,7 +458,6 @@ fn main() -> ExitCode {
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--zoo" => zoo = true,
             "--defense" => defense = true,
             "--trace" => match args.next() {
                 Some(p) => trace_path = Some(p),
@@ -572,14 +498,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     };
 
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(err) => return fail(format!("cannot read {path}: {err}")),
+    };
     if defense {
-        if zoo || expect_steps.is_some() {
+        if expect_steps.is_some() {
             return fail(
-                "--defense validates cell summaries only; not valid with --zoo or --expect-steps"
-                    .into(),
+                "--expect-steps is per-family in an attack grid; not valid with --defense".into(),
             );
         }
-        let (cells, summary) = match check_defense_log(&path) {
+        let (cells, summary) = match check_defense_log(&path, &text) {
             Ok(result) => result,
             Err(err) => return fail(err),
         };
@@ -597,32 +526,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if zoo {
-        if expect_steps.is_some() {
-            return fail("--expect-steps is per-family in a zoo grid; not valid with --zoo".into());
-        }
-        let (cells, summary) = match check_zoo_log(&path) {
-            Ok(result) => result,
-            Err(err) => return fail(err),
-        };
-        if let Some(want) = expect_cells {
-            if cells != want {
-                return fail(format!("{cells} zoo cell(s) logged, expected {want}"));
-            }
-        }
-        let extra: String = [trace_summary, access_summary]
-            .into_iter()
-            .flatten()
-            .map(|s| format!(", {s}"))
-            .collect();
-        println!("validate_jsonl: OK — {summary}{extra}");
-        return ExitCode::SUCCESS;
-    }
-
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => return fail(format!("cannot read {path}: {err}")),
-    };
     if text.lines().next().is_none() {
         return fail(format!("{path} is empty"));
     }
@@ -747,4 +650,186 @@ fn main() -> ExitCode {
             .collect::<String>(),
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_defense_log;
+
+    /// The labels of one `Popular × ItemPop × local` cell.
+    fn cell(defense: &str, n: u64, t: u64) -> String {
+        format!(
+            r#""attack":"Popular","defense":"{defense}","ranker":"ItemPop","n":{n},"t":{t},"transport":"local""#
+        )
+    }
+
+    fn step(cell: &str, step: u64, observations: u64) -> String {
+        format!(r#"{{"type":"zoo_step",{cell},"step":{step},"observations":{observations}}}"#)
+    }
+
+    /// A `defense_cell` summary; the defaults describe a valid cell of
+    /// a 4x6 budget whose attacker offered two trajectories.
+    struct Summary {
+        steps: u64,
+        observations: u64,
+        budget: u64,
+        peaks: (u64, u64),
+        offered: u64,
+        admitted: u64,
+        flagged: u64,
+    }
+
+    impl Summary {
+        fn new(steps: u64, observations: u64) -> Self {
+            Summary {
+                steps,
+                observations,
+                budget: observations,
+                peaks: (4, 6),
+                offered: 2,
+                admitted: 2,
+                flagged: 0,
+            }
+        }
+
+        fn line(&self, cell: &str) -> String {
+            format!(
+                r#"{{"type":"defense_cell",{cell},"steps":{},"observations":{},"budget_observations":{},"peak_fake_users":{},"peak_clicks_per_user":{},"offered":{},"admitted":{},"flagged":{},"rate_limited":0,"throttled":0,"recall":0,"precision":1,"organic_fpr":0}}"#,
+                self.steps,
+                self.observations,
+                self.budget,
+                self.peaks.0,
+                self.peaks.1,
+                self.offered,
+                self.admitted,
+                self.flagged,
+            )
+        }
+    }
+
+    fn check(lines: &[String]) -> Result<usize, String> {
+        let mut text = String::from(r#"{"type":"manifest","experiment":"defense"}"#);
+        for line in lines {
+            text.push('\n');
+            text.push_str(line);
+        }
+        check_defense_log("grid.jsonl", &text).map(|(cells, _)| cells)
+    }
+
+    fn rejects(lines: &[String], needle: &str) {
+        match check(lines) {
+            Ok(cells) => panic!("accepted a faulty log ({cells} cells)"),
+            Err(err) => assert!(err.contains(needle), "wrong diagnostic: {err}"),
+        }
+    }
+
+    #[test]
+    fn accepts_a_log_with_two_budgets() {
+        let (small, large) = (cell("lof", 4, 6), cell("lof", 6, 6));
+        let lines = [
+            step(&small, 0, 1),
+            step(&large, 0, 1),
+            step(&small, 1, 2),
+            step(&large, 1, 2),
+            Summary::new(2, 2).line(&small),
+            Summary::new(2, 2).line(&large),
+        ];
+        assert_eq!(check(&lines), Ok(2));
+    }
+
+    #[test]
+    fn accepts_a_resumed_cell() {
+        let c = cell("none", 4, 6);
+        let summary = Summary {
+            offered: 0,
+            admitted: 0,
+            ..Summary::new(4, 4)
+        };
+        // The first run's log: killed after the checkpoint of two steps.
+        let first = [
+            step(&c, 0, 1),
+            step(&c, 1, 2),
+            format!(r#"{{"type":"zoo_checkpoint",{c},"step":2,"bytes":64}}"#),
+        ];
+        // The second run's log starts where the checkpoint stopped.
+        let second = [
+            format!(r#"{{"type":"zoo_resumed",{c},"step":2}}"#),
+            step(&c, 2, 3),
+            step(&c, 3, 4),
+            summary.line(&c),
+        ];
+        assert_eq!(check(&second), Ok(1));
+        assert_eq!(check(&[&first[..], &second[..]].concat()), Ok(1));
+    }
+
+    #[test]
+    fn rejects_a_step_gap() {
+        let c = cell("lof", 4, 6);
+        let lines = [step(&c, 0, 1), step(&c, 2, 2), Summary::new(3, 2).line(&c)];
+        rejects(&lines, "expected 1");
+    }
+
+    #[test]
+    fn rejects_a_second_summary() {
+        let c = cell("lof", 4, 6);
+        let lines = [
+            step(&c, 0, 1),
+            Summary::new(1, 1).line(&c),
+            Summary::new(1, 1).line(&c),
+        ];
+        rejects(&lines, "summarized twice");
+    }
+
+    #[test]
+    fn rejects_observations_over_budget() {
+        let c = cell("lof", 4, 6);
+        let summary = Summary {
+            budget: 1,
+            ..Summary::new(2, 2)
+        };
+        let lines = [step(&c, 0, 1), step(&c, 1, 2), summary.line(&c)];
+        rejects(&lines, "over its declared budget");
+    }
+
+    #[test]
+    fn rejects_peaks_over_n_by_t() {
+        let c = cell("lof", 4, 6);
+        for peaks in [(5, 6), (4, 7)] {
+            let summary = Summary {
+                peaks,
+                ..Summary::new(1, 1)
+            };
+            rejects(
+                &[step(&c, 0, 1), summary.line(&c)],
+                "exceed the declared 4x6",
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_an_unbalanced_ledger() {
+        let c = cell("lof", 4, 6);
+        let summary = Summary {
+            offered: 3,
+            ..Summary::new(1, 1)
+        };
+        rejects(&[step(&c, 0, 1), summary.line(&c)], "do not balance");
+    }
+
+    #[test]
+    fn rejects_an_undefended_cell_that_rejects() {
+        let c = cell("none", 4, 6);
+        let summary = Summary {
+            admitted: 1,
+            flagged: 1,
+            ..Summary::new(1, 1)
+        };
+        rejects(&[step(&c, 0, 1), summary.line(&c)], "undefended cell");
+    }
+
+    #[test]
+    fn rejects_a_stepping_cell_without_summary() {
+        let c = cell("lof", 4, 6);
+        rejects(&[step(&c, 0, 1)], "no defense_cell summary");
+    }
 }

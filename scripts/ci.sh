@@ -114,55 +114,25 @@ cargo run --release -p bench --bin exp_fig4 -- \
 cargo run --release -p telemetry --bin validate_jsonl -- --trace "$trace_dir/trace.json"
 cargo run --release -p telemetry --bin trace_report -- "$trace_dir/trace.json" >/dev/null
 
-echo "==> serve smoke (over-the-wire attack cell + load grid + access log)"
-# exp_serve replays a tiny fig-4 cell through RemoteSystem over a real
-# socket (asserting bit-identical rewards), sweeps a connections load
-# grid on persistent keep-alive connections (asserting zero non-200s
-# and no reconnect-per-request), churns retrains under read load, and
-# shuts down gracefully — its exit code is non-zero if any accepted
-# request was dropped. The access log it leaves behind must validate,
-# including the per-event lag_micros field.
-serve_dir="$smoke_dir/serve"
-mkdir -p "$serve_dir"
-SERVE_CONNS_GRID=2 SERVE_REQUESTS=60 SERVE_IDLE_CONNS=0 \
-SERVE_ACCESS_LOG="$serve_dir/access.jsonl" \
-cargo run --release -p bench --bin exp_serve -- \
-    --scale 0.02 --steps 1 --episodes 2 --attackers 4 --trajectory 5 \
-    --dim 8 --eval-users 8 --rankers itempop --threads 2 \
-    --out "$serve_dir" >/dev/null
-cargo run --release -p telemetry --bin validate_jsonl -- \
-    --access-log "$serve_dir/access.jsonl"
-
-echo "==> high-connection smoke (1k idle keep-alive conns on the event loop)"
-# The event loop holds 1k idle keep-alive connections on its fixed
-# thread set while the grid and retrain churn run; the access log must
-# still validate (per-conn clocks monotone).
-many_dir="$smoke_dir/many_conns"
-mkdir -p "$many_dir"
-SERVE_CONNS_GRID=2 SERVE_REQUESTS=40 SERVE_IDLE_CONNS=1000 \
-SERVE_ACCESS_LOG="$many_dir/access.jsonl" \
-cargo run --release -p bench --bin exp_serve -- \
-    --scale 0.02 --steps 1 --episodes 2 --attackers 4 --trajectory 5 \
-    --dim 8 --eval-users 8 --rankers itempop --threads 2 \
-    --out "$many_dir" >/dev/null
-cargo run --release -p telemetry --bin validate_jsonl -- \
-    --access-log "$many_dir/access.jsonl"
-
-echo "==> live-metrics smoke (/metrics scrapes against the real binary)"
-# The serve binary up on a real socket, driven over its stdin protocol:
-# obs_top scrapes /metrics in Prometheus text twice (validate_prom
-# checks exposition well-formedness on each and cumulative-series
-# monotonicity across the pair), once with ?window=5 (the narrowed
-# window must label every windowed series), and once as the JSON
-# table render. A "quit" line then shuts the server down gracefully
-# (exit 0 == nothing dropped) and the access log's drop accounting
-# must balance.
+echo "==> live-metrics smoke (/metrics scrapes + judged feedback against the real binary)"
+# The serve binary (defense `full`) up on a real socket, driven over its
+# stdin protocol: obs_top scrapes /metrics in Prometheus text twice
+# (validate_prom checks exposition well-formedness on each and
+# cumulative-series monotonicity across the pair), once with ?window=5
+# (the narrowed window must label every windowed series), and once as
+# the JSON table render. One POST /feedback (judged at admission) and
+# one POST /retrain go over bash's /dev/tcp. A "quit" line then shuts
+# the server down gracefully (exit 0 == nothing dropped); the access
+# log must hold the judged feedback line, and its verdict vocabulary,
+# queue-depth bracket and drop accounting must validate. Last, the
+# plane on/off read-latency gate (plane_overhead) re-runs under
+# release codegen, which is what the server runs.
 live_dir="$smoke_dir/live_metrics"
 mkdir -p "$live_dir"
 mkfifo "$live_dir/stdin.fifo"
 ./target/release/serve \
     --dataset steam --scale 0.02 --ranker ItemPop --port 0 \
-    --threads 2 --eval-users 8 \
+    --threads 2 --eval-users 8 --defense full \
     --access-log "$live_dir/access.jsonl" \
     < "$live_dir/stdin.fifo" > "$live_dir/serve.out" &
 serve_pid=$!
@@ -187,43 +157,56 @@ grep -q 'window="5"' "$live_dir/scrape_w5.prom" \
     > "$live_dir/table.txt"
 grep -q 'windowed histograms' "$live_dir/table.txt" \
     || { echo "obs_top table render missing windowed histograms"; exit 1; }
+post() { # PATH BODY: one Connection: close request; must answer 200
+    exec 8<>"/dev/tcp/${addr%:*}/${addr##*:}"
+    printf 'POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n' "$1" "$addr" >&8
+    printf 'Content-Length: %d\r\nConnection: close\r\n\r\n%s' "${#2}" "$2" >&8
+    local response
+    response="$(cat <&8)"
+    exec 8<&-
+    case "$response" in
+        'HTTP/1.1 200 '*) ;;
+        *) echo "POST $1 answered: ${response%%$'\r'*}"; exit 1 ;;
+    esac
+}
+post /feedback '{"trajectories":[[3,1,4,1,5]]}'
+post /retrain ''
 echo quit >&9
 exec 9>&-
 wait "$serve_pid" || { echo "serve bin exited non-zero (dropped requests?)"; exit 1; }
+grep -q '"verdict"' "$live_dir/access.jsonl" \
+    || { echo "access log holds no judged feedback line"; exit 1; }
 cargo run --release -p telemetry --bin validate_jsonl -- \
     --access-log "$live_dir/access.jsonl"
+cargo test -q --release -p serve --test plane_overhead
 
-echo "==> attack zoo smoke (tiny grid, one cell per family, local + wire)"
-# exp_zoo drives every registered attack family through the shared
-# run_attack lifecycle on one tiny cell each — in-process AND through
-# RemoteSystem over a real socket, asserting the two are bit-identical
-# per cell. The zoo telemetry log must validate under the zoo schema
-# (gap-free steps per cell, observations within the declared budget,
-# injection peaks within N x T, one summary per cell).
+echo "==> defense smoke (attack zoo + attack x defense matrix, both transports + CSV lift gate)"
+# exp_defense runs every cell in-process AND over the wire, asserting
+# bit-identical histories/poison/RecNum and verdict ledgers between the
+# transports. Its telemetry log must validate under the one grid schema:
+# gap-free steps per cell, observations within the declared budget,
+# injection peaks within N x T, exactly one defense_cell per cell x
+# transport, balanced verdict ledgers, finite rates, none-cells reject
+# nothing.
+# First the attack zoo (the `none` row alone): every registered family
+# on one tiny cell each.
 zoo_dir="$smoke_dir/zoo"
 mkdir -p "$zoo_dir"
-ZOO_BUDGETS=4x6 ZOO_TRANSPORT=both \
-ZOO_APPGRAD_ITERS=2 ZOO_INFLUENCE_ROUNDS=2 \
-cargo run --release -p bench --bin exp_zoo -- \
+DEF_DEFENSES=none DEF_BUDGETS=4x6 DEF_TRANSPORT=both \
+DEF_APPGRAD_ITERS=2 DEF_INFLUENCE_ROUNDS=2 \
+cargo run --release -p bench --bin exp_defense -- \
     --scale 0.02 --steps 2 --episodes 4 --attackers 4 --trajectory 6 \
     --dim 8 --eval-users 16 --rankers itempop --datasets steam \
     --out "$zoo_dir" --telemetry "$zoo_dir/zoo.jsonl" >/dev/null
-# 8 families x 2 transports.
+# 8 families x 2 transport legs.
 cargo run --release -p telemetry --bin validate_jsonl -- \
-    "$zoo_dir/zoo.jsonl" --zoo --expect-cells 16
-
-echo "==> defense smoke (attack x defense matrix, both transports + CSV lift gate)"
-# exp_defense runs the Popular family against all five defense kinds
-# (undefended `none` first as the lift baseline), each cell in-process
-# AND over the wire, asserting bit-identical histories/poison/RecNum
-# and verdict ledgers between the transports. The committed smoke
-# config (Steam 0.1 x CoVisitation, N=16 T=20) is the acceptance
-# setting from DESIGN.md §5j: the undefended lift is large enough
-# (RecNum 29) that every layered kind must show positive lift
-# degradation at <= 5% organic FPR — the awk gate below enforces
-# exactly that from the CSV. The telemetry log must validate under the
-# defense schema (one defense_cell per cell x transport, balanced
-# verdict ledgers, finite rates, none-cells reject nothing).
+    "$zoo_dir/zoo.jsonl" --defense --expect-cells 16
+# Then the Popular family against all five defense kinds (undefended
+# `none` first as the lift baseline). The committed smoke config
+# (Steam 0.1 x CoVisitation, N=16 T=20) is the acceptance setting from
+# DESIGN.md §5j: the undefended lift is large enough (RecNum 29) that
+# every layered kind must show positive lift degradation at <= 5%
+# organic FPR — the awk gate below enforces exactly that from the CSV.
 def_dir="$smoke_dir/defense"
 mkdir -p "$def_dir"
 DEF_ATTACKS=popular DEF_BUDGETS=16x20 DEF_TRANSPORT=both \
@@ -250,7 +233,7 @@ awk -F, '
         if (kinds != 4) { print "defense smoke: expected 4 layered kinds, saw " kinds; bad = 1 }
         exit bad
     }
-' "$def_dir/defense.csv"
+' "$def_dir/defense_matrix.csv"
 
 echo "==> conformance gate (release)"
 # One gate, re-proven under release codegen, which is what the
