@@ -23,6 +23,7 @@
 //! simulates a crash after the K-th ranker.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use analysis::{write_text, Table};
 use baselines::{AttackFamily, ZooTuning};
@@ -30,7 +31,7 @@ use bench::ExpArgs;
 use datasets::PaperDataset;
 use poisonrec::checkpoint::{atomic_write, fnv1a64, seal, unseal};
 use runtime::FaultPlan;
-use telemetry::{Json, Stopwatch};
+use telemetry::Json;
 use tensor::util::{mean, std_dev};
 use tensor::wire::{Reader, Writer};
 
@@ -147,7 +148,7 @@ fn main() {
                     return rec_num as f32;
                 }
                 let (system, poison) = cell.as_ref().expect("built when any rep is missing");
-                let watch = Stopwatch::start();
+                let watch = Instant::now();
                 let rec_num = system.inject_and_observe_seeded(poison, 500 + rep);
                 if let Some(sink) = &sink {
                     let event = Json::obj()
@@ -155,7 +156,7 @@ fn main() {
                         .field("ranker", ranker.name())
                         .field("rep", rep)
                         .field("rec_num", u64::from(rec_num))
-                        .field("observe_secs", watch.elapsed_secs());
+                        .field("observe_secs", watch.elapsed().as_secs_f64());
                     sink.emit(&event).expect("telemetry observation write");
                 }
                 progress.insert(key, rec_num);

@@ -25,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use recsys::system::{ConfigError, ObservableSystem};
 use recsys::Trajectory;
-use telemetry::{Json, JsonlSink, Stopwatch};
+use telemetry::{Json, JsonlSink};
 use tensor::wire::Codec;
 
 use crate::action::{ActionSpace, ActionSpaceKind};
@@ -338,25 +338,21 @@ impl PoisonRecTrainer {
         // Sample phase (sequential): the only consumer of the trainer
         // RNG, so the policy's sampling stream never depends on how
         // the scoring phase is scheduled.
-        let sample_watch = Stopwatch::start();
-        let sample_span = telemetry::trace::span("sample", "trainer");
+        let sample_span = telemetry::span!("trainer", "sample");
         let mut episodes: Vec<Episode> = (0..m)
             .map(|_| self.policy.sample_episode(&self.space, &mut self.rng))
             .collect();
-        drop(sample_span);
-        let sample_secs = sample_watch.elapsed_secs();
+        let sample_secs = sample_span.finish();
 
         // Scoring phase (parallel): M independent system retrains.
-        let score_watch = Stopwatch::start();
-        let score_span = telemetry::trace::span("score", "trainer");
+        let score_span = telemetry::span!("trainer", "score");
         let batch: Vec<&[Trajectory]> =
             episodes.iter().map(|e| e.trajectories.as_slice()).collect();
         let observations = system.observe_batch(&batch, self.cfg.threads);
         for (ep, obs) in episodes.iter_mut().zip(&observations) {
             ep.reward = obs.rec_num as f32;
         }
-        drop(score_span);
-        let score_secs = score_watch.elapsed_secs();
+        let score_secs = score_span.finish();
         self.observations += observations.len() as u64;
 
         // Track the step's champion by index; clone at most once per
@@ -377,8 +373,7 @@ impl PoisonRecTrainer {
             }
         }
 
-        let update_watch = Stopwatch::start();
-        let update_span = telemetry::trace::span("update", "trainer");
+        let update_span = telemetry::span!("trainer", "update");
         let mut signal_sum = 0.0f32;
         for _ in 0..self.cfg.ppo.epochs {
             let mut idx: Vec<usize> = (0..episodes.len()).collect();
@@ -395,9 +390,7 @@ impl PoisonRecTrainer {
                 .updater
                 .update_batch(&mut self.policy, &batch, &advantages);
         }
-
-        drop(update_span);
-        let update_secs = update_watch.elapsed_secs();
+        let update_secs = update_span.finish();
 
         let rewards: Vec<f32> = episodes.iter().map(|e| e.reward).collect();
         let num_items = system.public_info().num_items;
@@ -417,13 +410,6 @@ impl PoisonRecTrainer {
             observations: self.observations,
         };
         telemetry::metrics::counter("trainer_steps_total").inc();
-        for (name, secs) in [
-            ("trainer_sample_seconds", sample_secs),
-            ("trainer_score_seconds", score_secs),
-            ("trainer_update_seconds", update_secs),
-        ] {
-            telemetry::metrics::histogram(name, &telemetry::TIME_BUCKETS).record(secs);
-        }
         if let Some(logger) = &self.logger {
             logger.log(&stats);
         }

@@ -366,14 +366,13 @@ impl BlackBoxSystem {
     ///
     /// Telemetry: each call bumps the global `system_observations_total`
     /// counter (the attack's query budget — every RL reward costs
-    /// exactly one of these) and records the retrain and full
-    /// observation durations into `system_retrain_seconds` /
+    /// exactly one of these), and its `retrain` and `observe` spans
+    /// record into `system_retrain_seconds` /
     /// `system_observe_seconds`. Pure metrics side-channel: no RNG is
     /// touched, so observations stay bit-identical with or without a
     /// metrics reader.
     fn observe_core(&self, poison: &[Trajectory], seed: u64, with_lists: bool) -> Observation {
-        let _observe_span = telemetry::Span::enter("system_observe_seconds");
-        let _observe_trace = telemetry::trace::span("observe", "system");
+        let _observe_span = telemetry::span!("system", "observe");
         telemetry::metrics::counter("system_observations_total").inc();
         // Observation generation numbers are never published, so tag 0.
         let snapshot = self.fine_tuned_snapshot(poison, seed, 0);
@@ -401,12 +400,9 @@ impl BlackBoxSystem {
     ) -> RankerSnapshot {
         let mut ranker = self.clean.boxed_clone();
         let view = LogView::new(&self.base, poison);
-        let retrain = telemetry::Stopwatch::start();
-        let retrain_trace = telemetry::trace::span("retrain", "system");
+        let retrain_span = telemetry::span!("system", "retrain");
         ranker.fine_tune(&view, seed);
-        drop(retrain_trace);
-        telemetry::metrics::histogram("system_retrain_seconds", &telemetry::TIME_BUCKETS)
-            .record(retrain.elapsed_secs());
+        drop(retrain_span);
         RankerSnapshot::new(ranker, generation, seed, self.base.num_users())
     }
 

@@ -29,15 +29,14 @@
 //!
 //! The pool reports into the global [`telemetry`] registry:
 //! `runtime_jobs_total` (jobs executed, on any thread),
-//! `runtime_batches_total` / `runtime_batch_seconds` (per-`run` count
-//! and wall time), and the `runtime_queue_depth` gauge (helper runners
-//! currently parked in the shared queue). All are atomics on the
-//! already-cold batch paths; job results are unaffected.
-//!
-//! When hierarchical tracing is enabled (`telemetry::trace`), every
-//! `run` opens a `batch` span on the caller's track and every claimed
-//! job a `job` span on whichever thread ran it — so worker activity
-//! shows up on per-worker tracks in the Chrome trace (DESIGN.md §5d).
+//! `runtime_batches_total` (per-`run` count), and the
+//! `runtime_queue_depth` gauge (helper runners currently parked in the
+//! shared queue). Every `run` is a `batch` span on the caller's thread
+//! and every claimed job a `job` span on whichever thread ran it, so
+//! their wall times land in `runtime_batch_seconds` /
+//! `runtime_job_seconds` and, when tracing is enabled
+//! (`telemetry::trace`), worker activity shows up on per-worker tracks
+//! in the Chrome trace (DESIGN.md §5d). Job results are unaffected.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -135,7 +134,7 @@ impl<T: Send> Batch<'_, T> {
                 // On a worker the span lands on that worker's trace
                 // track ("runtime-worker-N"); on the caller-helps lane
                 // it nests under whatever span the caller has open.
-                let _job_span = telemetry::trace::span("job", "runtime");
+                let _job_span = telemetry::span!("runtime", "job");
                 if let Some(plan) = &faults {
                     plan.on_unit();
                 }
@@ -283,8 +282,7 @@ impl WorkerPool {
             return Vec::new();
         }
         telemetry::metrics::counter("runtime_batches_total").inc();
-        let _batch_span = telemetry::Span::enter("runtime_batch_seconds");
-        let _batch_trace = telemetry::trace::span("batch", "runtime");
+        let _batch_span = telemetry::span!("runtime", "batch");
         let threads = threads.max(1).min(n);
         let batch = Arc::new(Batch {
             jobs: jobs.into_iter().map(|j| Mutex::new(Some(j))).collect(),
@@ -476,7 +474,7 @@ mod tests {
         pool.run(3, jobs_squaring(12));
         assert!(jobs.get() >= jobs_before + 12);
         assert!(batches.get() > batches_before);
-        let snap = telemetry::metrics::snapshot();
+        let snap = telemetry::metrics::snapshot(None);
         assert!(snap.counter("runtime_jobs_total").expect("registered") >= jobs_before + 12);
     }
 

@@ -50,7 +50,7 @@ use crate::http::Request;
 /// Exposition format for `GET /metrics`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsFormat {
-    /// The JSON snapshot (cumulative registry + `"stream"` sub-object).
+    /// The JSON document (cumulative instruments + `"stream"` sub-object).
     #[default]
     Json,
     /// Prometheus text exposition 0.0.4.
@@ -414,22 +414,15 @@ impl RecApp {
         )
     }
 
-    /// Both layers of the observability plane in one scrape: the
-    /// cumulative registry plus the streaming plane, as either the
-    /// JSON snapshot (stream views under a `"stream"` key, preserving
-    /// the pre-existing top-level shape) or Prometheus text.
+    /// The global registry in one scrape, as either the JSON document
+    /// (windowed views under a `"stream"` key) or Prometheus text.
     fn metrics(&self, format: MetricsFormat, window: Option<u32>) -> AppResponse {
-        let window_secs = window.map(f64::from);
-        let cumulative = telemetry::metrics::snapshot();
-        let stream = telemetry::stream::snapshot(window_secs);
+        let snapshot = telemetry::metrics::snapshot(window.map(f64::from));
         match format {
-            MetricsFormat::Json => AppResponse::ok(
-                cumulative.to_json().field("stream", stream.to_json()),
-                self.generation(),
-            ),
+            MetricsFormat::Json => AppResponse::ok(snapshot.to_json(), self.generation()),
             MetricsFormat::Prom => AppResponse::text(
                 "text/plain; version=0.0.4",
-                telemetry::prom::render(&cumulative, &stream),
+                telemetry::prom::render(&snapshot),
                 self.generation(),
             ),
         }

@@ -1,40 +1,39 @@
 //! # telemetry
 //!
-//! The workspace's zero-dependency observability layer. Three pieces,
-//! each usable on its own (see DESIGN.md §5b for how they are wired
-//! through the stack):
+//! The workspace's zero-dependency observability layer. Three pieces
+//! (DESIGN.md §5b wires them through the stack):
 //!
-//! * [`metrics`] — a process-wide registry of named [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and fixed-bucket [`metrics::Histogram`]s. All
-//!   instruments are lock-free atomics, cheap enough for hot paths; the
-//!   registry itself is only locked at registration and snapshot time.
-//!   [`metrics::snapshot`] returns a point-in-time copy of everything.
-//! * [`span`] — RAII timers over the monotonic clock
-//!   ([`std::time::Instant`]): a [`span::Span`] records its lifetime
-//!   into a registry histogram on drop; a [`span::Stopwatch`] is the
-//!   bare building block when the caller wants the number itself.
-//! * [`json`] + [`sink`] — a hand-rolled JSON value type with writer
+//! * One registry of named instruments, [`metrics::Registry`], with
+//!   one process-wide instance ([`metrics::global`]). It holds the
+//!   cumulative [`Counter`]s, [`Gauge`]s and fixed-bucket
+//!   [`Histogram`]s of [`metrics`] and the windowed instruments of
+//!   [`stream`] (sliding-window counters and histograms, labeled
+//!   counter families with a hard cardinality cap, CUSUM drift
+//!   detectors; DESIGN.md §5i) under one name space. Recording is
+//!   lock-free atomics; the registry is locked only at registration
+//!   and snapshot time. [`metrics::snapshot`] copies every instrument
+//!   into one [`Snapshot`], which renders as the `/metrics` JSON
+//!   document ([`Snapshot::to_json`]) or as Prometheus text
+//!   ([`prom::render`], checked by `src/bin/validate_prom.rs`).
+//! * One timer, [`Span`], opened with [`span!`]: it records its
+//!   lifetime into the histogram `{cat}_{name}_seconds` and, while
+//!   [`trace`] is enabled, begin/end events into per-thread lock-free
+//!   ring buffers, drained by [`trace::TraceCollector`] into Chrome
+//!   Trace Event Format JSON (open in Perfetto or `chrome://tracing`;
+//!   DESIGN.md §5d).
+//! * [`json`] + [`sink`]: a hand-rolled JSON value type with writer
 //!   *and* parser (the build environment has no crates.io access, so
 //!   no serde), and a thread-safe JSONL event sink built on it. Run
 //!   logs are one `manifest` line followed by per-step `event` lines;
-//!   `src/bin/validate_jsonl.rs` checks that schema and backs the CI
-//!   smoke stage.
+//!   `src/bin/validate_jsonl.rs` checks that schema.
 //!
-//! * [`trace`] — hierarchical begin/end span tracing into per-thread
-//!   lock-free ring buffers behind one process-wide enable flag,
-//!   drained by [`trace::TraceCollector`] into Chrome Trace Event
-//!   Format JSON (open in Perfetto or `chrome://tracing`). See
-//!   DESIGN.md §5d.
-//! * [`perf`] — the parent-vs-change verdict over alternated benchmark
-//!   pairs, behind `scripts/perf_pairs.sh` and the `perf_diff` bin.
-//! * [`stream`] — the streaming observability plane (DESIGN.md §5i):
-//!   sliding-window counters/histograms over a rotated bucket ring,
-//!   EWMA smoothers, CUSUM drift detectors, and labeled counter
-//!   families with a hard cardinality cap. The cumulative [`metrics`]
-//!   registry stays the "since process start" layer underneath.
-//! * [`prom`] — Prometheus text exposition over both layers, served by
-//!   `serve` at `GET /metrics?format=prom` and checked by
-//!   `src/bin/validate_prom.rs`.
+//! [`perf`] is the parent-vs-change verdict over alternated benchmark
+//! pairs, behind `scripts/perf_pairs.sh` and the `perf_diff` bin.
+//!
+//! Two switches, each off in a different default: the windowed
+//! plane's kill switch ([`stream::set_enabled`], on unless a caller
+//! measures the plane's overhead) and the trace flag
+//! ([`trace::enable`], off unless a run asks for a trace).
 //!
 //! Nothing in this crate touches any RNG: instrumentation can never
 //! perturb the workspace's determinism guarantees (only the *timing
@@ -45,16 +44,13 @@ pub mod metrics;
 pub mod perf;
 pub mod prom;
 pub mod sink;
-pub mod span;
 pub mod stream;
 pub mod trace;
 
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, Registry, Snapshot, TIME_BUCKETS};
 pub use sink::{AsyncJsonlSink, JsonlSink};
-pub use span::{Span, Stopwatch};
 pub use stream::{
-    CounterFamily, CusumConfig, DriftDetector, Ewma, StreamRegistry, StreamSnapshot, WindowSpec,
-    WindowedCounter, WindowedHistogram,
+    CounterFamily, CusumConfig, DriftDetector, WindowSpec, WindowedCounter, WindowedHistogram,
 };
-pub use trace::{TraceCollector, TraceSnapshot, TraceSpan};
+pub use trace::{Span, TraceCollector, TraceSnapshot};

@@ -1,22 +1,28 @@
-//! Process-wide metrics: counters, gauges, and fixed-bucket histograms
-//! behind a named registry.
+//! Process-wide metrics: the one named [`Registry`], and the cumulative
+//! instruments (counters, gauges, fixed-bucket histograms) it holds
+//! beside the windowed ones of [`crate::stream`].
 //!
 //! Instruments are plain atomics — incrementing a counter or recording
 //! a histogram sample is a handful of `Relaxed` atomic ops, safe to
 //! leave in per-observation hot paths. Name lookup takes the registry
 //! lock, so hot callers should resolve their handle once (an
-//! `OnceLock<Arc<Counter>>` next to the call site) and reuse it;
-//! cold callers can just call [`counter`]/[`gauge`]/[`histogram`]
-//! inline.
+//! `OnceLock<Arc<Counter>>` next to the call site, as
+//! [`span!`](crate::span) does) and reuse it; cold callers can just
+//! call [`counter`]/[`gauge`]/[`histogram`] inline.
 //!
 //! [`snapshot`] copies every instrument's current value into a plain
-//! [`Snapshot`], which renders to JSON for the run-log sink.
+//! [`Snapshot`], which renders as the `/metrics` JSON document (and
+//! the run-log trailer) or, through [`crate::prom`], as Prometheus text.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
+use crate::stream::{
+    CounterFamily, CusumConfig, DriftDetector, DriftState, WindowSpec, WindowView, WindowedCounter,
+    WindowedHistogram,
+};
 
 /// Monotone event count.
 #[derive(Debug, Default)]
@@ -195,6 +201,52 @@ enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+    WindowedCounter(Arc<WindowedCounter>),
+    WindowedHistogram(Arc<WindowedHistogram>),
+    Family(Arc<CounterFamily>),
+    Detector(Arc<DriftDetector>),
+}
+
+impl Instrument {
+    fn kind(&self) -> &'static str {
+        match self {
+            Instrument::Counter(_) => "Counter",
+            Instrument::Gauge(_) => "Gauge",
+            Instrument::Histogram(_) => "Histogram",
+            Instrument::WindowedCounter(_) => "WindowedCounter",
+            Instrument::WindowedHistogram(_) => "WindowedHistogram",
+            Instrument::Family(_) => "Family",
+            Instrument::Detector(_) => "Detector",
+        }
+    }
+
+    fn value(&self, window_secs: Option<f64>) -> MetricValue {
+        match self {
+            Instrument::Counter(c) => MetricValue::Counter(c.get()),
+            Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
+            Instrument::Histogram(h) => MetricValue::Histogram {
+                count: h.count(),
+                nan_count: h.nan_count(),
+                sum: h.sum(),
+                buckets: h.buckets(),
+            },
+            Instrument::WindowedCounter(c) => MetricValue::WindowedCounter {
+                view: window_secs.map_or_else(|| c.window(), |secs| c.window_secs(secs)),
+                stale_records: c.stale_records(),
+            },
+            Instrument::WindowedHistogram(h) => MetricValue::WindowedHistogram {
+                view: window_secs.map_or_else(|| h.window(), |secs| h.window_secs(secs)),
+                nan_count: h.nan_count(),
+                stale_records: h.stale_records(),
+            },
+            Instrument::Family(f) => MetricValue::Family {
+                label_names: f.label_names(),
+                series: f.series_snapshot(),
+                overflow_events: f.overflow_events(),
+            },
+            Instrument::Detector(d) => MetricValue::Detector(d.state()),
+        }
+    }
 }
 
 /// A point-in-time copy of one instrument's value.
@@ -208,6 +260,23 @@ pub enum MetricValue {
         sum: f64,
         buckets: Vec<(f64, u64)>,
     },
+    WindowedCounter {
+        view: WindowView,
+        stale_records: u64,
+    },
+    WindowedHistogram {
+        view: WindowView,
+        nan_count: u64,
+        stale_records: u64,
+    },
+    /// `series` holds `(label_values, cumulative_total, window_view)`,
+    /// sorted by label values.
+    Family {
+        label_names: &'static [&'static str],
+        series: Vec<(Vec<String>, u64, WindowView)>,
+        overflow_events: u64,
+    },
+    Detector(DriftState),
 }
 
 impl MetricValue {
@@ -220,7 +289,117 @@ impl MetricValue {
             _ => None,
         }
     }
+
+    /// Where the value renders: `0` for the cumulative kinds (top-level
+    /// JSON keys), `1..=4` for the windowed kinds, in the order of the
+    /// [`STREAM_SECTIONS`] under the JSON `"stream"` key. Exposition
+    /// emits kinds in this order too.
+    pub(crate) fn section(&self) -> usize {
+        match self {
+            MetricValue::Counter(_) | MetricValue::Gauge(_) | MetricValue::Histogram { .. } => 0,
+            MetricValue::WindowedCounter { .. } => 1,
+            MetricValue::WindowedHistogram { .. } => 2,
+            MetricValue::Family { .. } => 3,
+            MetricValue::Detector(_) => 4,
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        match self {
+            MetricValue::Counter(c) => Json::U64(*c),
+            MetricValue::Gauge(g) => Json::I64(*g),
+            MetricValue::Histogram {
+                count,
+                nan_count,
+                sum,
+                buckets,
+            } => {
+                let bucket_objs: Vec<Json> = buckets
+                    .iter()
+                    .map(|&(le, n)| Json::obj().field("le", le).field("count", n))
+                    .collect();
+                let quantile = |q: f64| -> Json {
+                    quantile_from_buckets(buckets, *count, q).map_or(Json::Null, Json::F64)
+                };
+                Json::obj()
+                    .field("count", *count)
+                    .field("nan_count", *nan_count)
+                    .field("sum", *sum)
+                    .field("p50", quantile(0.50))
+                    .field("p95", quantile(0.95))
+                    .field("p99", quantile(0.99))
+                    .field("buckets", Json::Arr(bucket_objs))
+            }
+            MetricValue::WindowedCounter {
+                view,
+                stale_records,
+            } => Json::obj()
+                .field("window_secs", view.window_secs)
+                .field("count", view.count)
+                .field("rate", view.rate())
+                .field("stale_records", *stale_records),
+            MetricValue::WindowedHistogram {
+                view,
+                nan_count,
+                stale_records,
+            } => {
+                let mut obj = Json::obj()
+                    .field("window_secs", view.window_secs)
+                    .field("count", view.count)
+                    .field("sum", view.sum)
+                    .field("rate", view.rate())
+                    .field("nan_count", *nan_count)
+                    .field("stale_records", *stale_records);
+                for (label, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+                    if let Some(v) = view.quantile(q) {
+                        obj = obj.field(label, v);
+                    }
+                }
+                obj
+            }
+            MetricValue::Family {
+                label_names,
+                series,
+                overflow_events,
+            } => {
+                let mut by_label = Json::obj();
+                for (values, total, view) in series {
+                    let label = label_names
+                        .iter()
+                        .zip(values)
+                        .map(|(k, v)| format!("{k}={v}"))
+                        .collect::<Vec<_>>()
+                        .join(",");
+                    by_label = by_label.field(
+                        &label,
+                        Json::obj()
+                            .field("total", *total)
+                            .field("rate", view.rate()),
+                    );
+                }
+                Json::obj()
+                    .field(
+                        "labels",
+                        Json::Arr(label_names.iter().map(|&l| Json::from(l)).collect()),
+                    )
+                    .field("series", by_label)
+                    .field("overflow_events", *overflow_events)
+            }
+            MetricValue::Detector(state) => Json::obj()
+                .field("observations", state.observations)
+                .field("mean", state.mean)
+                .field("dev", state.dev)
+                .field("s_pos", state.s_pos)
+                .field("s_neg", state.s_neg)
+                .field("alarms", state.alarms)
+                .field("drifted", state.drifted),
+        }
+    }
 }
+
+/// The keys under the JSON `"stream"` object, indexed by
+/// [`MetricValue::section`] minus one.
+const STREAM_SECTIONS: [&str; 4] = ["counters", "histograms", "families", "detectors"];
 
 /// A point-in-time copy of a whole registry, in name order.
 #[derive(Clone, Debug, Default)]
@@ -245,53 +424,62 @@ impl Snapshot {
         }
     }
 
-    /// Renders the snapshot as one JSON object keyed by metric name
-    /// (counters/gauges as numbers, histograms as
+    /// Renders the snapshot as the one JSON document `GET /metrics`
+    /// serves and run logs end with. Cumulative instruments are
+    /// top-level keys: counters and gauges as numbers, histograms as
     /// `{count, nan_count, sum, p50, p95, p99, buckets: [{le, count}]}`
-    /// — quantiles pre-computed here so readers never re-derive them
-    /// from raw buckets; they render as `null`
-    /// on an empty histogram).
+    /// (quantiles pre-computed so readers never re-derive them; `null`
+    /// on an empty histogram). The windowed instruments follow under
+    /// `"stream"`, grouped by kind into `counters`, `histograms`,
+    /// `families` and `detectors`.
     pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj();
+        let mut root = Vec::new();
+        let mut stream: [Vec<(String, Json)>; 4] = Default::default();
         for (name, value) in &self.entries {
-            let v = match value {
-                MetricValue::Counter(c) => Json::U64(*c),
-                MetricValue::Gauge(g) => Json::I64(*g),
-                MetricValue::Histogram {
-                    count,
-                    nan_count,
-                    sum,
-                    buckets,
-                } => {
-                    let bucket_objs: Vec<Json> = buckets
-                        .iter()
-                        .map(|&(le, n)| Json::obj().field("le", le).field("count", n))
-                        .collect();
-                    let quantile = |q: f64| -> Json {
-                        quantile_from_buckets(buckets, *count, q).map_or(Json::Null, Json::F64)
-                    };
-                    Json::obj()
-                        .field("count", *count)
-                        .field("nan_count", *nan_count)
-                        .field("sum", *sum)
-                        .field("p50", quantile(0.50))
-                        .field("p95", quantile(0.95))
-                        .field("p99", quantile(0.99))
-                        .field("buckets", Json::Arr(bucket_objs))
-                }
+            let section = match value.section() {
+                0 => &mut root,
+                s => &mut stream[s - 1],
             };
-            obj = obj.field(name, v);
+            section.push((name.to_string(), value.to_json()));
         }
-        obj
+        let stream = STREAM_SECTIONS
+            .iter()
+            .zip(stream)
+            .map(|(key, section)| (key.to_string(), Json::Obj(section)))
+            .collect();
+        root.push(("stream".to_string(), Json::Obj(stream)));
+        Json::Obj(root)
     }
 }
 
-/// A named set of instruments. Most code uses the process-wide
-/// [`global`] registry through the free functions below; tests build
-/// private registries to assert in isolation.
+/// A named set of instruments of every kind, one name per instrument.
+/// Most code uses the process-wide [`global`] registry through the
+/// free functions below and in [`crate::stream`]; tests build private
+/// registries to assert in isolation.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<BTreeMap<&'static str, Instrument>>,
+}
+
+/// The one fetch-or-insert path: returns the instrument `$name` of
+/// kind `$variant`, registering `$make` on first use. Re-fetching a
+/// name as a different kind panics (a code bug).
+macro_rules! fetch_or_insert {
+    ($self:ident, $name:ident, $variant:ident, $make:expr) => {{
+        let mut inner = $self.inner.lock().unwrap();
+        match inner
+            .entry($name)
+            .or_insert_with(|| Instrument::$variant(Arc::new($make)))
+        {
+            Instrument::$variant(x) => Arc::clone(x),
+            other => panic!(
+                "metric `{}` is already registered as a {}, requested a {}",
+                $name,
+                other.kind(),
+                stringify!($variant)
+            ),
+        }
+    }};
 }
 
 impl Registry {
@@ -300,62 +488,69 @@ impl Registry {
     }
 
     /// Returns the counter `name`, registering it on first use.
-    /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .entry(name)
-            .or_insert_with(|| Instrument::Counter(Arc::new(Counter::default())))
-        {
-            Instrument::Counter(c) => Arc::clone(c),
-            _ => panic!("metric `{name}` is registered as a non-counter"),
-        }
+        fetch_or_insert!(self, name, Counter, Counter::default())
     }
 
     /// Returns the gauge `name`, registering it on first use.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .entry(name)
-            .or_insert_with(|| Instrument::Gauge(Arc::new(Gauge::default())))
-        {
-            Instrument::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` is registered as a non-gauge"),
-        }
+        fetch_or_insert!(self, name, Gauge, Gauge::default())
     }
 
     /// Returns the histogram `name`, registering it with `bounds` on
     /// first use (later callers inherit the first registration's
     /// bounds).
     pub fn histogram(&self, name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .entry(name)
-            .or_insert_with(|| Instrument::Histogram(Arc::new(Histogram::new(bounds))))
-        {
-            Instrument::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` is registered as a non-histogram"),
-        }
+        fetch_or_insert!(self, name, Histogram, Histogram::new(bounds))
     }
 
-    pub fn snapshot(&self) -> Snapshot {
+    pub fn windowed_counter(&self, name: &'static str, spec: WindowSpec) -> Arc<WindowedCounter> {
+        fetch_or_insert!(self, name, WindowedCounter, WindowedCounter::new(spec))
+    }
+
+    pub fn windowed_histogram(
+        &self,
+        name: &'static str,
+        spec: WindowSpec,
+        bounds: &[f64],
+    ) -> Arc<WindowedHistogram> {
+        fetch_or_insert!(
+            self,
+            name,
+            WindowedHistogram,
+            WindowedHistogram::new(spec, bounds)
+        )
+    }
+
+    pub fn counter_family(
+        &self,
+        name: &'static str,
+        label_names: &'static [&'static str],
+        spec: WindowSpec,
+        cap: usize,
+    ) -> Arc<CounterFamily> {
+        fetch_or_insert!(
+            self,
+            name,
+            Family,
+            CounterFamily::new(name, label_names, spec, cap)
+        )
+    }
+
+    pub fn detector(&self, name: &'static str, cfg: CusumConfig) -> Arc<DriftDetector> {
+        fetch_or_insert!(self, name, Detector, DriftDetector::new(cfg))
+    }
+
+    /// Copies every instrument's current value, in name order.
+    /// `window_secs` trims the windowed views to the most recent
+    /// `ceil(secs / bucket)` buckets (clamped to the ring size); `None`
+    /// uses each instrument's full window.
+    pub fn snapshot(&self, window_secs: Option<f64>) -> Snapshot {
         let inner = self.inner.lock().unwrap();
         Snapshot {
             entries: inner
                 .iter()
-                .map(|(&name, inst)| {
-                    let value = match inst {
-                        Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                        Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Instrument::Histogram(h) => MetricValue::Histogram {
-                            count: h.count(),
-                            nan_count: h.nan_count(),
-                            sum: h.sum(),
-                            buckets: h.buckets(),
-                        },
-                    };
-                    (name, value)
-                })
+                .map(|(&name, inst)| (name, inst.value(window_secs)))
                 .collect(),
         }
     }
@@ -383,8 +578,8 @@ pub fn histogram(name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
 }
 
 /// [`Registry::snapshot`] of the [`global`] registry.
-pub fn snapshot() -> Snapshot {
-    global().snapshot()
+pub fn snapshot(window_secs: Option<f64>) -> Snapshot {
+    global().snapshot(window_secs)
 }
 
 #[cfg(test)]
@@ -430,7 +625,7 @@ mod tests {
         reg.counter("a").add(3);
         reg.gauge("b").set(9);
         reg.histogram("c", &TIME_BUCKETS).record(0.2);
-        let snap = reg.snapshot();
+        let snap = reg.snapshot(None);
         assert_eq!(snap.counter("a"), Some(3));
         assert_eq!(snap.get("b"), Some(&MetricValue::Gauge(9)));
         match snap.get("c") {
@@ -446,11 +641,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-counter")]
+    #[should_panic(expected = "already registered as a Gauge, requested a Counter")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
         reg.gauge("x");
         reg.counter("x");
+    }
+
+    /// One name space across cumulative and windowed kinds: a name
+    /// taken by a counter cannot come back as a windowed counter.
+    #[test]
+    #[should_panic(expected = "already registered as a Counter, requested a WindowedCounter")]
+    fn cumulative_and_windowed_kinds_share_one_name_space() {
+        let reg = Registry::new();
+        reg.counter("x");
+        reg.windowed_counter("x", crate::stream::DEFAULT_WINDOW);
     }
 
     #[test]
@@ -471,7 +676,7 @@ mod tests {
             vec![0, 2, 0],
             "NaN must not occupy any bucket"
         );
-        match reg.snapshot().get("lat") {
+        match reg.snapshot(None).get("lat") {
             Some(MetricValue::Histogram {
                 count, nan_count, ..
             }) => {
@@ -505,7 +710,7 @@ mod tests {
         assert_eq!(o.quantile(0.5), Some(1.0));
 
         // Snapshot JSON carries the pre-computed quantiles.
-        let snap = reg.snapshot();
+        let snap = reg.snapshot(None);
         let doc = snap.to_json();
         let lat = doc.get("lat").unwrap();
         let json_p50 = lat.get("p50").and_then(Json::as_f64).unwrap();

@@ -1,19 +1,22 @@
-//! Prometheus text exposition (version 0.0.4) for the cumulative
-//! registry plus the streaming plane.
+//! Prometheus text exposition (version 0.0.4) of a registry
+//! [`Snapshot`].
 //!
 //! The renderer groups every sample line under its *final* metric name
 //! and emits exactly one `# TYPE` line per name. That matters because
-//! the two layers can legally meet at one name: the cumulative counter
+//! two instruments can legally meet at one name: the counter
 //! `serve_requests_total` and the labeled family `serve_requests`
 //! (whose series render as `serve_requests_total{route=...}`) coexist
 //! as one counter with and without labels — valid Prometheus, but only
-//! if the TYPE header appears once.
+//! if the TYPE header appears once. Instruments are visited kind-major
+//! (cumulative kinds first, then windowed counters, windowed
+//! histograms, families, detectors), so within such a shared group the
+//! unlabeled counter line comes first.
 //!
 //! Shapes emitted:
 //!
-//! * cumulative counter `name` → `name <v>` (counter)
-//! * cumulative gauge `name` → `name <v>` (gauge)
-//! * cumulative histogram `name` → classic `name_bucket{le=...}` with
+//! * counter `name` → `name <v>` (counter)
+//! * gauge `name` → `name <v>` (gauge)
+//! * histogram `name` → classic `name_bucket{le=...}` with
 //!   *cumulative* bucket counts, `+Inf`, `name_sum`, `name_count`,
 //!   plus `name_nan_total` (quarantined NaN samples)
 //! * windowed counter `name` → `name_rate{window="S"}` gauge,
@@ -29,13 +32,15 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::{MetricValue, Snapshot};
-use crate::stream::{StreamSnapshot, WindowView};
+use crate::stream::WindowView;
 
-/// Render both layers as Prometheus text exposition.
-pub fn render(cumulative: &Snapshot, stream: &StreamSnapshot) -> String {
+/// Render a snapshot as Prometheus text exposition.
+pub fn render(snapshot: &Snapshot) -> String {
     let mut out = Exposition::default();
+    let mut entries: Vec<_> = snapshot.entries.iter().collect();
+    entries.sort_by_key(|(_, value)| value.section());
 
-    for (name, value) in &cumulative.entries {
+    for (name, value) in entries {
         match value {
             MetricValue::Counter(v) => {
                 out.sample(name, "counter", format!("{name} {v}"));
@@ -63,98 +68,101 @@ pub fn render(cumulative: &Snapshot, stream: &StreamSnapshot) -> String {
                 let nan_name = format!("{name}_nan_total");
                 out.sample(&nan_name, "counter", format!("{nan_name} {nan_count}"));
             }
-        }
-    }
-
-    for c in &stream.counters {
-        let name = c.name;
-        window_counter_samples(&mut out, name, &c.view);
-        let stale = format!("{name}_stale_total");
-        out.sample(&stale, "counter", format!("{stale} {}", c.stale_records));
-    }
-
-    for h in &stream.histograms {
-        let name = h.name;
-        let w = fmt_f64(h.view.window_secs);
-        let qname = format!("{name}_window");
-        for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            if let Some(v) = h.view.quantile(q) {
+            MetricValue::WindowedCounter {
+                view,
+                stale_records,
+            } => {
+                window_counter_samples(&mut out, name, view);
+                let stale = format!("{name}_stale_total");
+                out.sample(&stale, "counter", format!("{stale} {stale_records}"));
+            }
+            MetricValue::WindowedHistogram {
+                view,
+                nan_count,
+                stale_records,
+            } => {
+                let w = fmt_f64(view.window_secs);
+                let qname = format!("{name}_window");
+                for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+                    if let Some(v) = view.quantile(q) {
+                        out.sample(
+                            &qname,
+                            "gauge",
+                            format!(
+                                "{qname}{{window=\"{w}\",quantile=\"{label}\"}} {}",
+                                fmt_f64(v)
+                            ),
+                        );
+                    }
+                }
+                window_counter_samples(&mut out, name, view);
+                let stale = format!("{name}_stale_total");
+                out.sample(&stale, "counter", format!("{stale} {stale_records}"));
+                let nan = format!("{name}_nan_total");
+                out.sample(&nan, "counter", format!("{nan} {nan_count}"));
+            }
+            MetricValue::Family {
+                label_names,
+                series,
+                overflow_events,
+            } => {
+                let total_name = format!("{name}_total");
+                let rate_name = format!("{name}_rate");
+                for (values, total, view) in series {
+                    let labels: Vec<String> = label_names
+                        .iter()
+                        .zip(values.iter())
+                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+                        .collect();
+                    out.sample(
+                        &total_name,
+                        "counter",
+                        format!("{total_name}{{{}}} {total}", labels.join(",")),
+                    );
+                    let mut rate_labels = labels.clone();
+                    rate_labels.push(format!("window=\"{}\"", fmt_f64(view.window_secs)));
+                    out.sample(
+                        &rate_name,
+                        "gauge",
+                        format!(
+                            "{rate_name}{{{}}} {}",
+                            rate_labels.join(","),
+                            fmt_f64(view.rate())
+                        ),
+                    );
+                }
+                let overflow = format!("{name}_overflow_total");
                 out.sample(
-                    &qname,
+                    &overflow,
+                    "counter",
+                    format!("{overflow} {overflow_events}"),
+                );
+            }
+            MetricValue::Detector(state) => {
+                for (stat, v) in [
+                    ("mean", state.mean),
+                    ("dev", state.dev),
+                    ("s_pos", state.s_pos),
+                    ("s_neg", state.s_neg),
+                ] {
+                    out.sample(
+                        name,
+                        "gauge",
+                        format!("{name}{{stat=\"{stat}\"}} {}", fmt_f64(v)),
+                    );
+                }
+                let obs = format!("{name}_observations_total");
+                out.sample(&obs, "counter", format!("{obs} {}", state.observations));
+                let alarms = format!("{name}_alarms_total");
+                out.sample(&alarms, "counter", format!("{alarms} {}", state.alarms));
+                let drift = format!("{name}_drift");
+                out.sample(
+                    &drift,
                     "gauge",
-                    format!(
-                        "{qname}{{window=\"{w}\",quantile=\"{label}\"}} {}",
-                        fmt_f64(v)
-                    ),
+                    format!("{drift} {}", if state.drifted { 1 } else { 0 }),
                 );
             }
         }
-        window_counter_samples(&mut out, name, &h.view);
-        let stale = format!("{name}_stale_total");
-        out.sample(&stale, "counter", format!("{stale} {}", h.stale_records));
-        let nan = format!("{name}_nan_total");
-        out.sample(&nan, "counter", format!("{nan} {}", h.nan_count));
-    }
-
-    for f in &stream.families {
-        let total_name = format!("{}_total", f.name);
-        let rate_name = format!("{}_rate", f.name);
-        for (values, total, view) in &f.series {
-            let labels: Vec<String> = f
-                .label_names
-                .iter()
-                .zip(values.iter())
-                .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-                .collect();
-            out.sample(
-                &total_name,
-                "counter",
-                format!("{total_name}{{{}}} {total}", labels.join(",")),
-            );
-            let mut rate_labels = labels.clone();
-            rate_labels.push(format!("window=\"{}\"", fmt_f64(view.window_secs)));
-            out.sample(
-                &rate_name,
-                "gauge",
-                format!(
-                    "{rate_name}{{{}}} {}",
-                    rate_labels.join(","),
-                    fmt_f64(view.rate())
-                ),
-            );
-        }
-        let overflow = format!("{}_overflow_total", f.name);
-        out.sample(
-            &overflow,
-            "counter",
-            format!("{overflow} {}", f.overflow_events),
-        );
-    }
-
-    for d in &stream.detectors {
-        let name = d.name;
-        for (stat, v) in [
-            ("mean", d.state.mean),
-            ("dev", d.state.dev),
-            ("s_pos", d.state.s_pos),
-            ("s_neg", d.state.s_neg),
-        ] {
-            out.sample(
-                name,
-                "gauge",
-                format!("{name}{{stat=\"{stat}\"}} {}", fmt_f64(v)),
-            );
-        }
-        let obs = format!("{name}_observations_total");
-        out.sample(&obs, "counter", format!("{obs} {}", d.state.observations));
-        let alarms = format!("{name}_alarms_total");
-        out.sample(&alarms, "counter", format!("{alarms} {}", d.state.alarms));
-        let drift = format!("{name}_drift");
-        out.sample(
-            &drift,
-            "gauge",
-            format!("{drift} {}", if d.state.drifted { 1 } else { 0 }),
-        );
     }
 
     out.finish()
@@ -243,16 +251,15 @@ fn escape_label(v: &str) -> String {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
-    use crate::stream::{CusumConfig, StreamRegistry, WindowSpec, DEFAULT_WINDOW};
+    use crate::stream::{CusumConfig, WindowSpec, DEFAULT_WINDOW};
 
     #[test]
     fn counter_and_family_share_one_type_line() {
         let reg = Registry::new();
         reg.counter("serve_requests_total").add(7);
-        let sreg = StreamRegistry::new();
-        let fam = sreg.counter_family("serve_requests", &["route"], WindowSpec::new(1000, 4), 8);
+        let fam = reg.counter_family("serve_requests", &["route"], WindowSpec::new(1000, 4), 8);
         fam.add(&["healthz"], 2);
-        let text = render(&reg.snapshot(), &sreg.snapshot(None));
+        let text = render(&reg.snapshot(None));
         let type_lines: Vec<&str> = text
             .lines()
             .filter(|l| l.starts_with("# TYPE serve_requests_total "))
@@ -269,7 +276,7 @@ mod tests {
         h.record(0.5);
         h.record(1.5);
         h.record(9.0);
-        let text = render(&reg.snapshot(), &StreamSnapshot::default());
+        let text = render(&reg.snapshot(None));
         assert!(text.contains("lat_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("lat_bucket{le=\"2\"} 2\n"));
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 3\n"));
@@ -279,11 +286,11 @@ mod tests {
 
     #[test]
     fn detector_states_render_as_stat_gauges() {
-        let sreg = StreamRegistry::new();
-        let d = sreg.detector("drift", CusumConfig::default());
+        let reg = Registry::new();
+        let d = reg.detector("drift", CusumConfig::default());
         d.observe(1.0);
         d.observe(2.0);
-        let text = render(&Snapshot::default(), &sreg.snapshot(None));
+        let text = render(&reg.snapshot(None));
         assert!(text.contains("# TYPE drift gauge"));
         assert!(text.contains("drift{stat=\"mean\"}"));
         assert!(text.contains("drift_observations_total 2\n"));
@@ -298,10 +305,10 @@ mod tests {
 
     #[test]
     fn windowed_counter_renders_rate_and_stale() {
-        let sreg = StreamRegistry::new();
-        let c = sreg.windowed_counter("events", DEFAULT_WINDOW);
+        let reg = Registry::new();
+        let c = reg.windowed_counter("events", DEFAULT_WINDOW);
         c.add_at(0, 30);
-        let text = render(&Snapshot::default(), &sreg.snapshot(None));
+        let text = render(&reg.snapshot(None));
         assert!(text.contains("# TYPE events_rate gauge"));
         assert!(text.contains("events_rate{window=\"60\"} 0.5\n"));
         assert!(text.contains("events_window_count{window=\"60\"} 30\n"));

@@ -56,12 +56,12 @@ impl JsonlSink {
     }
 
     /// [`JsonlSink::emit`] of a `{"type":"metrics", "metrics": ...}`
-    /// line holding a snapshot of the global registry — the
+    /// line holding the global registry's `/metrics` document — the
     /// conventional final line of a run log.
     pub fn emit_metrics_snapshot(&self) -> io::Result<()> {
         let line = Json::obj()
             .field("type", "metrics")
-            .field("metrics", metrics::snapshot().to_json());
+            .field("metrics", metrics::snapshot(None).to_json());
         self.emit(&line)
     }
 }

@@ -1,12 +1,15 @@
-//! Streaming observability plane: sliding-window instruments, EWMA
-//! smoothers, CUSUM drift detectors, and labeled metric families.
+//! Streaming observability plane: sliding-window instruments, CUSUM
+//! drift detectors, and labeled metric families.
 //!
-//! The cumulative registry in [`crate::metrics`] answers "how much since
-//! process start"; this module answers "what is happening *right now*".
-//! Every instrument here is built from the same primitives as the
-//! cumulative layer — fixed-size atomics, no allocation on the record
-//! path — so the serve event loop can record into it without taking a
-//! lock or touching the heap.
+//! The cumulative instruments in [`crate::metrics`] answer "how much
+//! since process start"; these answer "what is happening *right now*".
+//! Both kinds live in the one [`crate::metrics::Registry`] under one
+//! name space, and the free functions below register into its
+//! [`global`] instance. Every instrument here is built from the same
+//! primitives as the cumulative ones — fixed-size atomics, no
+//! allocation on the record path — so the serve event loop can record
+//! into it without taking a lock or touching the heap. They are gated
+//! by the plane's own kill switch, [`set_enabled`].
 //!
 //! # Window mechanics
 //!
@@ -56,8 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::json::Json;
-use crate::metrics::quantile_from_buckets;
+use crate::metrics::{global, quantile_from_buckets};
 
 /// Slot tag for "never used".
 const TAG_EMPTY: u64 = 0;
@@ -509,59 +511,6 @@ impl WindowedHistogram {
     }
 }
 
-/// Exponentially-weighted moving average of a scalar signal.
-///
-/// Stored as f64 bits in a single atomic; NaN bits mean "uninitialised"
-/// (the first observation seeds the mean directly).
-pub struct Ewma {
-    alpha: f64,
-    bits: AtomicU64,
-}
-
-impl Ewma {
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        Self {
-            alpha,
-            bits: AtomicU64::new(f64::NAN.to_bits()),
-        }
-    }
-
-    pub fn observe(&self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let prev = f64::from_bits(cur);
-            let next = if prev.is_nan() {
-                value
-            } else {
-                prev + self.alpha * (value - prev)
-            };
-            match self.bits.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Current smoothed value, `None` until the first observation.
-    pub fn value(&self) -> Option<f64> {
-        let v = f64::from_bits(self.bits.load(Ordering::Relaxed));
-        if v.is_nan() {
-            None
-        } else {
-            Some(v)
-        }
-    }
-}
-
 /// CUSUM drift-detector configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CusumConfig {
@@ -874,303 +823,13 @@ impl CounterFamily {
     }
 }
 
-/// A streaming instrument held by the registry.
-enum StreamInstrument {
-    Counter(Arc<WindowedCounter>),
-    Histogram(Arc<WindowedHistogram>),
-    Family(Arc<CounterFamily>),
-    Detector(Arc<DriftDetector>),
-}
-
-impl StreamInstrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            StreamInstrument::Counter(_) => "windowed_counter",
-            StreamInstrument::Histogram(_) => "windowed_histogram",
-            StreamInstrument::Family(_) => "counter_family",
-            StreamInstrument::Detector(_) => "drift_detector",
-        }
-    }
-}
-
-/// Registry of streaming instruments, `&'static str`-keyed like the
-/// cumulative [`crate::metrics::Registry`]. Same contract: re-fetching
-/// an existing name with a different kind panics (code bug).
-#[derive(Default)]
-pub struct StreamRegistry {
-    instruments: Mutex<BTreeMap<&'static str, StreamInstrument>>,
-}
-
-macro_rules! fetch_or_insert {
-    ($self:ident, $name:ident, $variant:ident, $make:expr) => {{
-        let mut map = $self.instruments.lock().unwrap();
-        match map
-            .entry($name)
-            .or_insert_with(|| StreamInstrument::$variant($make))
-        {
-            StreamInstrument::$variant(x) => Arc::clone(x),
-            other => panic!(
-                "stream metric {:?} already registered as {}, requested {}",
-                $name,
-                other.kind(),
-                stringify!($variant)
-            ),
-        }
-    }};
-}
-
-impl StreamRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn windowed_counter(&self, name: &'static str, spec: WindowSpec) -> Arc<WindowedCounter> {
-        fetch_or_insert!(self, name, Counter, Arc::new(WindowedCounter::new(spec)))
-    }
-
-    pub fn windowed_histogram(
-        &self,
-        name: &'static str,
-        spec: WindowSpec,
-        bounds: &[f64],
-    ) -> Arc<WindowedHistogram> {
-        fetch_or_insert!(
-            self,
-            name,
-            Histogram,
-            Arc::new(WindowedHistogram::new(spec, bounds))
-        )
-    }
-
-    pub fn counter_family(
-        &self,
-        name: &'static str,
-        label_names: &'static [&'static str],
-        spec: WindowSpec,
-        cap: usize,
-    ) -> Arc<CounterFamily> {
-        fetch_or_insert!(
-            self,
-            name,
-            Family,
-            Arc::new(CounterFamily::new(name, label_names, spec, cap))
-        )
-    }
-
-    pub fn detector(&self, name: &'static str, cfg: CusumConfig) -> Arc<DriftDetector> {
-        fetch_or_insert!(self, name, Detector, Arc::new(DriftDetector::new(cfg)))
-    }
-
-    /// Read-only snapshot of every instrument. `window_secs` trims the
-    /// windowed views to the most recent `ceil(secs / bucket)` buckets
-    /// (clamped to the ring size); `None` uses each instrument's full
-    /// window.
-    pub fn snapshot(&self, window_secs: Option<f64>) -> StreamSnapshot {
-        let map = self.instruments.lock().unwrap();
-        let mut counters = Vec::new();
-        let mut histograms = Vec::new();
-        let mut families = Vec::new();
-        let mut detectors = Vec::new();
-        for (name, inst) in map.iter() {
-            match inst {
-                StreamInstrument::Counter(c) => {
-                    let view = match window_secs {
-                        None => c.window(),
-                        Some(secs) => c.window_secs(secs),
-                    };
-                    counters.push(StreamCounterSnapshot {
-                        name,
-                        view,
-                        stale_records: c.stale_records(),
-                    });
-                }
-                StreamInstrument::Histogram(h) => {
-                    let view = match window_secs {
-                        None => h.window(),
-                        Some(secs) => h.window_secs(secs),
-                    };
-                    histograms.push(StreamHistogramSnapshot {
-                        name,
-                        view,
-                        nan_count: h.nan_count(),
-                        stale_records: h.stale_records(),
-                    });
-                }
-                StreamInstrument::Family(f) => {
-                    families.push(StreamFamilySnapshot {
-                        name,
-                        label_names: f.label_names(),
-                        series: f.series_snapshot(),
-                        overflow_events: f.overflow_events(),
-                    });
-                }
-                StreamInstrument::Detector(d) => {
-                    detectors.push(StreamDetectorSnapshot {
-                        name,
-                        state: d.state(),
-                    });
-                }
-            }
-        }
-        StreamSnapshot {
-            counters,
-            histograms,
-            families,
-            detectors,
-        }
-    }
-}
-
-/// Snapshot structs — all fields public so exposition layers (JSON,
-/// Prometheus, golden tests) can be built outside this module.
-pub struct StreamCounterSnapshot {
-    pub name: &'static str,
-    pub view: WindowView,
-    pub stale_records: u64,
-}
-
-pub struct StreamHistogramSnapshot {
-    pub name: &'static str,
-    pub view: WindowView,
-    pub nan_count: u64,
-    pub stale_records: u64,
-}
-
-pub struct StreamFamilySnapshot {
-    pub name: &'static str,
-    pub label_names: &'static [&'static str],
-    pub series: Vec<(Vec<String>, u64, WindowView)>,
-    pub overflow_events: u64,
-}
-
-pub struct StreamDetectorSnapshot {
-    pub name: &'static str,
-    pub state: DriftState,
-}
-
-#[derive(Default)]
-pub struct StreamSnapshot {
-    pub counters: Vec<StreamCounterSnapshot>,
-    pub histograms: Vec<StreamHistogramSnapshot>,
-    pub families: Vec<StreamFamilySnapshot>,
-    pub detectors: Vec<StreamDetectorSnapshot>,
-}
-
-impl StreamSnapshot {
-    pub fn to_json(&self) -> Json {
-        let mut root = Vec::new();
-        let mut counters = Vec::new();
-        for c in &self.counters {
-            counters.push((
-                c.name.to_string(),
-                Json::Obj(vec![
-                    ("window_secs".to_string(), Json::from(c.view.window_secs)),
-                    ("count".to_string(), Json::from(c.view.count as f64)),
-                    ("rate".to_string(), Json::from(c.view.rate())),
-                    (
-                        "stale_records".to_string(),
-                        Json::from(c.stale_records as f64),
-                    ),
-                ]),
-            ));
-        }
-        root.push(("counters".to_string(), Json::Obj(counters)));
-        let mut hists = Vec::new();
-        for h in &self.histograms {
-            let mut obj = vec![
-                ("window_secs".to_string(), Json::from(h.view.window_secs)),
-                ("count".to_string(), Json::from(h.view.count as f64)),
-                ("sum".to_string(), Json::from(h.view.sum)),
-                ("rate".to_string(), Json::from(h.view.rate())),
-                ("nan_count".to_string(), Json::from(h.nan_count as f64)),
-                (
-                    "stale_records".to_string(),
-                    Json::from(h.stale_records as f64),
-                ),
-            ];
-            for (label, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-                if let Some(v) = h.view.quantile(q) {
-                    obj.push((label.to_string(), Json::from(v)));
-                }
-            }
-            hists.push((h.name.to_string(), Json::Obj(obj)));
-        }
-        root.push(("histograms".to_string(), Json::Obj(hists)));
-        let mut fams = Vec::new();
-        for f in &self.families {
-            let mut series = Vec::new();
-            for (values, total, view) in &f.series {
-                let label = f
-                    .label_names
-                    .iter()
-                    .zip(values.iter())
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                series.push((
-                    label,
-                    Json::Obj(vec![
-                        ("total".to_string(), Json::from(*total as f64)),
-                        ("rate".to_string(), Json::from(view.rate())),
-                    ]),
-                ));
-            }
-            fams.push((
-                f.name.to_string(),
-                Json::Obj(vec![
-                    (
-                        "labels".to_string(),
-                        Json::Arr(
-                            f.label_names
-                                .iter()
-                                .map(|l| Json::Str(l.to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    ("series".to_string(), Json::Obj(series)),
-                    (
-                        "overflow_events".to_string(),
-                        Json::from(f.overflow_events as f64),
-                    ),
-                ]),
-            ));
-        }
-        root.push(("families".to_string(), Json::Obj(fams)));
-        let mut dets = Vec::new();
-        for d in &self.detectors {
-            dets.push((
-                d.name.to_string(),
-                Json::Obj(vec![
-                    (
-                        "observations".to_string(),
-                        Json::from(d.state.observations as f64),
-                    ),
-                    ("mean".to_string(), Json::from(d.state.mean)),
-                    ("dev".to_string(), Json::from(d.state.dev)),
-                    ("s_pos".to_string(), Json::from(d.state.s_pos)),
-                    ("s_neg".to_string(), Json::from(d.state.s_neg)),
-                    ("alarms".to_string(), Json::from(d.state.alarms as f64)),
-                    ("drifted".to_string(), Json::Bool(d.state.drifted)),
-                ]),
-            ));
-        }
-        root.push(("detectors".to_string(), Json::Obj(dets)));
-        Json::Obj(root)
-    }
-}
-
-fn global() -> &'static StreamRegistry {
-    static GLOBAL: OnceLock<StreamRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(StreamRegistry::new)
-}
-
-/// Fetch/register a windowed counter in the global stream registry
+/// Fetch/register a windowed counter in the [`global`] registry
 /// (default one-minute window).
 pub fn windowed_counter(name: &'static str) -> Arc<WindowedCounter> {
     global().windowed_counter(name, DEFAULT_WINDOW)
 }
 
-/// Fetch/register a windowed histogram in the global stream registry.
+/// Fetch/register a windowed histogram in the [`global`] registry.
 pub fn windowed_histogram(name: &'static str, bounds: &[f64]) -> Arc<WindowedHistogram> {
     global().windowed_histogram(name, DEFAULT_WINDOW, bounds)
 }
@@ -1192,14 +851,9 @@ pub fn counter_family_with_cap(
     global().counter_family(name, label_names, DEFAULT_WINDOW, cap)
 }
 
-/// Fetch/register a drift detector in the global stream registry.
+/// Fetch/register a drift detector in the [`global`] registry.
 pub fn detector(name: &'static str, cfg: CusumConfig) -> Arc<DriftDetector> {
     global().detector(name, cfg)
-}
-
-/// Snapshot the global stream registry.
-pub fn snapshot(window_secs: Option<f64>) -> StreamSnapshot {
-    global().snapshot(window_secs)
 }
 
 #[cfg(test)]
@@ -1256,16 +910,6 @@ mod tests {
         assert!(!h.record_at(0, f64::NAN));
         assert_eq!(h.nan_count(), 1);
         assert_eq!(h.window_at(0).count, 0);
-    }
-
-    #[test]
-    fn ewma_seeds_then_smooths() {
-        let e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.observe(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.observe(20.0);
-        assert_eq!(e.value(), Some(15.0));
     }
 
     #[test]
@@ -1335,14 +979,6 @@ mod tests {
     fn family_panics_on_wrong_label_arity() {
         let f = CounterFamily::new("t", &["a", "b"], WindowSpec::new(1000, 4), 4);
         f.add(&["only-one"], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn registry_panics_on_kind_mismatch() {
-        let r = StreamRegistry::new();
-        r.windowed_counter("x", DEFAULT_WINDOW);
-        r.windowed_histogram("x", DEFAULT_WINDOW, &[1.0]);
     }
 
     // NOTE: set_enabled() toggling is covered in tests/stream_toggle.rs

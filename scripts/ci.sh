@@ -189,18 +189,34 @@ echo "==> defense smoke (attack zoo + attack x defense matrix, both transports +
 # transport, balanced verdict ledgers, finite rates, none-cells reject
 # nothing.
 # First the attack zoo (the `none` row alone): every registered family
-# on one tiny cell each.
+# on one small cell each (Steam 0.02 x CoVisitation, N=16 T=20).
 zoo_dir="$smoke_dir/zoo"
 mkdir -p "$zoo_dir"
-DEF_DEFENSES=none DEF_BUDGETS=4x6 DEF_TRANSPORT=both \
+DEF_DEFENSES=none DEF_BUDGETS=16x20 DEF_TRANSPORT=both \
 DEF_APPGRAD_ITERS=2 DEF_INFLUENCE_ROUNDS=2 \
 cargo run --release -p bench --bin exp_defense -- \
-    --scale 0.02 --steps 2 --episodes 4 --attackers 4 --trajectory 6 \
-    --dim 8 --eval-users 16 --rankers itempop --datasets steam \
+    --scale 0.02 --steps 2 --episodes 4 --attackers 16 --trajectory 20 \
+    --dim 8 --eval-users 16 --rankers covisitation --datasets steam \
     --out "$zoo_dir" --telemetry "$zoo_dir/zoo.jsonl" >/dev/null
 # 8 families x 2 transport legs.
 cargo run --release -p telemetry --bin validate_jsonl -- \
     "$zoo_dir/zoo.jsonl" --defense --expect-cells 16
+# Promotion gate: in this cell ConsLOP, Popular, PowerItem and PoisonRec
+# lift the targets (RecNum 12, 7, 2, 1 on the local leg); each must
+# still lift. The other families' crafting is pinned bit for bit by
+# baseline_poison_bits_are_pinned and policy_bits (below and above).
+awk -F, '
+    NR == 1 { next }
+    $6 != "local" { next }
+    $1 == "ConsLOP" || $1 == "Popular" || $1 == "PowerItem" || $1 == "PoisonRec" {
+        seen++
+        if ($16 + 0 == 0) { print "zoo smoke: " $1 " no longer promotes its targets"; bad = 1 }
+    }
+    END {
+        if (seen != 4) { print "zoo smoke: expected 4 lifting families, saw " seen; bad = 1 }
+        exit bad
+    }
+' "$zoo_dir/defense_matrix.csv"
 # Then the Popular family against all five defense kinds (undefended
 # `none` first as the lift baseline). The committed smoke config
 # (Steam 0.1 x CoVisitation, N=16 T=20) is the acceptance setting from

@@ -6,10 +6,11 @@
 #   scripts/lint_metrics.sh
 #
 # Source side: every `metrics::` / `stream::` registration call in
-# crates/*/src. Registration calls may wrap across lines (rustfmt puts
-# the name literal on the line after `counter_family_with_cap(` etc.),
-# so the scan carries a two-line lookahead for the first string
-# literal after the call opener.
+# crates/*/src, plus every `telemetry::span!("cat", "name")`, which
+# registers the histogram `cat_name_seconds`. Registration calls may
+# wrap across lines (rustfmt puts the name literal on the line after
+# `counter_family_with_cap(` etc.), so the scan carries a two-line
+# lookahead for the first string literal after the call opener.
 #
 # Doc side: the first backticked identifier of each table row between
 # the `<!-- metrics-table-start -->` / `<!-- metrics-table-end -->`
@@ -30,6 +31,10 @@ src_names="$(
             } else {
                 pending--
             }
+        }
+        match($0, /telemetry::span!\("[a-z0-9_]+", "[a-z0-9_]+"\)/) {
+            split(substr($0, RSTART + 18, RLENGTH - 20), parts, "\", \"")
+            print parts[1] "_" parts[2] "_seconds"
         }
     ' $(find crates/*/src -name '*.rs') | sort -u
 )"
