@@ -89,6 +89,7 @@ struct SpsaRun {
 /// The approximate-gradient attack.
 pub struct AppGrad {
     cfg: AppGradConfig,
+    seed: u64,
     rng: StdRng,
     run: Option<SpsaRun>,
     steps_done: usize,
@@ -98,6 +99,7 @@ impl AppGrad {
     pub fn new(cfg: AppGradConfig, seed: u64) -> Self {
         Self {
             cfg,
+            seed,
             rng: StdRng::seed_from_u64(seed),
             run: None,
             steps_done: 0,
@@ -383,6 +385,14 @@ impl AppGrad {
 impl Attack for AppGrad {
     fn name(&self) -> &'static str {
         "AppGrad"
+    }
+
+    fn encode_config(&self, w: &mut Writer) {
+        w.put_u64(self.cfg.iterations as u64);
+        w.put_f32(self.cfg.step);
+        w.put_u64(self.cfg.probe_width as u64);
+        w.put_u64(self.cfg.pool as u64);
+        w.put_u64(self.seed);
     }
 
     fn caps(&self) -> AttackCaps {

@@ -178,6 +178,10 @@ impl Attack for ConsLop {
         "ConsLOP"
     }
 
+    fn encode_config(&self, w: &mut Writer) {
+        w.put_u64(self.cfg.candidate_pool as u64);
+    }
+
     fn caps(&self) -> AttackCaps {
         AttackCaps {
             model_required: true,

@@ -68,6 +68,7 @@ fn popular_set(info: &PublicInfo) -> Vec<ItemId> {
 /// A heuristic trajectory generator.
 pub struct HeuristicAttack {
     kind: HeuristicKind,
+    seed: u64,
     rng: StdRng,
     /// Prior knowledge for PowerItem (construction-time, never
     /// crawled through the black-box interface).
@@ -79,6 +80,7 @@ impl HeuristicAttack {
     pub fn new(kind: HeuristicKind, seed: u64) -> Self {
         Self {
             kind,
+            seed,
             rng: StdRng::seed_from_u64(seed),
             log: None,
             crafted: None,
@@ -191,6 +193,10 @@ impl Attack for HeuristicAttack {
             HeuristicKind::Middle => "Middle",
             HeuristicKind::PowerItem => "PowerItem",
         }
+    }
+
+    fn encode_config(&self, w: &mut Writer) {
+        w.put_u64(self.seed);
     }
 
     fn caps(&self) -> AttackCaps {

@@ -183,6 +183,14 @@ impl Attack for InfluenceAttack {
         "Influence"
     }
 
+    fn encode_config(&self, w: &mut Writer) {
+        w.put_u64(self.cfg.rounds as u64);
+        w.put_u64(self.cfg.dim as u64);
+        w.put_u64(self.cfg.epochs as u64);
+        w.put_u64(self.cfg.filler_pool as u64);
+        w.put_u64(self.seed);
+    }
+
     fn caps(&self) -> AttackCaps {
         AttackCaps {
             model_required: true,

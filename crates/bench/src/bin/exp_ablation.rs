@@ -7,12 +7,14 @@
 //!   applies — an attack-difficulty knob of the harness).
 //!
 //! Runs on Steam × CoVisitation (a mid-difficulty cell) and writes
-//! `results/ablation.{csv,md}`.
+//! `results/ablation.{csv,md}`. Each variant is one checkpointable cell
+//! named `ablation-<variant>` under `--checkpoint-every` / `--resume` /
+//! `--fault-kill-step`.
 
 use analysis::{write_text, Table};
 use bench::{run_parallel, ExpArgs};
 use datasets::PaperDataset;
-use poisonrec::{ActionSpaceKind, PoisonRecTrainer};
+use poisonrec::ActionSpaceKind;
 use recsys::rankers::RankerKind;
 
 fn main() {
@@ -20,27 +22,32 @@ fn main() {
 
     struct Variant {
         name: &'static str,
+        slug: &'static str,
         normalize: bool,
         clip: bool,
     }
     let variants = [
         Variant {
             name: "full (clip + norm)",
+            slug: "full",
             normalize: true,
             clip: true,
         },
         Variant {
             name: "no reward normalization",
+            slug: "no-norm",
             normalize: false,
             clip: true,
         },
         Variant {
             name: "no clip (REINFORCE)",
+            slug: "no-clip",
             normalize: true,
             clip: false,
         },
         Variant {
             name: "neither",
+            slug: "neither",
             normalize: false,
             clip: false,
         },
@@ -50,14 +57,14 @@ fn main() {
     let mut jobs: Vec<Job> = Vec::new();
     for v in &variants {
         let args = args.clone();
-        let (name, normalize, clip) = (v.name, v.normalize, v.clip);
+        let (name, slug, normalize, clip) = (v.name, v.slug, v.normalize, v.clip);
         jobs.push(Box::new(move || {
             let system = args.build_system(PaperDataset::Steam, RankerKind::CoVisitation);
             let mut cfg = args.poisonrec_config(ActionSpaceKind::BcbtPopular, 11);
             cfg.ppo.normalize_rewards = normalize;
             cfg.ppo.use_clip = clip;
-            let mut trainer = PoisonRecTrainer::new(cfg, &system);
-            trainer.train(&system, args.steps);
+            let slug = format!("ablation-{slug}");
+            let trainer = args.run_poisonrec(&system, cfg, args.steps, &slug, None);
             let hist = trainer.history();
             let tail = &hist[hist.len().saturating_sub(3)..];
             let final_mean =

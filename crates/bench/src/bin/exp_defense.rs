@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use baselines::{AppGradConfig, AttackFamily, ConsLopConfig, InfluenceConfig, ZooTuning};
 use bench::ExpArgs;
-use poisonrec::{run_attack, ActionSpaceKind, ZooConfig, ZooEvent, ZooRun};
+use poisonrec::{run_attack, ActionSpaceKind, ZooEvent, ZooRun};
 use recsys::attack::{AttackBudget, AttackError};
 use recsys::data::Dataset;
 use recsys::defense::{parse_fpr, DefendedSystem, DefenseKind, DefenseStack, VerdictCounts};
@@ -201,31 +201,6 @@ impl Cell<'_> {
         )
     }
 
-    fn zoo_config(&self, transport: &str) -> ZooConfig {
-        let slug = self.slug(transport);
-        let resume_path = self.args.resume_path(&slug);
-        let checkpoint_path = resume_path.clone().or_else(|| {
-            let path = self.args.checkpoint_path(&slug)?;
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("checkpoint dir");
-            }
-            Some(path)
-        });
-        ZooConfig {
-            budget: self.budget,
-            threads: self.args.threads.max(1),
-            steps: None,
-            checkpoint_every: self.args.checkpoint_every,
-            checkpoint_path,
-            resume: resume_path.is_some(),
-            fault: self
-                .args
-                .fault_kill_step
-                .map(|step| Arc::new(runtime::FaultPlan::new().kill_at_step(step))),
-            evaluate_final: true,
-        }
-    }
-
     /// Drives the attack against `system` (undefended or hardened —
     /// the attack cannot tell: it sees only the observation API),
     /// streaming every step to the telemetry log.
@@ -262,12 +237,10 @@ impl Cell<'_> {
             sink.emit(&self.labels(json, transport))
                 .expect("telemetry write");
         };
-        run_attack(
-            attack.as_mut(),
-            system,
-            &self.zoo_config(transport),
-            &mut on_event,
-        )
+        let cfg = self
+            .args
+            .zoo_config(&self.slug(transport), self.budget, true);
+        run_attack(attack.as_mut(), system, &cfg, &mut on_event)
     }
 
     /// In-process leg: the system wrapped in [`DefendedSystem`] (or

@@ -108,21 +108,17 @@ fn real_steps_time(
         cfg.threads = threads;
         cfg
     };
+    let logger = sink.map(|sink| {
+        StepLogger::new(Arc::clone(sink))
+            .label("dataset", PaperDataset::Phone.name())
+            .label("ranker", RankerKind::Bpr.name())
+            .label("design", ActionSpaceKind::BcbtPopular.name())
+            .label("threads", threads)
+    });
+    let start = Instant::now();
     // Per-thread-count slug: each lane checkpoints (and resumes)
     // independently under --checkpoint-every / --resume.
-    let slug = format!("timing-t{threads}");
-    let mut trainer = args.build_or_resume_trainer(cfg, &system, &slug);
-    if let Some(sink) = sink {
-        trainer.attach_logger(
-            StepLogger::new(Arc::clone(sink))
-                .label("dataset", PaperDataset::Phone.name())
-                .label("ranker", RankerKind::Bpr.name())
-                .label("design", ActionSpaceKind::BcbtPopular.name())
-                .label("threads", threads),
-        );
-    }
-    let start = Instant::now();
-    args.drive_trainer(&mut trainer, &system, &slug, steps);
+    let trainer = args.run_poisonrec(&system, cfg, steps, &format!("timing-t{threads}"), logger);
     let elapsed = start.elapsed().as_secs_f64();
     let mean = trainer.history().last().map_or(0.0, |s| s.mean_reward);
     (elapsed, mean)

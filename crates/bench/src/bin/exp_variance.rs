@@ -15,7 +15,7 @@
 //! This bin has no trainer, so its unit of progress is the completed
 //! `(ranker, rep)` observation. With `--checkpoint-every N` the
 //! accumulated observations are snapshotted (same sealed container
-//! format as trainer checkpoints, fingerprinted against the run
+//! format as zoo checkpoints, fingerprinted against the run
 //! config) after every N-th ranker; `--resume DIR` reloads them and
 //! skips the work — resumed entries contribute their recorded RecNum
 //! without re-observing, and their telemetry events are not re-emitted

@@ -15,8 +15,10 @@ use std::sync::Arc;
 
 use datasets::PaperDataset;
 use poisonrec::{
-    ActionSpaceKind, PoisonRecConfig, PoisonRecTrainer, PolicyConfig, PpoConfig, StepLogger,
+    run_attack, ActionSpaceKind, PoisonRecAttack, PoisonRecConfig, PoisonRecTrainer, PolicyConfig,
+    PpoConfig, StepLogger, ZooConfig,
 };
+use recsys::attack::AttackBudget;
 use recsys::rankers::RankerKind;
 use recsys::system::{BlackBoxSystem, ObservableSystem, SystemConfig};
 use telemetry::{Json, JsonlSink};
@@ -255,13 +257,8 @@ impl ExpArgs {
     /// [`ExpArgs::train_poisonrec`] with an optional telemetry sink:
     /// when `sink` is set, every training step is streamed as one
     /// JSONL event tagged with `labels` (so parallel cells sharing the
-    /// sink stay distinguishable).
-    ///
-    /// This is also the checkpoint-aware entry point: the cell's slug
-    /// (derived from `labels`) names a per-cell checkpoint file, so
-    /// `--resume DIR` continues from `DIR/<slug>.ckpt` when it exists
-    /// and `--checkpoint-every N` snapshots into the checkpoint
-    /// directory as the run progresses.
+    /// sink stay distinguishable). The cell's slug (derived from
+    /// `labels`) names its checkpoint file; see [`ExpArgs::zoo_config`].
     pub fn train_poisonrec_logged(
         &self,
         system: &dyn ObservableSystem,
@@ -270,18 +267,68 @@ impl ExpArgs {
         sink: Option<&Arc<JsonlSink>>,
         labels: &[(&str, &str)],
     ) -> PoisonRecTrainer {
+        let logger = sink.map(|sink| {
+            labels.iter().fold(
+                StepLogger::new(Arc::clone(sink)),
+                |logger, &(key, value)| logger.label(key, value),
+            )
+        });
         let slug = Self::cell_slug(labels, seed_offset);
         let cfg = self.poisonrec_config(space, seed_offset);
-        let mut trainer = self.build_or_resume_trainer(cfg, system, &slug);
-        if let Some(sink) = sink {
-            let mut logger = StepLogger::new(Arc::clone(sink));
-            for &(key, value) in labels {
-                logger = logger.label(key, value);
-            }
-            trainer.attach_logger(logger);
+        self.run_poisonrec(system, cfg, self.steps, &slug, logger)
+    }
+
+    /// Runs `steps` PoisonRec training steps under `cfg` through the one
+    /// attack lifecycle ([`poisonrec::run_attack`]) with an `N × T ×
+    /// steps·M` budget and no final evaluation, so the system spends
+    /// exactly the training's observations. Checkpoint, resume and
+    /// fault flags apply per [`ExpArgs::zoo_config`]; failures (a
+    /// corrupt or mismatched checkpoint) abort loudly rather than
+    /// silently restarting the cell.
+    pub fn run_poisonrec(
+        &self,
+        system: &dyn ObservableSystem,
+        cfg: PoisonRecConfig,
+        steps: usize,
+        slug: &str,
+        logger: Option<StepLogger>,
+    ) -> PoisonRecTrainer {
+        let budget = AttackBudget {
+            fake_users: cfg.policy.num_attackers as u32,
+            clicks_per_user: cfg.policy.trajectory_len,
+            observations: (steps * cfg.ppo.samples_per_step) as u64,
+        };
+        let zoo_cfg = ZooConfig {
+            threads: cfg.threads.max(1),
+            ..self.zoo_config(slug, budget, false)
+        };
+        let mut attack = PoisonRecAttack::new(cfg, steps);
+        if let Some(logger) = logger {
+            attack = attack.with_logger(logger);
         }
-        self.drive_trainer(&mut trainer, system, &slug, self.steps);
-        trainer
+        run_attack(&mut attack, system, &zoo_cfg, &mut |_| {})
+            .unwrap_or_else(|err| panic!("PoisonRec cell {slug} failed: {err}"));
+        attack.into_trainer().expect("a finished run has a trainer")
+    }
+
+    /// Maps `--checkpoint-every` / `--checkpoint-dir` / `--resume` /
+    /// `--fault-kill-step` onto one attack cell named `slug`. A cell
+    /// resumed from `--resume DIR` keeps checkpointing into that same
+    /// file; any other cell checkpoints into the checkpoint directory.
+    pub fn zoo_config(&self, slug: &str, budget: AttackBudget, evaluate_final: bool) -> ZooConfig {
+        let resume_path = self.resume_path(slug);
+        ZooConfig {
+            budget,
+            threads: self.threads.max(1),
+            steps: None,
+            checkpoint_every: self.checkpoint_every,
+            checkpoint_path: resume_path.clone().or_else(|| self.checkpoint_path(slug)),
+            resume: resume_path.is_some(),
+            fault: self
+                .fault_kill_step
+                .map(|step| Arc::new(runtime::FaultPlan::new().kill_at_step(step))),
+            evaluate_final,
+        }
     }
 
     /// The per-cell checkpoint file name: label values joined by `-`
@@ -317,56 +364,6 @@ impl ExpArgs {
     pub fn resume_path(&self, slug: &str) -> Option<PathBuf> {
         let path = self.resume.as_ref()?.join(format!("{slug}.ckpt"));
         path.exists().then_some(path)
-    }
-
-    /// Builds a cell's trainer, resuming from its `--resume` checkpoint
-    /// when one exists. Resume failures (corruption, config mismatch)
-    /// abort loudly rather than silently restarting the run.
-    pub fn build_or_resume_trainer(
-        &self,
-        cfg: PoisonRecConfig,
-        system: &dyn ObservableSystem,
-        slug: &str,
-    ) -> PoisonRecTrainer {
-        match self.resume_path(slug) {
-            Some(path) => PoisonRecTrainer::resume(&path, cfg, system).unwrap_or_else(|err| {
-                panic!("cannot resume {slug} from {}: {err}", path.display())
-            }),
-            None => PoisonRecTrainer::new(cfg, system),
-        }
-    }
-
-    /// The binaries' shared drive loop: runs the trainer up to `steps`
-    /// total completed steps (a resumed history counts), writing a
-    /// checkpoint after every `--checkpoint-every`-th step and honoring
-    /// a scripted `--fault-kill-step` crash *after* any due checkpoint
-    /// — so CI can kill a run at a step boundary and prove the resumed
-    /// continuation is bit-identical.
-    pub fn drive_trainer(
-        &self,
-        trainer: &mut PoisonRecTrainer,
-        system: &dyn ObservableSystem,
-        slug: &str,
-        steps: usize,
-    ) {
-        let ckpt = self.checkpoint_path(slug);
-        let fault = self
-            .fault_kill_step
-            .map(|step| runtime::FaultPlan::new().kill_at_step(step));
-        for _ in trainer.history().len()..steps {
-            trainer.step(system);
-            let completed = trainer.history().len();
-            if let Some(path) = &ckpt {
-                if completed.is_multiple_of(self.checkpoint_every) {
-                    trainer.save_checkpoint(system, path).unwrap_or_else(|err| {
-                        panic!("cannot write checkpoint {}: {err}", path.display())
-                    });
-                }
-            }
-            if let Some(plan) = &fault {
-                plan.kill_if_due(completed as u64);
-            }
-        }
     }
 
     /// Opens the `--telemetry` run log, if requested, and writes its

@@ -1,10 +1,13 @@
-//! Durable checkpoint/resume for [`crate::PoisonRecTrainer`].
+//! The sealed checkpoint container and the PoisonRec trainer's state
+//! body.
 //!
 //! PoisonRec's outer loop is expensive by construction — every step
 //! retrains the victim recommender `M` times — so paper-scale runs are
-//! long-running jobs that must survive crashes. This module gives the
-//! trainer a versioned, zero-dependency on-disk format holding *all*
-//! state the next step depends on, such that a run killed at any step
+//! long-running jobs that must survive crashes. The zoo driver
+//! ([`crate::zoo::run_attack`]) is the one place an attack checkpoint
+//! is written or resumed; this module gives it a versioned,
+//! zero-dependency on-disk container, and [`TrainerState`] holds *all*
+//! trainer state the next step depends on, so a run killed at any step
 //! boundary and resumed from its last checkpoint continues
 //! **bit-identically** to the uninterrupted run (proved by
 //! `tests/checkpoint_resume.rs` and the fault-injection CI stage).
@@ -15,21 +18,17 @@
 //! |------:|-------|
 //! | 8     | magic `b"PRECKPT\0"` |
 //! | 4     | format version (`u32`, currently 1) |
-//! | 8     | config fingerprint (`u64`, FNV-1a over the run config) |
+//! | 8     | cell fingerprint (`u64`, FNV-1a; see [`crate::zoo::zoo_fingerprint`]) |
 //! | 8     | body length `L` (`u64`) |
-//! | `L`   | body ([`TrainerState`] via [`tensor::wire`]) |
+//! | `L`   | body (the zoo cell state via [`tensor::wire`]) |
 //! | 8     | checksum (`u64`, FNV-1a over every preceding byte) |
 //!
 //! Decoding rejects — with a descriptive [`CheckpointError`], never a
 //! panic — wrong magic, versions newer than this build, truncated or
-//! oversized containers, checksum mismatches, and bodies whose shapes
-//! disagree with the trainer being restored. The fingerprint refuses
-//! resumption under a different [`PoisonRecConfig`] or
-//! [`recsys::system::SystemConfig`] (the `threads` knob is deliberately
-//! excluded: training is thread-count-invariant, so resuming at a
-//! different thread count is safe and allowed).
+//! oversized containers, checksum mismatches, and trainer bodies whose
+//! shapes disagree with the trainer being restored.
 //!
-//! ## What is captured
+//! ## What the trainer state captures
 //!
 //! Policy [`ParamSet`], Adam first/second moments and step counter, the
 //! trainer's RNG state, the per-step [`StepStats`] history (which also
@@ -52,14 +51,13 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use recsys::system::ObservableSystem;
 use tensor::optim::Adam;
 use tensor::wire::{Codec, Reader, WireError, Writer};
 use tensor::ParamSet;
 
-use crate::action::{ActionSpaceKind, Choice, ChoiceSet};
+use crate::action::{Choice, ChoiceSet};
 use crate::policy::Episode;
-use crate::trainer::{PoisonRecConfig, StepStats};
+use crate::trainer::StepStats;
 
 /// First bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"PRECKPT\0";
@@ -68,49 +66,23 @@ pub const MAGIC: [u8; 8] = *b"PRECKPT\0";
 /// readers refuse newer versions instead of misparsing them.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Why a checkpoint could not be written or restored.
+/// Why a checkpoint could not be restored: the file is not a
+/// checkpoint this build can read (bad magic, newer version,
+/// truncation, checksum mismatch) or its body does not decode.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure (open/read/write/rename).
-    Io(io::Error),
-    /// The file is not a checkpoint this build can read: bad magic,
-    /// newer version, truncation, checksum mismatch, or a body that
-    /// does not decode.
     Format(String),
-    /// The file is a valid checkpoint of a *different* run
-    /// configuration; resuming it would silently change the science.
-    ConfigMismatch { saved: u64, current: u64 },
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(err) => write!(f, "checkpoint I/O error: {err}"),
             CheckpointError::Format(msg) => write!(f, "malformed checkpoint: {msg}"),
-            CheckpointError::ConfigMismatch { saved, current } => write!(
-                f,
-                "checkpoint was written under a different configuration \
-                 (saved fingerprint {saved:#018x}, current {current:#018x}); \
-                 refusing to resume"
-            ),
         }
     }
 }
 
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CheckpointError {
-    fn from(err: io::Error) -> Self {
-        CheckpointError::Io(err)
-    }
-}
+impl std::error::Error for CheckpointError {}
 
 impl From<WireError> for CheckpointError {
     fn from(err: WireError) -> Self {
@@ -192,46 +164,6 @@ pub fn unseal(bytes: &[u8]) -> Result<(u64, &[u8]), CheckpointError> {
         ));
     }
     Ok((fingerprint, &bytes[HEADER..body_end]))
-}
-
-/// Fingerprints everything that decides a run's trajectory: the full
-/// [`PoisonRecConfig`] (minus `threads` — results are thread-count
-/// invariant), the target system's [`recsys::system::SystemConfig`],
-/// and the public item/target geometry. Two runs with equal
-/// fingerprints and equal step counts produce bit-identical histories.
-pub fn config_fingerprint(cfg: &PoisonRecConfig, system: &dyn ObservableSystem) -> u64 {
-    let mut w = Writer::new();
-    w.put_u64(cfg.policy.dim as u64);
-    w.put_u64(cfg.policy.num_attackers as u64);
-    w.put_u64(cfg.policy.trajectory_len as u64);
-    w.put_f32(cfg.policy.init_scale);
-    w.put_f32(cfg.ppo.lr);
-    w.put_f32(cfg.ppo.clip_eps);
-    w.put_u64(cfg.ppo.epochs as u64);
-    w.put_u64(cfg.ppo.batch as u64);
-    w.put_u64(cfg.ppo.samples_per_step as u64);
-    w.put_u8(cfg.ppo.normalize_rewards as u8);
-    w.put_u8(cfg.ppo.use_clip as u8);
-    w.put_f32(cfg.ppo.max_grad_norm);
-    let kind = ActionSpaceKind::ALL
-        .iter()
-        .position(|&k| k == cfg.action_space)
-        .expect("every kind is in ALL");
-    w.put_u8(kind as u8);
-    w.put_u64(cfg.seed);
-
-    let sys_cfg = system.config();
-    w.put_u64(sys_cfg.eval_users as u64);
-    w.put_u64(sys_cfg.top_k as u64);
-    w.put_u64(sys_cfg.n_candidates as u64);
-    w.put_u64(sys_cfg.seed);
-    w.put_u64(u64::from(sys_cfg.reserve_attackers));
-
-    let info = system.public_info();
-    w.put_u64(u64::from(info.num_items));
-    w.put_u64(info.target_items.len() as u64);
-    w.put_str(system.ranker_name());
-    fnv1a64(&w.into_bytes())
 }
 
 /// Writes `bytes` to `path` atomically: `.tmp` sibling, fsync, rename.

@@ -12,9 +12,10 @@
 //! * [`ppo`] — PPO with the clipped surrogate (Eq. 7/9) and batch
 //!   reward normalization (Eq. 8).
 //! * [`trainer`] — Algorithm 1: sample, inject, observe RecNum, update.
-//! * [`checkpoint`] — versioned crash-safe trainer state snapshots;
-//!   resumed runs continue bit-identically.
-//! * [`zoo`] — the attack-zoo driver: any [`recsys::attack::Attack`]
+//! * [`checkpoint`] — the versioned crash-safe checkpoint container
+//!   and the trainer's state body; resumed runs continue
+//!   bit-identically.
+//! * [`zoo`] — the one attack lifecycle: any [`recsys::attack::Attack`]
 //!   run with the same budget boundary, sealed checkpoints, and fault
 //!   injection, plus [`zoo::PoisonRecAttack`] adapting Algorithm 1
 //!   itself onto the trait.

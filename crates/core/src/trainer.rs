@@ -17,7 +17,6 @@
 //! rewards — and therefore the whole training run — are bit-identical
 //! for every `threads` value.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -26,10 +25,9 @@ use rand::SeedableRng;
 use recsys::system::{ConfigError, ObservableSystem};
 use recsys::Trajectory;
 use telemetry::{Json, JsonlSink};
-use tensor::wire::Codec;
 
 use crate::action::{ActionSpace, ActionSpaceKind};
-use crate::checkpoint::{self, CheckpointError, TrainerState};
+use crate::checkpoint::{CheckpointError, TrainerState};
 use crate::policy::{Episode, PolicyConfig, PolicyNetwork};
 use crate::ppo::{normalize_rewards, PpoConfig, PpoUpdater};
 
@@ -180,6 +178,7 @@ pub struct StepStats {
 /// shared [`JsonlSink`], tagged with caller-supplied labels (dataset,
 /// ranker, action-space design, ...) so many concurrent trainers can
 /// interleave in one run log. See DESIGN.md §5b for the schema.
+#[derive(Clone)]
 pub struct StepLogger {
     sink: Arc<JsonlSink>,
     labels: Vec<(String, Json)>,
@@ -214,21 +213,6 @@ impl StepLogger {
             .field("score_secs", stats.score_secs)
             .field("update_secs", stats.update_secs)
             .field("observations", stats.observations);
-        self.sink.emit(&line).expect("telemetry sink write failed");
-    }
-
-    /// Emits a `checkpoint` event carrying the same labels as step
-    /// events. The JSONL validator only requires non-`step` types to
-    /// parse, so these lines never break a run log.
-    fn log_checkpoint(&self, step: usize, path: &Path, bytes: u64) {
-        let mut line = Json::obj().field("type", "checkpoint");
-        for (key, value) in &self.labels {
-            line = line.field(key, value.clone());
-        }
-        let line = line
-            .field("step", step)
-            .field("path", path.display().to_string())
-            .field("bytes", bytes);
         self.sink.emit(&line).expect("telemetry sink write failed");
     }
 }
@@ -311,10 +295,8 @@ impl PoisonRecTrainer {
         self.cfg.threads = threads.max(1);
     }
 
-    /// The complete serializable trainer closure — what
-    /// [`PoisonRecTrainer::save_checkpoint`] seals. Exposed so generic
-    /// attack drivers can embed the trainer state in their own
-    /// containers.
+    /// The complete serializable trainer closure, which
+    /// [`crate::zoo::PoisonRecAttack`] embeds in its zoo checkpoints.
     pub fn export_state(&self) -> TrainerState {
         TrainerState {
             rng_state: self.rng.state(),
@@ -431,65 +413,13 @@ impl PoisonRecTrainer {
         self.policy.sample_episode(&self.space, &mut self.rng)
     }
 
-    /// Serializes the complete trainer state into the versioned
-    /// [`checkpoint`] container and writes it to `path` atomically
-    /// (tmp + rename — a crash mid-save never leaves a torn file).
-    /// Emits a `checkpoint` telemetry event if a logger is attached.
-    /// Returns the number of bytes written.
-    ///
-    /// A trainer resumed from the file continues **bit-identically** to
-    /// this one, provided the caller rebuilds `system` from the same
-    /// dataset and [`recsys::system::SystemConfig`].
-    pub fn save_checkpoint(
-        &self,
-        system: &dyn ObservableSystem,
-        path: impl AsRef<Path>,
-    ) -> Result<u64, CheckpointError> {
-        let path = path.as_ref();
-        let body = self.export_state().to_bytes();
-        let fingerprint = checkpoint::config_fingerprint(&self.cfg, system);
-        let sealed = checkpoint::seal(fingerprint, &body);
-        checkpoint::atomic_write(path, &sealed)?;
-        telemetry::metrics::counter("trainer_checkpoints_total").inc();
-        if let Some(logger) = &self.logger {
-            logger.log_checkpoint(self.history.len(), path, sealed.len() as u64);
-        }
-        Ok(sealed.len() as u64)
-    }
-
-    /// Rebuilds a trainer from a checkpoint written by
-    /// [`PoisonRecTrainer::save_checkpoint`]. Refuses — with a
-    /// descriptive [`CheckpointError`], never a panic — corrupted or
-    /// truncated files and checkpoints written under a different
-    /// configuration (fingerprint mismatch). `cfg.threads` may differ
-    /// from the saving run's: training is thread-count invariant.
-    ///
-    /// Also restores `system`'s observation seed stream, so `system`
-    /// must be freshly built (zero observations spent); a rewind is
-    /// refused. The resumed trainer's next [`PoisonRecTrainer::step`]
-    /// produces exactly the bytes the interrupted run's would have.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        cfg: PoisonRecConfig,
-        system: &dyn ObservableSystem,
-    ) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path.as_ref())?;
-        let (saved, body) = checkpoint::unseal(&bytes)?;
-        let current = checkpoint::config_fingerprint(&cfg, system);
-        if saved != current {
-            return Err(CheckpointError::ConfigMismatch { saved, current });
-        }
-        let state = TrainerState::from_bytes(body)?;
-        let mut trainer = Self::new(cfg, system);
-        trainer.restore_state(state, system)?;
-        Ok(trainer)
-    }
-
     /// Overwrites this trainer's state with a decoded [`TrainerState`],
     /// validating shape agreement first so a mismatch surfaces here
     /// rather than as a panic deep inside a later step. Also
-    /// fast-forwards `system`'s observation stream; see
-    /// [`PoisonRecTrainer::resume`].
+    /// fast-forwards `system`'s observation stream, so `system` must be
+    /// freshly built (a rewind is refused); the restored trainer's next
+    /// [`PoisonRecTrainer::step`] produces exactly the bytes the
+    /// interrupted run's would have.
     pub fn restore_state(
         &mut self,
         state: TrainerState,

@@ -1,9 +1,10 @@
 //! The attack-zoo driver: one loop that runs **any**
 //! [`recsys::attack::Attack`] against any [`ObservableSystem`] with
 //! the same capability gate, budget boundary, sealed checkpoints,
-//! fault injection, and telemetry hooks the original trainer earned in
-//! PRs 1–3 — plus the [`PoisonRecAttack`] adapter that puts the RL
-//! trainer itself behind the trait.
+//! fault injection, and telemetry hooks — plus the [`PoisonRecAttack`]
+//! adapter that puts the RL trainer itself behind the trait. It is the
+//! only attack lifecycle: the paper's experiment drivers run PoisonRec
+//! through it too.
 //!
 //! ## Lifecycle
 //!
@@ -22,9 +23,11 @@
 //!
 //! Zoo checkpoints reuse the sealed container of [`crate::checkpoint`]
 //! (magic, format version, fingerprint, checksum, atomic write). The
-//! fingerprint covers the attack name, the full budget, and the target
+//! fingerprint covers the attack name and tuning
+//! ([`Attack::encode_config`]), the full budget, and the target
 //! system's configuration and geometry — resuming a checkpoint against
-//! a different cell is refused with a typed error. The body carries
+//! a different cell or tuning is refused with a typed error before any
+//! system, guard or defense state is restored. The body carries
 //! the guard's usage ledger, the step history, the attack's own
 //! [`Attack::state_bytes`] blob, and the victim's serialized defense
 //! state (adaptive defenses calibrate online), so a resumed run
@@ -43,7 +46,7 @@ use recsys::Trajectory;
 use runtime::FaultPlan;
 
 use crate::checkpoint::{self, TrainerState};
-use crate::trainer::{PoisonRecConfig, PoisonRecTrainer};
+use crate::trainer::{PoisonRecConfig, PoisonRecTrainer, StepLogger};
 
 /// How the zoo driver runs one attack × system × budget cell.
 #[derive(Clone)]
@@ -109,18 +112,19 @@ pub struct ZooRun {
 }
 
 /// Fingerprints everything that decides a zoo cell's trajectory: the
-/// attack family, the full budget, and the target system's
-/// configuration and public geometry. Deliberately excludes `threads`
-/// and the step cap — results are invariant to both (the cap only
-/// truncates).
+/// attack family and its tuning, the full budget, and the target
+/// system's configuration and public geometry. Deliberately excludes
+/// `threads` and the step cap — results are invariant to both (the cap
+/// only truncates).
 pub fn zoo_fingerprint(
-    attack_name: &str,
+    attack: &dyn Attack,
     budget: &AttackBudget,
     system: &dyn ObservableSystem,
 ) -> u64 {
     let mut w = Writer::new();
     w.put_str("zoo-cell");
-    w.put_str(attack_name);
+    w.put_str(attack.name());
+    attack.encode_config(&mut w);
     w.put_u64(u64::from(budget.fake_users));
     w.put_u64(budget.clicks_per_user as u64);
     w.put_u64(budget.observations);
@@ -236,6 +240,7 @@ fn save_zoo_checkpoint(
     };
     let sealed = checkpoint::seal(fingerprint, &state.to_bytes());
     checkpoint::atomic_write(path, &sealed).map_err(|e| state_err("checkpoint write failed", e))?;
+    telemetry::metrics::counter("attack_checkpoints_total").inc();
     Ok(sealed.len() as u64)
 }
 
@@ -277,7 +282,7 @@ pub fn run_attack(
         }));
     }
 
-    let fingerprint = zoo_fingerprint(attack.name(), &cfg.budget, system);
+    let fingerprint = zoo_fingerprint(attack, &cfg.budget, system);
     let guard = GuardedSystem::new(system, cfg.budget);
     let mut history: Vec<AttackStepStats> = Vec::new();
 
@@ -292,8 +297,8 @@ pub fn run_attack(
             if saved != fingerprint {
                 return Err(AttackError::State(format!(
                     "checkpoint fingerprint {saved:#018x} does not match this cell \
-                     ({fingerprint:#018x}); it was written for a different attack, budget, \
-                     or system"
+                     ({fingerprint:#018x}); it was written for a different attack, tuning, \
+                     budget, or system"
                 )));
             }
             let state =
@@ -386,6 +391,7 @@ pub fn run_attack(
 pub struct PoisonRecAttack {
     cfg: PoisonRecConfig,
     steps: usize,
+    logger: Option<StepLogger>,
     trainer: Option<PoisonRecTrainer>,
 }
 
@@ -397,8 +403,22 @@ impl PoisonRecAttack {
         Self {
             cfg,
             steps,
+            logger: None,
             trainer: None,
         }
+    }
+
+    /// Streams every training step to `logger` (attached to the
+    /// trainer when it is built or restored).
+    pub fn with_logger(mut self, logger: StepLogger) -> Self {
+        self.logger = Some(logger);
+        self
+    }
+
+    /// The trained agent (history, best episode, policy); `None` before
+    /// the first step or restore.
+    pub fn into_trainer(self) -> Option<PoisonRecTrainer> {
+        self.trainer
     }
 
     fn trainer_cfg(&self, guard: &GuardedSystem<'_>) -> Result<PoisonRecConfig, AttackError> {
@@ -422,7 +442,11 @@ impl PoisonRecAttack {
     ) -> Result<&mut PoisonRecTrainer, AttackError> {
         if self.trainer.is_none() {
             let cfg = self.trainer_cfg(guard)?;
-            self.trainer = Some(PoisonRecTrainer::new(cfg, guard));
+            let mut trainer = PoisonRecTrainer::new(cfg, guard);
+            if let Some(logger) = &self.logger {
+                trainer.attach_logger(logger.clone());
+            }
+            self.trainer = Some(trainer);
         }
         Ok(self.trainer.as_mut().expect("just built"))
     }
@@ -431,6 +455,25 @@ impl PoisonRecAttack {
 impl Attack for PoisonRecAttack {
     fn name(&self) -> &'static str {
         "PoisonRec"
+    }
+
+    /// The whole [`PoisonRecConfig`] but `threads` (training is
+    /// thread-count invariant) and the policy's `N`/`T`, which the
+    /// budget sets.
+    fn encode_config(&self, w: &mut Writer) {
+        let cfg = &self.cfg;
+        w.put_u64(cfg.policy.dim as u64);
+        w.put_f32(cfg.policy.init_scale);
+        w.put_f32(cfg.ppo.lr);
+        w.put_f32(cfg.ppo.clip_eps);
+        w.put_u64(cfg.ppo.epochs as u64);
+        w.put_u64(cfg.ppo.batch as u64);
+        w.put_u64(cfg.ppo.samples_per_step as u64);
+        w.put_u8(cfg.ppo.normalize_rewards as u8);
+        w.put_u8(cfg.ppo.use_clip as u8);
+        w.put_f32(cfg.ppo.max_grad_norm);
+        w.put_str(cfg.action_space.name());
+        w.put_u64(cfg.seed);
     }
 
     fn caps(&self) -> AttackCaps {
@@ -654,6 +697,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "GradientProbe"
         }
+        fn encode_config(&self, _w: &mut Writer) {}
         fn caps(&self) -> AttackCaps {
             AttackCaps {
                 gradient_required: true,
@@ -767,7 +811,7 @@ mod tests {
         assert_eq!(reference.poison, resumed.poison);
         assert_eq!(reference.final_rec_num, resumed.final_rec_num);
         assert_eq!(reference.usage, resumed.usage);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -808,6 +852,6 @@ mod tests {
             AttackError::State(msg) => assert!(msg.contains("fingerprint"), "{msg}"),
             other => panic!("expected state refusal, got {other}"),
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -39,7 +39,9 @@
 //! attack's complete mutable state (RNG position, learned matrices,
 //! bests) through the little-endian [`tensor::wire`] codecs; the zoo
 //! driver seals them into the versioned checkpoint container together
-//! with the guard's usage ledger.
+//! with the guard's usage ledger. [`Attack::encode_config`] writes the
+//! attack's tuning into the container's fingerprint, so a checkpoint
+//! never resumes under a different configuration.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -508,6 +510,12 @@ pub trait Attack: Send {
     /// Paper name of the family (stable: fingerprinted into zoo
     /// checkpoints).
     fn name(&self) -> &'static str;
+
+    /// Writes every tuning value that decides the run (seeds, step
+    /// sizes, pool sizes; never the thread count) for the zoo
+    /// checkpoint fingerprint: a checkpoint resumed under different
+    /// tuning is refused instead of silently continuing.
+    fn encode_config(&self, w: &mut Writer);
 
     /// Declared capability requirements.
     fn caps(&self) -> AttackCaps;

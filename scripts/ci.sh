@@ -71,10 +71,16 @@ echo "==> crash/resume smoke (scripted kill + bit-identical resume)"
 # process right after the step-4 checkpoint of the first cell (exit
 # code 42). The second run resumes from the checkpoint directory and
 # finishes everything. Stitching the two telemetry logs (dropping the
-# second manifest) must yield a gap-free 6-step trace for all 4 cells
-# — the proof that resume continued exactly where the crash stopped.
+# second manifest) must yield a gap-free 6-step trace for all 4 cells,
+# and its `step` lines, wall-clock `*_secs` fields dropped, must equal
+# those of one uninterrupted run of the same grid — the proof that
+# resume continued exactly where the crash stopped.
 crash_dir="$smoke_dir/crash"
 mkdir -p "$crash_dir"
+cargo run --release -p bench --bin exp_fig4 -- \
+    --scale 0.02 --steps 6 --episodes 4 --attackers 4 --trajectory 5 \
+    --dim 8 --eval-users 16 --rankers itempop --threads 1 \
+    --out "$crash_dir/reference" --telemetry "$crash_dir/reference.jsonl" >/dev/null
 set +e
 cargo run --release -p bench --bin exp_fig4 -- \
     --scale 0.02 --steps 6 --episodes 4 --attackers 4 --trajectory 5 \
@@ -99,6 +105,14 @@ cat "$crash_dir/run1.jsonl" > "$crash_dir/stitched.jsonl"
 tail -n +2 "$crash_dir/run2.jsonl" >> "$crash_dir/stitched.jsonl"
 cargo run --release -p telemetry --bin validate_jsonl -- \
     "$crash_dir/stitched.jsonl" --expect-steps 6 --expect-cells 4
+deterministic_steps() {
+    grep '"type":"step"' "$1" | sed -E 's/,"[a-z_]+_secs":[^,}]*//g' | sort
+}
+if ! diff <(deterministic_steps "$crash_dir/reference.jsonl") \
+    <(deterministic_steps "$crash_dir/stitched.jsonl") >/dev/null; then
+    echo "stitched crash/resume steps differ from the uninterrupted run"
+    exit 1
+fi
 
 echo "==> trace smoke (tiny traced fig4 run + Chrome-trace validation)"
 # The same tiny cell, now with the hierarchical tracer armed. The

@@ -21,8 +21,9 @@
 //!   CUSUM, verdict counts);
 //! * **budget visibility** — what each family spends is counted at the
 //!   guard boundary and never exceeds the declared budget;
-//! * **refusals** — resuming into a different cell, or a defended
-//!   checkpoint into an undefended system, is a typed error;
+//! * **refusals** — resuming into a different cell, under changed
+//!   tuning, or a defended checkpoint into an undefended system, is a
+//!   typed error;
 //! * **the defense's own contract** — its byte state round-trips, and
 //!   its verdict ledger balances against what it was offered.
 //!
@@ -366,10 +367,8 @@ fn check_resume(kind: DefenseKind) {
             resumed_sys.level(),
             "{family}: adaptive ladder level did not resume"
         );
-
-        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_dir(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -384,9 +383,14 @@ fn every_family_resumes_bit_identically_with_defense_state() {
     check_resume(DefenseKind::Full);
 }
 
-/// Cuts a PoisonRec cell after one step against `victim`, leaving its
+/// Cuts a `family` cell after one step against `victim`, leaving its
 /// sealed checkpoint at `path`.
-fn checkpoint_one_step(victim: &Victim, cell_budget: AttackBudget, path: &std::path::Path) {
+fn checkpoint_one_step(
+    family: AttackFamily,
+    victim: &Victim,
+    cell_budget: AttackBudget,
+    path: &std::path::Path,
+) {
     let _ = std::fs::remove_file(path);
     let interrupted = ZooConfig {
         steps: Some(1),
@@ -396,16 +400,16 @@ fn checkpoint_one_step(victim: &Victim, cell_budget: AttackBudget, path: &std::p
         ..ZooConfig::new(cell_budget)
     };
     let log = tiny_log();
-    let mut attack = AttackFamily::PoisonRec
-        .build(&tuning(), Some(&log))
-        .expect("buildable");
+    let mut attack = family.build(&tuning(), Some(&log)).expect("buildable");
     let _ = run_attack(attack.as_mut(), victim.system(), &interrupted, &mut |_| {});
     assert!(path.exists());
 }
 
-/// Resumes a fresh PoisonRec cell from `path` into `victim` under
-/// `cell_budget`, expecting a refusal.
+/// Resumes a fresh `family` cell built from `tuning` from `path` into
+/// `victim` under `cell_budget`, expecting a refusal.
 fn resume_refusal(
+    family: AttackFamily,
+    tuning: &ZooTuning,
     victim: &Victim,
     cell_budget: AttackBudget,
     path: &std::path::Path,
@@ -416,9 +420,7 @@ fn resume_refusal(
         ..ZooConfig::new(cell_budget)
     };
     let log = tiny_log();
-    let mut fresh = AttackFamily::PoisonRec
-        .build(&tuning(), Some(&log))
-        .expect("buildable");
+    let mut fresh = family.build(tuning, Some(&log)).expect("buildable");
     let err = run_attack(fresh.as_mut(), victim.system(), &resume_cfg, &mut |_| {})
         .expect_err("the checkpoint must be refused");
     let _ = std::fs::remove_file(path);
@@ -432,12 +434,19 @@ fn resume_refusal(
 fn resuming_a_checkpoint_into_a_different_cell_is_refused() {
     let path = std::env::temp_dir().join(format!("conformance-xcell-{}.ckpt", std::process::id()));
     let cell_budget = budget(AttackFamily::PoisonRec, &tuning());
-    checkpoint_one_step(&Victim::new(DefenseKind::None), cell_budget, &path);
+    let family = AttackFamily::PoisonRec;
+    checkpoint_one_step(family, &Victim::new(DefenseKind::None), cell_budget, &path);
     let other_cell = AttackBudget {
         fake_users: 2,
         ..cell_budget
     };
-    let err = resume_refusal(&Victim::new(DefenseKind::None), other_cell, &path);
+    let err = resume_refusal(
+        family,
+        &tuning(),
+        &Victim::new(DefenseKind::None),
+        other_cell,
+        &path,
+    );
     assert!(
         matches!(err, recsys::attack::AttackError::State(_)),
         "expected a typed state error, got {err}"
@@ -454,12 +463,64 @@ fn a_defended_checkpoint_refuses_an_undefended_system() {
         std::process::id()
     ));
     let cell_budget = budget(AttackFamily::PoisonRec, &tuning());
-    checkpoint_one_step(&Victim::new(DefenseKind::Full), cell_budget, &path);
-    let err = resume_refusal(&Victim::new(DefenseKind::None), cell_budget, &path);
+    let family = AttackFamily::PoisonRec;
+    checkpoint_one_step(family, &Victim::new(DefenseKind::Full), cell_budget, &path);
+    let err = resume_refusal(
+        family,
+        &tuning(),
+        &Victim::new(DefenseKind::None),
+        cell_budget,
+        &path,
+    );
     assert!(
         matches!(err, recsys::attack::AttackError::Config(_)),
         "expected a typed config error, got {err}"
     );
+}
+
+/// `tuning` with one field of `family`'s own tuning changed — a field
+/// that leaves the family's budget alone.
+fn retune(family: AttackFamily, mut tuning: ZooTuning) -> ZooTuning {
+    match family {
+        AttackFamily::PoisonRec => tuning.poisonrec.ppo.lr *= 5.0,
+        AttackFamily::AppGrad => tuning.appgrad.step *= 2.0,
+        AttackFamily::ConsLop => tuning.conslop.candidate_pool /= 2,
+        AttackFamily::Influence => tuning.influence.dim *= 2,
+        AttackFamily::Random
+        | AttackFamily::Popular
+        | AttackFamily::Middle
+        | AttackFamily::PowerItem => tuning.seed += 1,
+    }
+    tuning
+}
+
+/// A checkpoint seals the family's own tuning too: resuming it under
+/// changed tuning is a typed state error naming the fingerprint, raised
+/// before the fresh system spends or restores anything.
+#[test]
+fn resuming_under_changed_tuning_is_refused() {
+    let dir = std::env::temp_dir().join(format!("conformance-retune-{}", std::process::id()));
+    for family in AttackFamily::ALL {
+        let path = dir.join(format!("{}.ckpt", family.name()));
+        let cell_budget = budget(family, &tuning());
+        checkpoint_one_step(family, &Victim::new(DefenseKind::None), cell_budget, &path);
+        let retuned = retune(family, tuning());
+        assert_eq!(budget(family, &retuned), cell_budget, "{family}");
+        let fresh = Victim::new(DefenseKind::None);
+        let err = resume_refusal(family, &retuned, &fresh, cell_budget, &path);
+        match err {
+            recsys::attack::AttackError::State(msg) => {
+                assert!(msg.contains("fingerprint"), "{family}: {msg}")
+            }
+            other => panic!("{family}: expected a typed state error, got {other}"),
+        }
+        assert_eq!(
+            fresh.system().observations_spent(),
+            0,
+            "{family}: the refusal spent observations"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every kind but `None`: the defended half of each check.

@@ -72,10 +72,12 @@ fn train_logged(system: &BlackBoxSystem, threads: usize, path: &PathBuf) -> Vec<
     trainer.train(system, STEPS).to_vec()
 }
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("poisonrec-telemetry-{}", std::process::id()));
+/// A per-test scratch directory; each test removes its own at the end.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("poisonrec-telemetry-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+    dir
 }
 
 fn parse_lines(path: &PathBuf) -> Vec<Json> {
@@ -90,7 +92,8 @@ fn parse_lines(path: &PathBuf) -> Vec<Json> {
 
 #[test]
 fn run_log_parses_with_monotone_steps_and_exact_observation_budget() {
-    let path = scratch("run-basic.jsonl");
+    let dir = scratch_dir("basic");
+    let path = dir.join("run.jsonl");
     let system = build_system(13);
     let history = train_logged(&system, 1, &path);
     assert_eq!(history.len(), STEPS);
@@ -126,6 +129,7 @@ fn run_log_parses_with_monotone_steps_and_exact_observation_budget() {
         let mean = line.get("mean_reward").and_then(Json::as_f64).unwrap();
         assert_eq!(mean as f32, history[i].mean_reward);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -133,8 +137,9 @@ fn logged_rewards_are_bit_identical_across_thread_counts() {
     // Acceptance check: telemetry must stay off the RNG path, so a
     // logged run on 1 thread and on 8 threads records the same rewards
     // bit for bit — in the returned history and in the JSONL itself.
-    let path1 = scratch("run-t1.jsonl");
-    let path8 = scratch("run-t8.jsonl");
+    let dir = scratch_dir("threads");
+    let path1 = dir.join("run-t1.jsonl");
+    let path8 = dir.join("run-t8.jsonl");
     let h1 = train_logged(&build_system(13), 1, &path1);
     let h8 = train_logged(&build_system(13), 8, &path8);
     for (a, b) in h1.iter().zip(&h8) {
@@ -155,4 +160,5 @@ fn logged_rewards_are_bit_identical_across_thread_counts() {
             assert_eq!(va.to_bits(), vb.to_bits(), "{field} drifted with threads");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
