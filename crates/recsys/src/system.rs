@@ -509,19 +509,6 @@ impl BlackBoxSystem {
     pub fn inject_and_observe_seeded(&self, poison: &[Trajectory], seed: u64) -> u32 {
         self.observe_seeded(poison, seed).rec_num
     }
-
-    /// Full poisoned recommendation lists for analysis (not available
-    /// to the attacker; used by the experiment harness for figures).
-    /// Thin wrapper over [`BlackBoxSystem::observe_recommendations`].
-    pub fn poisoned_recommendations(
-        &self,
-        poison: &[Trajectory],
-        seed: u64,
-    ) -> Vec<(u32, Vec<ItemId>)> {
-        self.observe_recommendations(poison, seed)
-            .recommendations
-            .expect("lists were requested")
-    }
 }
 
 impl ObservableSystem for BlackBoxSystem {

@@ -251,7 +251,7 @@ impl AppResponse {
         }
     }
 
-    fn error(status: u16, message: impl Into<String>, generation: u64) -> Self {
+    pub(crate) fn error(status: u16, message: impl Into<String>, generation: u64) -> Self {
         Self {
             status,
             body: Json::obj().field("error", message.into()),
@@ -714,14 +714,14 @@ impl RecApp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::http::{Limits, RequestParser};
     use recsys::data::Dataset;
     use recsys::rankers::ItemPop;
     use recsys::system::SystemConfig;
 
-    fn app() -> RecApp {
+    pub(crate) fn app() -> RecApp {
         let histories = (0..40u32)
             .map(|u| (0..6).map(|t| (u * 3 + t * 7) % 60).collect())
             .collect();

@@ -35,7 +35,6 @@ struct Args {
     port: u16,
     threads: usize,
     max_conns: usize,
-    driver: serve::DriverKind,
     access_log: Option<std::path::PathBuf>,
     defense: Option<String>,
     defense_fpr: f64,
@@ -54,7 +53,6 @@ impl Default for Args {
             port: 0,
             threads: 2,
             max_conns: 10_000,
-            driver: serve::DriverKind::Event,
             access_log: None,
             defense: None,
             defense_fpr: 0.05,
@@ -67,7 +65,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--dataset NAME] [--scale F] [--seed N] [--ranker NAME]\n\
          \x20            [--eval-users N] [--reserve-attackers N] [--port N] [--threads N]\n\
-         \x20            [--max-conns N] [--driver event|blocking]\n\
+         \x20            [--max-conns N]\n\
          \x20            [--access-log FILE] [--defense-fpr F]\n\
          \x20            [--defense lof|reputation|adaptive|full]\n\
          \x20            [--fault-ordinals a,b,c]\n\
@@ -115,16 +113,6 @@ fn parse_args() -> Args {
             "--threads" => args.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
             "--max-conns" => {
                 args.max_conns = value("--max-conns").parse().unwrap_or_else(|_| usage())
-            }
-            "--driver" => {
-                args.driver = match value("--driver").as_str() {
-                    "event" => serve::DriverKind::Event,
-                    "blocking" => serve::DriverKind::Blocking,
-                    other => {
-                        eprintln!("unknown driver {other:?} (expected event|blocking)");
-                        usage()
-                    }
-                }
             }
             "--access-log" => args.access_log = Some(value("--access-log").into()),
             "--defense" => args.defense = Some(value("--defense")),
@@ -188,8 +176,7 @@ fn main() -> ExitCode {
     let mut builder = ServerConfig::builder()
         .port(args.port)
         .threads(args.threads)
-        .max_conns(args.max_conns)
-        .driver(args.driver);
+        .max_conns(args.max_conns);
     if let Some(path) = &args.access_log {
         builder = builder.access_log(path.clone());
     }
@@ -215,7 +202,7 @@ fn main() -> ExitCode {
             .field("ranker", args.ranker.name())
             .field("threads", args.threads)
             .field("max_conns", args.max_conns)
-            .field("driver", server.driver().name())
+            .field("poller", server.poller())
             .render()
     );
 

@@ -15,48 +15,49 @@
 //! | `GET /healthz`            | liveness + current generation                |
 //!
 //! Layering: [`http`] is the sans-io parser, [`conn`] the sans-io
-//! per-connection state machine, [`app`] the transport-free router
-//! (typed [`Route`]s over one snapshot cell), [`poll`] the readiness
-//! layer, and this module the drivers that move bytes.
+//! per-connection state machine, `loop_core` the sans-io loop
+//! ([`LoopCore`]: accept, ceiling, inline vs. offload, completions,
+//! drain and teardown), [`app`] the transport-free router (typed
+//! [`Route`]s over one snapshot cell), [`poll`] the readiness layer, and
+//! this module the one driver that moves bytes.
 //!
-//! ## The event-loop driver (default)
+//! ## The driver
 //!
-//! One `serve-loop` thread owns every socket: a [`poll::Poller`]
-//! (epoll, or ppoll fallback) reports readiness, the loop feeds bytes
-//! through each connection's [`Connection`] machine, answers *fast*
-//! routes (reads — lock-free snapshot pins) inline, and offloads
-//! *slow* routes (feedback/retrain) to a fixed [`runtime::WorkerPool`]
-//! via [`runtime::WorkerPool::spawn_waking`], whose completion wakes
-//! the parked poller through a [`poll::Waker`] pipe. Idle keep-alive
-//! connections therefore cost one registered fd and a small state
-//! machine — **zero threads** — and total thread count is fixed at
-//! `1 + threads` regardless of connection count (the acceptance
-//! criterion `tests/many_conns.rs` pins at 10k connections).
+//! One `serve-loop` thread owns every socket. A [`poll::Poller`] (epoll,
+//! or the portable sweep backend where epoll is unavailable) reports
+//! readiness; the driver turns it into accepts, reads and writes, feeds
+//! their outcomes and the current time to the [`LoopCore`], and runs the
+//! actions the core returns. It answers *fast* routes (reads —
+//! lock-free snapshot pins) inline and offloads *slow* routes
+//! (feedback/retrain) to a fixed [`runtime::WorkerPool`] via
+//! [`runtime::WorkerPool::spawn_waking`], whose completion wakes the
+//! parked poller. Idle keep-alive connections therefore cost one
+//! registered fd and a small state machine — **zero threads** — and
+//! total thread count is fixed at `1 + threads` regardless of
+//! connection count (the acceptance criterion `tests/many_conns.rs`
+//! pins at 10k connections).
 //!
-//! ## The blocking driver (fallback + differential tests)
+//! An accept that fails with anything but `WouldBlock` (EMFILE at the
+//! fd limit) pauses accepting, counted in `serve_accept_errors_total`;
+//! the core re-arms it after the next teardown or the next timed-out
+//! wait, so a listener that stays readable cannot spin the loop.
 //!
-//! The pre-PR-6 thread-per-connection driver is retained behind
-//! [`DriverKind::Blocking`]: one pool task per connection, 20 ms read
-//! timeouts, same graceful-drain rules. It drives the *same*
-//! [`Connection`] machine — one implementation of pipelining,
-//! response ordering, and close semantics, so the drivers cannot
-//! drift. Non-Linux targets fall back to it automatically.
-//!
-//! Both drivers keep the accepted/completed ledger: every request
-//! parsed off a socket is counted accepted, every response whose last
-//! byte reached the kernel counted completed, and a graceful
+//! The core keeps the accepted/completed ledger: every request parsed
+//! off a socket is counted accepted, every response whose last byte
+//! reached the kernel counted completed, and a graceful
 //! [`Server::shutdown`] reports them with `dropped() == 0`.
 
 pub mod app;
 pub mod conn;
 pub mod http;
+mod loop_core;
 pub mod poll;
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -68,28 +69,8 @@ use telemetry::AsyncJsonlSink;
 pub use app::{AppResponse, FeedbackOutcome, MetricsFormat, RecApp, Route, RouteError};
 pub use conn::{Connection, FeedOutcome, Inbound};
 pub use http::{HttpError, Limits, Request, RequestParser};
+pub use loop_core::{Action, LoopCore, DRAIN_GRACE};
 pub use poll::{raise_nofile, Interest, Poller, Waker};
-
-/// Which byte-moving driver a [`Server`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DriverKind {
-    /// Readiness-driven event loop (epoll/ppoll); falls back to
-    /// [`DriverKind::Blocking`] where no poller is available.
-    #[default]
-    Event,
-    /// One pool task per connection with timeout-polled reads.
-    Blocking,
-}
-
-impl DriverKind {
-    /// Stable lowercase name used in logs and manifests.
-    pub fn name(self) -> &'static str {
-        match self {
-            DriverKind::Event => "event",
-            DriverKind::Blocking => "blocking",
-        }
-    }
-}
 
 /// How a [`Server`] is wired up; independent of the system it serves.
 /// Construct via [`ServerConfig::builder`] for validation, or fill
@@ -98,9 +79,8 @@ pub struct ServerConfig {
     /// Port to bind on 127.0.0.1; `0` asks the OS for a free one
     /// (tests always do — see [`Server::local_addr`]).
     pub port: u16,
-    /// Handler worker threads (min 1). Under the event driver these
-    /// run offloaded feedback/retrain handlers; under the blocking
-    /// driver they are the per-connection tasks.
+    /// Handler worker threads (min 1): they run the offloaded
+    /// feedback/retrain handlers.
     pub threads: usize,
     /// Connection ceiling; accepts beyond it are dropped at the door.
     pub max_conns: usize,
@@ -112,8 +92,6 @@ pub struct ServerConfig {
     pub fault_plan: Option<Arc<runtime::FaultPlan>>,
     /// Parser byte budgets.
     pub limits: Limits,
-    /// Byte-moving driver; [`DriverKind::Event`] unless overridden.
-    pub driver: DriverKind,
 }
 
 impl Default for ServerConfig {
@@ -125,7 +103,6 @@ impl Default for ServerConfig {
             access_log: None,
             fault_plan: None,
             limits: Limits::default(),
-            driver: DriverKind::Event,
         }
     }
 }
@@ -174,11 +151,6 @@ impl ServerConfigBuilder {
 
     pub fn limits(mut self, limits: Limits) -> Self {
         self.cfg.limits = limits;
-        self
-    }
-
-    pub fn driver(mut self, driver: DriverKind) -> Self {
-        self.cfg.driver = driver;
         self
     }
 
@@ -231,17 +203,11 @@ struct Shared {
     log: Option<AsyncJsonlSink>,
     started: Instant,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
-    connection_ids: AtomicU64,
-    requests_accepted: AtomicU64,
-    responses_completed: AtomicU64,
     /// Ledger-counted access events enqueued to the log.
     access_events: AtomicU64,
     /// Ledger-counted access events dropped (log queue full).
     access_dropped: AtomicU64,
     fault_plan: Option<Arc<runtime::FaultPlan>>,
-    limits: Limits,
-    max_conns: usize,
 }
 
 /// `serve_requests` label values are drawn from closed vocabularies
@@ -292,10 +258,16 @@ fn loop_lag_micros() -> &'static Arc<telemetry::WindowedHistogram> {
 }
 
 impl Shared {
-    /// Computes the response to one request, isolating handler panics
-    /// (including scripted [`runtime::FaultPlan`] faults) into 500s.
-    /// Every request consumes one fault ordinal, fast or slow.
-    fn compute(&self, route: &Result<Route, RouteError>, body: &[u8]) -> AppResponse {
+    /// Answers one request, isolating handler panics (including
+    /// scripted [`runtime::FaultPlan`] faults) into 500s. Every request
+    /// consumes one fault ordinal, fast or slow.
+    fn answer(
+        &self,
+        token: u64,
+        req: Request,
+        route: &Result<Route, RouteError>,
+        lag_micros: u64,
+    ) -> Answer {
         telemetry::metrics::counter("serve_requests_total").inc();
         let timer = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -303,27 +275,13 @@ impl Shared {
                 plan.on_unit();
             }
             match route {
-                Ok(route) => self.app.dispatch(route, body),
-                Err(err) => AppResponse {
-                    status: err.status,
-                    body: Json::obj().field("error", err.message.clone()),
-                    raw: None,
-                    content_type: "application/json",
-                    generation: self.app.generation(),
-                    feedback: None,
-                },
+                Ok(route) => self.app.dispatch(route, &req.body),
+                Err(err) => AppResponse::error(err.status, &err.message, self.app.generation()),
             }
         }));
         let resp = outcome.unwrap_or_else(|_| {
             telemetry::metrics::counter("serve_request_panics_total").inc();
-            AppResponse {
-                status: 500,
-                body: Json::obj().field("error", "internal error"),
-                raw: None,
-                content_type: "application/json",
-                generation: self.app.generation(),
-                feedback: None,
-            }
+            AppResponse::error(500, "internal error", self.app.generation())
         });
         if resp.status >= 500 {
             telemetry::metrics::counter("serve_responses_5xx_total").inc();
@@ -337,14 +295,25 @@ impl Shared {
             request_family().add(&[route_label, &status], 1);
             request_secs().record(timer.elapsed().as_secs_f64());
         }
-        resp
+        Answer {
+            token,
+            status: resp.status,
+            content_type: resp.content_type,
+            body: resp.render_body(),
+            generation: resp.generation,
+            method: req.method,
+            path: req.path,
+            micros: timer.elapsed().as_micros() as u64,
+            lag_micros,
+            feedback: resp.feedback,
+        }
     }
 }
 
 /// One `{"type":"access", ...}` event per request. `ts_micros` is a
 /// monotonic clock (micros since server start), so the validator can
 /// require per-connection monotonicity without wall-clock caveats.
-/// `lag_micros` is the parse-to-dispatch gap (event-loop lag under the event driver).
+/// `lag_micros` is the parse-to-dispatch gap (event-loop lag).
 ///
 /// The emit is one bounded-queue `try_send`; a full queue drops the
 /// line, counted in `serve_access_log_dropped_total` and — for
@@ -359,33 +328,22 @@ impl Shared {
 /// auditable offline: `validate_jsonl --access-log` checks the verdict
 /// vocabulary and that `pending == pending_before + accepted` — i.e.
 /// rejected feedback never increments queue depth.
-#[allow(clippy::too_many_arguments)]
-fn log_access(
-    shared: &Shared,
-    conn: u64,
-    method: &str,
-    path: &str,
-    status: u16,
-    generation: u64,
-    micros: u64,
-    lag_micros: u64,
-    feedback: Option<FeedbackOutcome>,
-) {
+fn log_access(shared: &Shared, done: &Answer) {
     let Some(log) = &shared.log else {
         return;
     };
-    let counted = method != "?";
+    let counted = done.method != "?";
     let mut event = Json::obj()
         .field("type", "access")
-        .field("conn", conn)
-        .field("method", method.to_string())
-        .field("path", path.to_string())
-        .field("status", u64::from(status))
-        .field("generation", generation)
-        .field("micros", micros)
-        .field("lag_micros", lag_micros)
+        .field("conn", done.token)
+        .field("method", done.method.clone())
+        .field("path", done.path.clone())
+        .field("status", u64::from(done.status))
+        .field("generation", done.generation)
+        .field("micros", done.micros)
+        .field("lag_micros", done.lag_micros)
         .field("ts_micros", shared.started.elapsed().as_micros() as u64);
-    if let Some(fb) = feedback {
+    if let Some(fb) = done.feedback {
         event = event
             .field("verdict", fb.verdict)
             .field("detector", fb.detector)
@@ -411,21 +369,26 @@ fn log_access(
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    driver_thread: Option<std::thread::JoinHandle<()>>,
+    loop_thread: Option<std::thread::JoinHandle<ShutdownStats>>,
     /// Owned pool; dropped last so queued handlers finish.
     pool: Option<Arc<runtime::WorkerPool>>,
-    /// Wakes the parked event loop at shutdown (event driver only).
-    waker: Option<Arc<Waker>>,
-    driver: DriverKind,
+    /// Unparks the loop at shutdown.
+    waker: Arc<Waker>,
+    poller: &'static str,
 }
 
 impl Server {
     /// Binds `127.0.0.1:{port}` and starts serving. The app is built
     /// by the caller so tests can inject defenses or prebuilt systems.
     pub fn start(app: RecApp, cfg: ServerConfig) -> std::io::Result<Self> {
+        Self::start_on(app, cfg, Poller::new())
+    }
+
+    fn start_on(app: RecApp, cfg: ServerConfig, mut poller: Poller) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        poller.register(poll::raw_fd(&listener), LISTENER_TOKEN, Interest::READ)?;
 
         let log = match &cfg.access_log {
             Some(path) => Some(AsyncJsonlSink::create(
@@ -439,32 +402,10 @@ impl Server {
             log,
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            connection_ids: AtomicU64::new(0),
-            requests_accepted: AtomicU64::new(0),
-            responses_completed: AtomicU64::new(0),
             access_events: AtomicU64::new(0),
             access_dropped: AtomicU64::new(0),
             fault_plan: cfg.fault_plan,
-            limits: cfg.limits,
-            max_conns: cfg.max_conns.max(1),
         });
-
-        let pool = Arc::new(runtime::WorkerPool::new(cfg.threads.max(1)));
-
-        // Prefer the event driver; fall back to blocking when no
-        // poller backend exists (non-Linux targets).
-        let mut driver = cfg.driver;
-        let mut event_parts = None;
-        if driver == DriverKind::Event {
-            match (Poller::new(), Waker::new()) {
-                (Ok(poller), Ok((waker, reader))) => {
-                    event_parts = Some((poller, Arc::new(waker), reader));
-                }
-                _ => driver = DriverKind::Blocking,
-            }
-        }
-
         if let Some(log) = &shared.log {
             // First enqueue into a fresh queue: cannot be full, and the
             // FIFO writer guarantees the manifest stays line one.
@@ -475,43 +416,36 @@ impl Server {
                     .field("addr", addr.to_string())
                     .field("ranker", shared.app.system().ranker_name())
                     .field("threads", cfg.threads.max(1))
-                    .field("max_conns", shared.max_conns)
-                    .field("driver", driver.name()),
+                    .field("max_conns", cfg.max_conns.max(1))
+                    .field("poller", poller.backend_name()),
             );
         }
 
-        let (driver_thread, waker) = match event_parts {
-            Some((poller, waker, reader)) => {
-                let event_loop = EventLoop::new(
-                    listener,
-                    poller,
-                    Arc::clone(&waker),
-                    reader,
-                    Arc::clone(&shared),
-                    Arc::clone(&pool),
-                );
-                let handle = std::thread::Builder::new()
-                    .name("serve-loop".into())
-                    .spawn(move || event_loop.run())?;
-                (handle, Some(waker))
-            }
-            None => {
-                let accept_shared = Arc::clone(&shared);
-                let accept_pool = Arc::clone(&pool);
-                let handle = std::thread::Builder::new()
-                    .name("serve-accept".into())
-                    .spawn(move || blocking_accept_loop(listener, accept_shared, accept_pool))?;
-                (handle, None)
-            }
+        let pool = Arc::new(runtime::WorkerPool::new(cfg.threads.max(1)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waker = poller.waker();
+        let backend = poller.backend_name();
+        let driver = Driver {
+            core: LoopCore::new(cfg.limits, cfg.max_conns),
+            listener,
+            poller,
+            streams: HashMap::new(),
+            shared: Arc::clone(&shared),
+            pool: Arc::clone(&pool),
+            tx,
+            rx,
         };
+        let loop_thread = std::thread::Builder::new()
+            .name("serve-loop".into())
+            .spawn(move || driver.run())?;
 
         Ok(Self {
             addr,
             shared,
-            driver_thread: Some(driver_thread),
+            loop_thread: Some(loop_thread),
             pool: Some(pool),
             waker,
-            driver,
+            poller: backend,
         })
     }
 
@@ -520,10 +454,9 @@ impl Server {
         self.addr
     }
 
-    /// The driver actually running (the event driver may have fallen
-    /// back to blocking on targets without a poller).
-    pub fn driver(&self) -> DriverKind {
-        self.driver
+    /// The readiness backend the loop runs on: `"epoll"` or `"sweep"`.
+    pub fn poller(&self) -> &'static str {
+        self.poller
     }
 
     /// The app behind this server. Wire-side experiments read the
@@ -535,34 +468,28 @@ impl Server {
 
     /// Stops accepting, waits for every in-flight request to drain,
     /// and reports the request/response ledger. Idempotent via Drop.
+    /// A panic of the serve loop resurfaces here.
     pub fn shutdown(mut self) -> ShutdownStats {
         self.shutdown_inner()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
-    fn shutdown_inner(&mut self) -> ShutdownStats {
+    fn shutdown_inner(&mut self) -> std::thread::Result<ShutdownStats> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            runtime::Wake::wake(&**waker);
-        }
-        if let Some(handle) = self.driver_thread.take() {
-            let _ = handle.join();
-        }
-        // Blocking driver: every connection task decrements on exit.
-        while self.shared.active_connections.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        runtime::Wake::wake(&*self.waker);
+        let joined = self
+            .loop_thread
+            .take()
+            .expect("a server shuts down once")
+            .join();
         // Dropping the pool joins its workers (queue is drained first).
         self.pool = None;
-        let stats = ShutdownStats {
-            accepted: self.shared.requests_accepted.load(Ordering::SeqCst),
-            completed: self.shared.responses_completed.load(Ordering::SeqCst),
-        };
         // Drain the access-log queue to disk, then append the
         // drop-accounting summary as the guaranteed-last line:
         // events + dropped == completed (parse-error lines, method
         // "?", sit outside the ledger and this accounting).
-        if let Some(log) = &self.shared.log {
-            if let Some(sink) = log.close() {
+        if let Some(sink) = self.shared.log.as_ref().and_then(AsyncJsonlSink::close) {
+            if let Ok(stats) = &joined {
                 let _ = sink.emit(
                     &Json::obj()
                         .field("type", "access-summary")
@@ -572,33 +499,29 @@ impl Server {
                 );
             }
         }
-        stats
+        joined
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         if self.pool.is_some() {
-            self.shutdown_inner();
+            let _ = self.shutdown_inner();
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Event driver
+// The driver: syscalls and the clock around the sans-io core
 // ---------------------------------------------------------------------------
 
+/// Connection tokens come from the core, starting at 1.
 const LISTENER_TOKEN: u64 = 0;
-const WAKER_TOKEN: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
 
-/// How long a half-received request may keep a draining connection
-/// alive (both drivers), bounding shutdown latency against clients
-/// that stall mid-request.
-const DRAIN_GRACE: Duration = Duration::from_secs(2);
-
-/// An offloaded handler's finished response, sent back to the loop.
-struct Completion {
+/// One answered request: what the core writes and the access log
+/// records. Offloaded handlers send theirs back to the loop.
+#[derive(Default)]
+struct Answer {
     token: u64,
     status: u16,
     content_type: &'static str,
@@ -611,567 +534,245 @@ struct Completion {
     feedback: Option<FeedbackOutcome>,
 }
 
-struct ConnEntry {
-    stream: TcpStream,
-    machine: Connection,
-    interest: Interest,
-    /// Peer half-closed its write side; serve what's queued, then go.
-    eof: bool,
-    /// Last byte-level progress, for the shutdown drain grace.
-    last_progress: Instant,
-}
-
-struct EventLoop {
+struct Driver {
+    core: LoopCore,
     listener: TcpListener,
     poller: Poller,
-    waker: Arc<Waker>,
-    waker_reader: std::io::PipeReader,
+    streams: HashMap<u64, TcpStream>,
     shared: Arc<Shared>,
     pool: Arc<runtime::WorkerPool>,
-    conns: HashMap<u64, ConnEntry>,
-    next_token: u64,
-    tx: Sender<Completion>,
-    rx: Receiver<Completion>,
-    accepting: bool,
+    tx: Sender<Answer>,
+    rx: Receiver<Answer>,
 }
 
-impl EventLoop {
-    fn new(
-        listener: TcpListener,
-        poller: Poller,
-        waker: Arc<Waker>,
-        waker_reader: std::io::PipeReader,
-        shared: Arc<Shared>,
-        pool: Arc<runtime::WorkerPool>,
-    ) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel();
-        Self {
-            listener,
-            poller,
-            waker,
-            waker_reader,
-            shared,
-            pool,
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            tx,
-            rx,
-            accepting: true,
-        }
-    }
-
-    fn run(mut self) {
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            if self
-                .poller
-                .register(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                .is_err()
-                || self
-                    .poller
-                    .register(self.waker_reader.as_raw_fd(), WAKER_TOKEN, Interest::READ)
-                    .is_err()
-            {
-                return;
-            }
-        }
+impl Driver {
+    fn run(mut self) -> ShutdownStats {
         let mut events = Vec::new();
-        loop {
-            let draining = self.shared.shutdown.load(Ordering::SeqCst);
-            let timeout = if draining {
+        while !self.core.is_done() {
+            let timeout = if self.shared.shutdown.load(Ordering::SeqCst) {
                 Duration::from_millis(20)
             } else {
                 Duration::from_millis(200)
             };
             events.clear();
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                return;
+                break;
             }
-            for &event in &events {
-                match event.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.drain_waker(),
-                    token => self.conn_ready(token, event),
+            for event in &events {
+                if event.token == LISTENER_TOKEN {
+                    self.accept_ready();
+                } else {
+                    if event.readable {
+                        self.read(event.token);
+                    }
+                    if event.writable {
+                        self.core.flush(event.token);
+                    }
                 }
             }
-            self.drain_completions();
+            // Answers from offloaded handlers.
+            let mut completed = false;
+            while let Ok(done) = self.rx.try_recv() {
+                completed = true;
+                self.finish(done);
+            }
             if self.shared.shutdown.load(Ordering::SeqCst) {
-                self.drive_drain();
-                if self.conns.is_empty() {
-                    return;
-                }
+                self.core.begin_drain();
             }
+            self.core
+                .tick(Instant::now(), events.is_empty() && !completed);
+            self.run_actions();
         }
+        self.core.ledger()
     }
 
     fn accept_ready(&mut self) {
-        loop {
-            if !self.accepting {
-                return;
-            }
+        while self.core.accepting() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.conns.len() >= self.shared.max_conns {
-                        // Over the ceiling: hang up at the door.
-                        telemetry::metrics::counter("serve_conns_rejected_total").inc();
-                        drop(stream);
-                        continue;
-                    }
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    #[cfg(unix)]
+                    let Some(token) = self.core.accept(Instant::now()) else {
+                        // Over the ceiling: hang up at the door.
+                        telemetry::metrics::counter("serve_conns_rejected_total").inc();
+                        continue;
+                    };
+                    if self
+                        .poller
+                        .register(poll::raw_fd(&stream), token, Interest::READ)
+                        .is_err()
                     {
-                        use std::os::fd::AsRawFd;
-                        if self
-                            .poller
-                            .register(stream.as_raw_fd(), token, Interest::READ)
-                            .is_err()
-                        {
-                            continue;
-                        }
+                        self.core.close(token);
+                        continue;
                     }
                     telemetry::metrics::gauge("serve_active_connections").add(1);
-                    self.conns.insert(
-                        token,
-                        ConnEntry {
-                            stream,
-                            machine: Connection::new(self.shared.limits),
-                            interest: Interest::READ,
-                            eof: false,
-                            last_progress: Instant::now(),
-                        },
-                    );
+                    self.streams.insert(token, stream);
                 }
                 Err(err) if err.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        // Clear the coalescing flag first: a wake racing this drain
-        // writes a fresh byte and the next `wait` returns immediately.
-        self.waker.begin_drain();
-        let mut buf = [0u8; 64];
-        while matches!((&self.waker_reader).read(&mut buf), Ok(n) if n > 0) {}
-    }
-
-    fn conn_ready(&mut self, token: u64, event: poll::Event) {
-        if !self.conns.contains_key(&token) {
-            return; // torn down earlier in this batch
-        }
-        if event.readable && !self.read_conn(token) {
-            self.teardown(token);
-            return;
-        }
-        self.service_conn(token);
-        self.flush_and_maybe_close(token);
-    }
-
-    /// Reads everything currently available; false = tear down now.
-    fn read_conn(&mut self, token: u64) -> bool {
-        let entry = self.conns.get_mut(&token).expect("checked by caller");
-        if entry.machine.is_closing() || entry.eof {
-            return true;
-        }
-        let mut buf = [0u8; 8192];
-        loop {
-            match entry.stream.read(&mut buf) {
-                Ok(0) => {
-                    entry.eof = true;
-                    // Nothing queued and nothing mid-parse: plain close.
-                    return !entry.machine.is_idle();
-                }
-                Ok(n) => {
-                    entry.last_progress = Instant::now();
-                    let outcome = entry.machine.feed(&buf[..n]);
-                    if outcome.accepted > 0 {
-                        self.shared
-                            .requests_accepted
-                            .fetch_add(outcome.accepted as u64, Ordering::SeqCst);
-                    }
-                    if outcome.error.is_some() {
-                        return true; // answered via take_due_error
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => return true,
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Dispatches every ready request: fast routes inline, slow ones
-    /// to the worker set (at most one in flight per connection — the
-    /// machine enforces response ordering).
-    fn service_conn(&mut self, token: u64) {
-        loop {
-            let Some(entry) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if let Some(err) = entry.machine.take_due_error() {
-                let body = Json::obj().field("error", err.reason().to_string());
-                entry
-                    .machine
-                    .push_error_response(err.status(), &body.render());
-                log_access(
-                    &self.shared,
-                    token,
-                    "?",
-                    "?",
-                    err.status(),
-                    self.shared.app.generation(),
-                    0,
-                    0,
-                    None,
-                );
-                return;
-            }
-            if !entry.machine.has_ready_request() {
-                return;
-            }
-            let inbound = entry.machine.take_request().expect("ready");
-            let lag_micros = inbound.parsed_at.elapsed().as_micros() as u64;
-            loop_lag_micros().record(lag_micros as f64);
-            let req = inbound.request;
-            let route = Route::parse(&req.method, &req.path, &req.query);
-            let fast = route.as_ref().map_or(true, Route::is_fast);
-            if fast {
-                let timer = Instant::now();
-                let resp = self.shared.compute(&route, &req.body);
-                let micros = timer.elapsed().as_micros() as u64;
-                let force_close = self.shared.shutdown.load(Ordering::SeqCst);
-                let entry = self.conns.get_mut(&token).expect("still present");
-                entry.machine.push_response_with(
-                    resp.status,
-                    resp.content_type,
-                    &resp.render_body(),
-                    force_close,
-                );
-                log_access(
-                    &self.shared,
-                    token,
-                    &req.method,
-                    &req.path,
-                    resp.status,
-                    resp.generation,
-                    micros,
-                    lag_micros,
-                    resp.feedback,
-                );
-                continue; // next pipelined request
-            }
-            // Slow route: offload; the completion wakes the poller.
-            let shared = Arc::clone(&self.shared);
-            let tx = self.tx.clone();
-            let waker: Arc<dyn runtime::Wake> = Arc::clone(&self.waker) as _;
-            self.pool.spawn_waking(
-                move || {
-                    let timer = Instant::now();
-                    let resp = shared.compute(&route, &req.body);
-                    let _ = tx.send(Completion {
-                        token,
-                        status: resp.status,
-                        content_type: resp.content_type,
-                        body: resp.render_body(),
-                        generation: resp.generation,
-                        method: req.method,
-                        path: req.path,
-                        micros: timer.elapsed().as_micros() as u64,
-                        lag_micros,
-                        feedback: resp.feedback,
-                    });
-                },
-                waker,
-            );
-            return; // the machine blocks further takes until completion
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.rx.try_recv() {
-            let Some(entry) = self.conns.get_mut(&done.token) else {
-                continue; // peer vanished while the handler ran
-            };
-            let force_close = self.shared.shutdown.load(Ordering::SeqCst);
-            entry.machine.push_response_with(
-                done.status,
-                done.content_type,
-                &done.body,
-                force_close,
-            );
-            log_access(
-                &self.shared,
-                done.token,
-                &done.method,
-                &done.path,
-                done.status,
-                done.generation,
-                done.micros,
-                done.lag_micros,
-                done.feedback,
-            );
-            let token = done.token;
-            self.service_conn(token);
-            self.flush_and_maybe_close(token);
-        }
-    }
-
-    /// Writes pending output, adjusts write interest, and closes the
-    /// connection when its machine says so.
-    fn flush_and_maybe_close(&mut self, token: u64) {
-        let Some(entry) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while entry.machine.wants_write() {
-            match entry.stream.write(entry.machine.pending_output()) {
-                Ok(0) => {
-                    self.teardown(token);
-                    return;
-                }
-                Ok(n) => {
-                    entry.last_progress = Instant::now();
-                    let completed = entry.machine.advance_write(n);
-                    if completed > 0 {
-                        self.shared
-                            .responses_completed
-                            .fetch_add(completed, Ordering::SeqCst);
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.teardown(token);
-                    return;
+                    telemetry::metrics::counter("serve_accept_errors_total").inc();
+                    self.core.accept_failed();
                 }
             }
         }
-        let want = if entry.machine.wants_write() {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
+    }
+
+    /// Reads everything currently available into the core.
+    fn read(&mut self, token: u64) {
+        let Some(stream) = self.streams.get_mut(&token) else {
+            return;
         };
-        if want != entry.interest {
-            entry.interest = want;
-            #[cfg(unix)]
-            {
-                use std::os::fd::AsRawFd;
-                let _ = self
-                    .poller
-                    .reregister(entry.stream.as_raw_fd(), token, want);
+        let mut buf = [0u8; 8192];
+        while self.core.wants_read(token) {
+            match stream.read(&mut buf) {
+                Ok(n) => self.core.received(token, &buf[..n], Instant::now()),
+                Err(err) if err.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => self.core.close(token),
             }
-        }
-        let machine = &self.conns[&token].machine;
-        let done = machine.should_close_now()
-            || (self.conns[&token].eof && !machine.in_flight() && !machine.wants_write());
-        if done {
-            self.teardown(token);
         }
     }
 
-    /// One shutdown sweep: stop accepting, retire idle connections,
-    /// cut off stalled half-requests after the grace period.
-    fn drive_drain(&mut self) {
-        if self.accepting {
-            self.accepting = false;
-            #[cfg(unix)]
-            {
-                use std::os::fd::AsRawFd;
-                let _ = self.poller.deregister(self.listener.as_raw_fd());
+    /// Writes the core's output until it is empty or would block.
+    fn write(&mut self, token: u64) {
+        let Some(stream) = self.streams.get_mut(&token) else {
+            return;
+        };
+        while let Some(output) = self.core.output(token) {
+            match stream.write(output) {
+                Ok(n) if n > 0 => self.core.written(token, n, Instant::now()),
+                Err(err) if err.kind() == ErrorKind::WouldBlock => {
+                    self.core.write_blocked(token);
+                    return;
+                }
+                _ => {
+                    self.core.close(token);
+                    return;
+                }
             }
         }
-        let now = Instant::now();
-        let doomed: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, entry)| {
-                entry.machine.is_idle()
-                    || (entry.machine.buffered_partial() > 0
-                        && !entry.machine.in_flight()
-                        && now.duration_since(entry.last_progress) > DRAIN_GRACE)
-            })
-            .map(|(&token, _)| token)
+    }
+
+    /// Hands an answer to the core and logs it, unless its connection
+    /// vanished while the handler ran.
+    fn finish(&mut self, done: Answer) {
+        if self
+            .core
+            .respond(done.token, done.status, done.content_type, &done.body)
+        {
+            log_access(&self.shared, &done);
+        }
+    }
+
+    fn run_actions(&mut self) {
+        while let Some(action) = self.core.next_action() {
+            match action {
+                Action::Listen(on) => {
+                    let fd = poll::raw_fd(&self.listener);
+                    if !on {
+                        let _ = self.poller.deregister(fd);
+                    } else if self
+                        .poller
+                        .register(fd, LISTENER_TOKEN, Interest::READ)
+                        .is_err()
+                    {
+                        self.core.accept_failed();
+                    }
+                }
+                Action::Interest(token, interest) => {
+                    if let Some(stream) = self.streams.get(&token) {
+                        let _ = self
+                            .poller
+                            .reregister(poll::raw_fd(stream), token, interest);
+                    }
+                }
+                Action::Dispatch {
+                    token,
+                    inbound,
+                    route,
+                    inline,
+                } => self.dispatch(token, inbound, route, inline),
+                Action::Rejected { token, status } => log_access(
+                    &self.shared,
+                    &Answer {
+                        token,
+                        status,
+                        generation: self.shared.app.generation(),
+                        method: "?".into(),
+                        path: "?".into(),
+                        ..Answer::default()
+                    },
+                ),
+                Action::Write(token) => self.write(token),
+                Action::Close(token) => {
+                    if let Some(stream) = self.streams.remove(&token) {
+                        let _ = self.poller.deregister(poll::raw_fd(&stream));
+                        telemetry::metrics::gauge("serve_active_connections").add(-1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Computes a fast route inline; offloads a slow one to the pool,
+    /// whose completion wakes the poller.
+    fn dispatch(
+        &mut self,
+        token: u64,
+        inbound: Inbound,
+        route: Result<Route, RouteError>,
+        inline: bool,
+    ) {
+        let lag_micros = inbound.parsed_at.elapsed().as_micros() as u64;
+        loop_lag_micros().record(lag_micros as f64);
+        if inline {
+            let done = self
+                .shared
+                .answer(token, inbound.request, &route, lag_micros);
+            self.finish(done);
+            return;
+        }
+        let shared = Arc::clone(&self.shared);
+        let tx = self.tx.clone();
+        self.pool.spawn_waking(
+            move || {
+                let done = shared.answer(token, inbound.request, &route, lag_micros);
+                let _ = tx.send(done);
+            },
+            self.poller.waker(),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recsys::remote::HttpClient;
+
+    /// `tests/serve_attack.rs`'s fault sequence over real sockets on the
+    /// sweep backend, plus one offloaded route: sweep runs with no waker,
+    /// so the completion must surface within a tick.
+    #[test]
+    fn sweep_backend_contains_a_handler_panic_and_serves_offloaded_routes() {
+        let cfg = ServerConfig {
+            threads: 1,
+            fault_plan: Some(Arc::new(runtime::FaultPlan::new().panic_on_job(2))),
+            ..ServerConfig::default()
+        };
+        let server = Server::start_on(crate::app::tests::app(), cfg, Poller::sweep())
+            .expect("bind 127.0.0.1:0");
+        assert_eq!(server.poller(), "sweep");
+
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let statuses: Vec<u16> = (0..5)
+            .map(|_| client.request("GET", "/healthz", None).expect("healthz").0)
             .collect();
-        for token in doomed {
-            self.teardown(token);
-        }
-    }
-
-    fn teardown(&mut self, token: u64) {
-        if let Some(entry) = self.conns.remove(&token) {
-            #[cfg(unix)]
-            {
-                use std::os::fd::AsRawFd;
-                let _ = self.poller.deregister(entry.stream.as_raw_fd());
-            }
-            telemetry::metrics::gauge("serve_active_connections").add(-1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blocking driver
-// ---------------------------------------------------------------------------
-
-fn blocking_accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    pool: Arc<runtime::WorkerPool>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.active_connections.load(Ordering::SeqCst) >= shared.max_conns {
-                    telemetry::metrics::counter("serve_conns_rejected_total").inc();
-                    drop(stream);
-                    continue;
-                }
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                telemetry::metrics::gauge("serve_active_connections").add(1);
-                let conn_shared = Arc::clone(&shared);
-                pool.spawn(move || {
-                    let conn = conn_shared.connection_ids.fetch_add(1, Ordering::Relaxed);
-                    handle_connection_blocking(stream, &conn_shared, conn);
-                    conn_shared
-                        .active_connections
-                        .fetch_sub(1, Ordering::SeqCst);
-                    telemetry::metrics::gauge("serve_active_connections").add(-1);
-                });
-            }
-            Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-/// Drives one connection's [`Connection`] machine over a blocking
-/// socket with a 20 ms read timeout — the same machine the event loop
-/// drives, fed and flushed sequentially.
-fn handle_connection_blocking(stream: TcpStream, shared: &Shared, conn: u64) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut stream = stream;
-    let mut machine = Connection::new(shared.limits);
-    let mut read_buf = [0u8; 8192];
-    let mut eof = false;
-    let mut stalled_since: Option<Instant> = None;
-
-    loop {
-        // Serve everything already parsed (pipelining) first.
-        loop {
-            if let Some(err) = machine.take_due_error() {
-                let body = Json::obj().field("error", err.reason().to_string());
-                machine.push_error_response(err.status(), &body.render());
-                log_access(
-                    shared,
-                    conn,
-                    "?",
-                    "?",
-                    err.status(),
-                    shared.app.generation(),
-                    0,
-                    0,
-                    None,
-                );
-                break;
-            }
-            let Some(inbound) = machine.take_request() else {
-                break;
-            };
-            let lag_micros = inbound.parsed_at.elapsed().as_micros() as u64;
-            let req = inbound.request;
-            let route = Route::parse(&req.method, &req.path, &req.query);
-            let timer = Instant::now();
-            let resp = shared.compute(&route, &req.body);
-            let micros = timer.elapsed().as_micros() as u64;
-            let force_close = shared.shutdown.load(Ordering::SeqCst);
-            machine.push_response_with(
-                resp.status,
-                resp.content_type,
-                &resp.render_body(),
-                force_close,
-            );
-            log_access(
-                shared,
-                conn,
-                &req.method,
-                &req.path,
-                resp.status,
-                resp.generation,
-                micros,
-                lag_micros,
-                resp.feedback,
-            );
-        }
-
-        // Flush: blocking write, so this drains fully or fails.
-        while machine.wants_write() {
-            match stream.write(machine.pending_output()) {
-                Ok(0) => return,
-                Ok(n) => {
-                    let completed = machine.advance_write(n);
-                    if completed > 0 {
-                        shared
-                            .responses_completed
-                            .fetch_add(completed, Ordering::SeqCst);
-                    }
-                }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => {}
-                Err(_) => return,
-            }
-        }
-        if machine.should_close_now() {
-            return;
-        }
-        if eof && !machine.in_flight() {
-            return;
-        }
-
-        match stream.read(&mut read_buf) {
-            Ok(0) => {
-                if machine.is_idle() {
-                    return;
-                }
-                eof = true;
-            }
-            Ok(n) => {
-                stalled_since = None;
-                let outcome = machine.feed(&read_buf[..n]);
-                if outcome.accepted > 0 {
-                    shared
-                        .requests_accepted
-                        .fetch_add(outcome.accepted as u64, Ordering::SeqCst);
-                }
-            }
-            Err(err)
-                if err.kind() == ErrorKind::WouldBlock || err.kind() == ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    if machine.is_idle() {
-                        return;
-                    }
-                    // A request is mid-flight: grant a bounded grace.
-                    if machine.buffered_partial() > 0 {
-                        let since = *stalled_since.get_or_insert_with(Instant::now);
-                        if since.elapsed() > DRAIN_GRACE {
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(_) => return,
-        }
+        assert_eq!(statuses, vec![200, 200, 500, 200, 200]);
+        let (status, _) = client.request("POST", "/retrain", None).expect("retrain");
+        assert_eq!(status, 200);
+        let stats = server.shutdown();
+        assert_eq!(stats.dropped(), 0);
+        assert_eq!(stats.accepted, 6);
     }
 }

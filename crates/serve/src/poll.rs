@@ -1,26 +1,45 @@
-//! A hand-rolled readiness poller over raw Linux syscalls — no `libc`
-//! crate, in keeping with the workspace's zero-dependency rule
-//! (DESIGN.md §5f).
+//! Readiness for the serve loop, without the `libc` crate, in keeping
+//! with the workspace's zero-dependency rule (DESIGN.md §5f).
 //!
-//! [`Poller`] prefers **epoll** (`epoll_create1`/`epoll_ctl`/
-//! `epoll_pwait`) and falls back to **ppoll(2)** when epoll is
-//! unavailable (exotic kernels, seccomp filters); both backends are
-//! driven through the same level-triggered API, so the event loop
-//! never knows which one it got. On non-Linux targets construction
-//! fails cleanly and the server falls back to its blocking driver.
+//! [`Poller`] has two backends, chosen only by what the platform
+//! provides, behind one level-triggered API:
 //!
-//! The syscall layer is three thin `asm!` shims (x86_64 and aarch64).
-//! Level-triggered semantics are deliberate: the event loop re-polls
-//! until it drains a readiness edge anyway, and level-triggering makes
-//! a missed wakeup impossible by construction.
+//! * **epoll** (`epoll_create1`/`epoll_ctl`/`epoll_pwait` through three
+//!   thin `asm!` syscall shims, Linux x86_64 and aarch64), used whenever
+//!   `epoll_create1` succeeds;
+//! * **sweep** everywhere else: a plain `(fd, token, interest)` registry
+//!   whose `wait` sleeps at most [`SWEEP_TICK`] and then reports every
+//!   registration ready for its interest. That is sound because the loop
+//!   treats readiness as a hint: every accept, read and write already
+//!   handles `WouldBlock`.
 //!
-//! [`Waker`] is the cross-thread nudge: a pipe registered with the
-//! poller, written by worker threads when an offloaded response is
-//! ready. A `pending` flag collapses wake storms into one byte so the
-//! pipe can never fill up and block a worker.
+//! Level-triggered semantics are deliberate: the loop re-polls until it
+//! drains a readiness edge anyway, and level-triggering makes a missed
+//! wakeup impossible by construction.
+//!
+//! [`Waker`] is the cross-thread nudge, written by worker threads when
+//! an offloaded response is ready. Under epoll it is a pipe the poller
+//! registers and drains itself (never reported as an event); a
+//! `pending` flag collapses wake storms into one byte so the pipe can
+//! never fill up and block a worker. Sweep needs no waker: each `wait`
+//! returns within a tick.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+#[cfg(unix)]
+pub use std::os::fd::RawFd;
+/// Descriptor type where `std::os::fd` does not exist; wide enough for
+/// any platform's socket handle.
+#[cfg(not(unix))]
+pub type RawFd = i64;
+
+/// The longest one sweep `wait` sleeps: the readiness latency of the
+/// sweep backend, and the shortest interval at which it re-tries every
+/// registration.
+pub const SWEEP_TICK: Duration = Duration::from_millis(5);
 
 /// What a registration wants to hear about.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,32 +68,46 @@ pub struct Event {
     pub writable: bool,
 }
 
+/// The descriptor a socket registers under.
+#[cfg(unix)]
+pub fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> RawFd {
+    socket.as_raw_fd()
+}
+
+/// The descriptor a socket registers under.
+#[cfg(windows)]
+pub fn raw_fd(socket: &impl std::os::windows::io::AsRawSocket) -> RawFd {
+    socket.as_raw_socket() as RawFd
+}
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod sys {
-    //! Raw syscall shims. Numbers are per-architecture; the calling
-    //! convention is the kernel's, not the C library's.
+    //! Raw syscall shims and the epoll backend built on them. Numbers
+    //! are per-architecture; the calling convention is the kernel's,
+    //! not the C library's.
+
+    use super::{raw_fd, Backend, Event, Interest, Waker};
+    use std::io::{self, Read};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[cfg(target_arch = "x86_64")]
-    pub mod nr {
-        pub const CLOSE: usize = 3;
-        pub const FCNTL: usize = 72;
+    mod nr {
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
-        pub const PPOLL: usize = 271;
         pub const EPOLL_CREATE1: usize = 291;
         pub const PRLIMIT64: usize = 302;
     }
 
     #[cfg(target_arch = "aarch64")]
-    pub mod nr {
-        pub const CLOSE: usize = 57;
-        pub const FCNTL: usize = 25;
+    mod nr {
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
-        pub const PPOLL: usize = 73;
         pub const EPOLL_CREATE1: usize = 20;
         pub const PRLIMIT64: usize = 261;
     }
@@ -87,7 +120,7 @@ mod sys {
     /// pointer arguments must reference live memory of the expected
     /// shape for the duration of the call.
     #[cfg(target_arch = "x86_64")]
-    pub unsafe fn syscall6(
+    unsafe fn syscall6(
         n: usize,
         a: usize,
         b: usize,
@@ -115,7 +148,7 @@ mod sys {
 
     /// See the x86_64 twin for the safety contract.
     #[cfg(target_arch = "aarch64")]
-    pub unsafe fn syscall6(
+    unsafe fn syscall6(
         n: usize,
         a: usize,
         b: usize,
@@ -140,29 +173,18 @@ mod sys {
     }
 
     /// Maps the kernel's negative-errno convention onto `io::Result`.
-    pub fn check(ret: isize) -> std::io::Result<usize> {
+    fn check(ret: isize) -> io::Result<usize> {
         if ret < 0 {
-            Err(std::io::Error::from_raw_os_error(-ret as i32))
+            Err(io::Error::from_raw_os_error(-ret as i32))
         } else {
             Ok(ret as usize)
         }
     }
-}
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod imp {
-    use super::{sys, Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
     const EPOLL_CTL_ADD: usize = 1;
     const EPOLL_CTL_DEL: usize = 2;
     const EPOLL_CTL_MOD: usize = 3;
@@ -178,272 +200,117 @@ mod imp {
         data: u64,
     }
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+    /// Token under which the wake pipe is registered; it is drained
+    /// inside `wait` and never reported.
+    const WAKE_TOKEN: u64 = u64::MAX;
+
+    /// An owned epoll instance, its event buffer and its wake pipe.
+    pub struct Epoll {
+        epfd: OwnedFd,
+        buf: Vec<EpollEvent>,
+        wake: std::io::PipeReader,
+        pub waker: Arc<Waker>,
     }
 
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    fn interest_to_epoll(interest: Interest) -> u32 {
-        let mut events = 0;
-        if interest.readable {
-            events |= EPOLLIN;
-        }
-        if interest.writable {
-            events |= EPOLLOUT;
-        }
-        events
-    }
-
-    enum Backend {
-        Epoll {
-            epfd: RawFd,
-            buf: Vec<EpollEvent>,
-        },
-        /// ppoll keeps its own registry; the fd set is rebuilt per wait.
-        Poll {
-            registered: Vec<(RawFd, u64, Interest)>,
-        },
-    }
-
-    pub struct Poller {
-        backend: Backend,
-    }
-
-    impl Poller {
+    impl Epoll {
         pub fn new() -> io::Result<Self> {
             // SAFETY: no pointer arguments.
-            let created = sys::check(unsafe {
-                sys::syscall6(sys::nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0)
-            });
-            let backend = match created {
-                Ok(epfd) => Backend::Epoll {
-                    epfd: epfd as RawFd,
-                    buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-                },
-                Err(_) => Backend::Poll {
-                    registered: Vec::new(),
-                },
+            let epfd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
+            // SAFETY: epoll_create1 just returned this fd; nothing else
+            // owns it.
+            let epfd = unsafe { OwnedFd::from_raw_fd(epfd as RawFd) };
+            let (wake, writer) = std::io::pipe()?;
+            let mut epoll = Self {
+                epfd,
+                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+                wake,
+                waker: Arc::new(Waker {
+                    writer: Some(writer),
+                    pending: AtomicBool::new(false),
+                }),
             };
-            Ok(Self { backend })
+            epoll.register(raw_fd(&epoll.wake), WAKE_TOKEN, Interest::READ)?;
+            Ok(epoll)
         }
 
-        pub fn backend_name(&self) -> &'static str {
-            match &self.backend {
-                Backend::Epoll { .. } => "epoll",
-                Backend::Poll { .. } => "ppoll",
-            }
-        }
-
-        fn ctl(epfd: RawFd, op: usize, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
-            let ptr = event
-                .as_ref()
-                .map_or(std::ptr::null(), |e| e as *const EpollEvent);
-            // SAFETY: `ptr` is null (DEL) or points at a live
-            // EpollEvent for the duration of the call.
-            sys::check(unsafe {
-                sys::syscall6(
-                    sys::nr::EPOLL_CTL,
-                    epfd as usize,
+        fn ctl(&self, op: usize, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let event = EpollEvent {
+                events: if interest.readable { EPOLLIN } else { 0 }
+                    | if interest.writable { EPOLLOUT } else { 0 },
+                data: token,
+            };
+            // SAFETY: `event` is a live EpollEvent for the duration of
+            // the call (the kernel ignores it for DEL).
+            check(unsafe {
+                syscall6(
+                    nr::EPOLL_CTL,
+                    self.epfd.as_raw_fd() as usize,
                     op,
                     fd as usize,
-                    ptr as usize,
+                    &event as *const EpollEvent as usize,
                     0,
                     0,
                 )
             })?;
             Ok(())
         }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match &mut self.backend {
-                Backend::Epoll { epfd, .. } => Self::ctl(
-                    *epfd,
-                    EPOLL_CTL_ADD,
-                    fd,
-                    Some(EpollEvent {
-                        events: interest_to_epoll(interest),
-                        data: token,
-                    }),
-                ),
-                Backend::Poll { registered } => {
-                    registered.push((fd, token, interest));
-                    Ok(())
-                }
-            }
-        }
-
-        pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match &mut self.backend {
-                Backend::Epoll { epfd, .. } => Self::ctl(
-                    *epfd,
-                    EPOLL_CTL_MOD,
-                    fd,
-                    Some(EpollEvent {
-                        events: interest_to_epoll(interest),
-                        data: token,
-                    }),
-                ),
-                Backend::Poll { registered } => {
-                    for entry in registered.iter_mut() {
-                        if entry.0 == fd {
-                            entry.1 = token;
-                            entry.2 = interest;
-                            return Ok(());
-                        }
-                    }
-                    Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-                }
-            }
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            match &mut self.backend {
-                Backend::Epoll { epfd, .. } => Self::ctl(*epfd, EPOLL_CTL_DEL, fd, None),
-                Backend::Poll { registered } => {
-                    registered.retain(|entry| entry.0 != fd);
-                    Ok(())
-                }
-            }
-        }
-
-        /// Blocks until readiness or `timeout`, appending events.
-        /// `None` blocks indefinitely. EINTR is treated as an empty
-        /// wake, never an error.
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            match &mut self.backend {
-                Backend::Epoll { epfd, buf } => {
-                    let timeout_ms = timeout.map_or(-1i32, |d| {
-                        i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(0)
-                    });
-                    // SAFETY: `buf` outlives the call; maxevents bounds
-                    // what the kernel writes; sigmask is null.
-                    let got = sys::check(unsafe {
-                        sys::syscall6(
-                            sys::nr::EPOLL_PWAIT,
-                            *epfd as usize,
-                            buf.as_mut_ptr() as usize,
-                            buf.len(),
-                            timeout_ms as isize as usize,
-                            0,
-                            0,
-                        )
-                    });
-                    let got = match got {
-                        Ok(n) => n,
-                        Err(err) if err.kind() == io::ErrorKind::Interrupted => 0,
-                        Err(err) => return Err(err),
-                    };
-                    for raw in &buf[..got] {
-                        let flags = raw.events;
-                        events.push(Event {
-                            token: raw.data,
-                            readable: flags & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                            writable: flags & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                        });
-                    }
-                    Ok(())
-                }
-                Backend::Poll { registered } => {
-                    let mut fds: Vec<PollFd> = registered
-                        .iter()
-                        .map(|&(fd, _, interest)| PollFd {
-                            fd,
-                            events: if interest.readable { POLLIN } else { 0 }
-                                | if interest.writable { POLLOUT } else { 0 },
-                            revents: 0,
-                        })
-                        .collect();
-                    let ts = timeout.map(|d| Timespec {
-                        tv_sec: d.as_secs() as i64,
-                        tv_nsec: i64::from(d.subsec_nanos()),
-                    });
-                    let ts_ptr = ts
-                        .as_ref()
-                        .map_or(std::ptr::null(), |t| t as *const Timespec);
-                    // SAFETY: `fds` and `ts` outlive the call; sigmask
-                    // is null so sigsetsize is ignored.
-                    let got = sys::check(unsafe {
-                        sys::syscall6(
-                            sys::nr::PPOLL,
-                            fds.as_mut_ptr() as usize,
-                            fds.len(),
-                            ts_ptr as usize,
-                            0,
-                            0,
-                            0,
-                        )
-                    });
-                    match got {
-                        Ok(_) => {}
-                        Err(err) if err.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                        Err(err) => return Err(err),
-                    }
-                    for (raw, &(_, token, _)) in fds.iter().zip(registered.iter()) {
-                        if raw.revents == 0 {
-                            continue;
-                        }
-                        events.push(Event {
-                            token,
-                            readable: raw.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                            writable: raw.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                        });
-                    }
-                    Ok(())
-                }
-            }
-        }
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            if let Backend::Epoll { epfd, .. } = &self.backend {
-                // SAFETY: closing an fd we own; no pointers.
-                let _ = unsafe { sys::syscall6(sys::nr::CLOSE, *epfd as usize, 0, 0, 0, 0, 0) };
-            }
+    impl Backend for Epoll {
+        fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
-    }
 
-    const F_GETFL: usize = 3;
-    const F_SETFL: usize = 4;
-    const O_NONBLOCK: usize = 0o4000;
+        fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        }
 
-    /// Puts `fd` into nonblocking mode (for pipes, which have no
-    /// `set_nonblocking` in std).
-    pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-        // SAFETY: fcntl with integer arguments only.
-        let flags =
-            sys::check(unsafe { sys::syscall6(sys::nr::FCNTL, fd as usize, F_GETFL, 0, 0, 0, 0) })?;
-        // SAFETY: as above.
-        sys::check(unsafe {
-            sys::syscall6(
-                sys::nr::FCNTL,
-                fd as usize,
-                F_SETFL,
-                flags | O_NONBLOCK,
-                0,
-                0,
-                0,
-            )
-        })?;
-        Ok(())
+        fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::default())
+        }
+
+        fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+            let timeout_ms = timeout.map_or(-1i32, |d| {
+                i32::try_from(d.as_millis()).unwrap_or(i32::MAX).max(0)
+            });
+            // SAFETY: `buf` outlives the call; maxevents bounds what the
+            // kernel writes; sigmask is null.
+            let got = check(unsafe {
+                syscall6(
+                    nr::EPOLL_PWAIT,
+                    self.epfd.as_raw_fd() as usize,
+                    self.buf.as_mut_ptr() as usize,
+                    self.buf.len(),
+                    timeout_ms as isize as usize,
+                    0,
+                    0,
+                )
+            });
+            let got = match got {
+                Ok(n) => n,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => 0,
+                Err(err) => return Err(err),
+            };
+            for raw in &self.buf[..got] {
+                let flags = raw.events;
+                if raw.data == WAKE_TOKEN {
+                    // Clear the coalescing flag first: a wake racing
+                    // this drain writes a fresh byte and the next wait
+                    // returns immediately. One read takes every byte
+                    // there is, and cannot block: epoll just reported
+                    // at least one, and no other thread reads the pipe.
+                    self.waker.pending.store(false, Ordering::SeqCst);
+                    let _ = self.wake.read(&mut [0u8; 64]);
+                    continue;
+                }
+                events.push(Event {
+                    token: raw.data,
+                    readable: flags & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
+                    writable: flags & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+                });
+            }
+            Ok(())
+        }
     }
 
     #[repr(C)]
@@ -464,9 +331,9 @@ mod imp {
         };
         // SAFETY: null new-limit pointer reads the current limit into
         // `current`, which outlives the call.
-        sys::check(unsafe {
-            sys::syscall6(
-                sys::nr::PRLIMIT64,
+        check(unsafe {
+            syscall6(
+                nr::PRLIMIT64,
                 0,
                 RLIMIT_NOFILE,
                 0,
@@ -484,9 +351,9 @@ mod imp {
             rlim_max: target.max(current.rlim_max),
         };
         // SAFETY: both limit structs outlive the call.
-        let raised = sys::check(unsafe {
-            sys::syscall6(
-                sys::nr::PRLIMIT64,
+        let raised = check(unsafe {
+            syscall6(
+                nr::PRLIMIT64,
                 0,
                 RLIMIT_NOFILE,
                 &want as *const Rlimit64 as usize,
@@ -504,9 +371,9 @@ mod imp {
             rlim_max: current.rlim_max,
         };
         // SAFETY: as above.
-        sys::check(unsafe {
-            sys::syscall6(
-                sys::nr::PRLIMIT64,
+        check(unsafe {
+            syscall6(
+                nr::PRLIMIT64,
                 0,
                 RLIMIT_NOFILE,
                 &capped as *const Rlimit64 as usize,
@@ -519,230 +386,296 @@ mod imp {
     }
 }
 
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub use sys::raise_nofile;
+
+/// Without the syscall shims there is no portable way to raise the fd
+/// limit; callers fall back to their own default budget.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-mod imp {
-    //! Stub for targets without the syscall shims: `Poller::new` fails
-    //! and the server falls back to the blocking driver.
-    use super::{Event, Interest};
-    use std::io;
-    use std::time::Duration;
+pub fn raise_nofile(_target: u64) -> io::Result<u64> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "no prlimit shim",
+    ))
+}
 
-    // `RawFd` only exists on unix; elsewhere use an integer wide
-    // enough for any platform's descriptor so the API shape holds.
-    #[cfg(unix)]
-    use std::os::fd::RawFd;
-    #[cfg(not(unix))]
-    pub type RawFd = i64;
+/// One readiness backend behind [`Poller`].
+trait Backend: Send {
+    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
+    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
+    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
+    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
+}
 
-    pub struct Poller {}
+/// The portable backend: a registry that `wait` reports whole, one
+/// tick at a time.
+struct Sweep {
+    registered: Vec<(RawFd, u64, Interest)>,
+}
 
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "readiness polling requires linux x86_64/aarch64",
-            ))
-        }
-
-        pub fn backend_name(&self) -> &'static str {
-            "unsupported"
-        }
-
-        pub fn register(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn reregister(
-            &mut self,
-            _fd: RawFd,
-            _token: u64,
-            _interest: Interest,
-        ) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn deregister(&mut self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn wait(
-            &mut self,
-            _events: &mut Vec<Event>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
+impl Backend for Sweep {
+    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.registered.push((fd, token, interest));
+        Ok(())
     }
 
-    pub fn set_nonblocking(_fd: RawFd) -> io::Result<()> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no fcntl shim"))
+    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let entry = self.registered.iter_mut().find(|entry| entry.0 == fd);
+        *entry.ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))? =
+            (fd, token, interest);
+        Ok(())
     }
 
-    pub fn raise_nofile(_target: u64) -> io::Result<u64> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "no prlimit shim",
-        ))
+    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.registered.retain(|entry| entry.0 != fd);
+        Ok(())
+    }
+
+    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        std::thread::sleep(timeout.map_or(SWEEP_TICK, |t| t.min(SWEEP_TICK)));
+        events.extend(self.registered.iter().map(|&(_, token, interest)| Event {
+            token,
+            readable: interest.readable,
+            writable: interest.writable,
+        }));
+        Ok(())
     }
 }
 
-pub use imp::{raise_nofile, set_nonblocking, Poller};
-
-use std::io::Write;
-
-/// Wakes a [`Poller`] parked in `wait` from another thread: one end of
-/// a pipe is registered with the poller, the other is written here.
-/// The `pending` flag coalesces bursts — between two loop drains, at
-/// most one byte sits in the pipe, so writes never block.
-pub struct Waker {
-    writer: std::io::PipeWriter,
-    pending: AtomicBool,
+pub struct Poller {
+    backend: Box<dyn Backend>,
+    name: &'static str,
+    waker: Arc<Waker>,
 }
 
-impl Waker {
-    /// Returns the waker plus the read end the event loop registers
-    /// (already nonblocking) and drains.
-    pub fn new() -> io::Result<(Waker, std::io::PipeReader)> {
-        let (reader, writer) = std::io::pipe()?;
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            set_nonblocking(reader.as_raw_fd())?;
+impl Poller {
+    /// epoll when `epoll_create1` (and the wake pipe) succeed, the sweep
+    /// backend otherwise. Not a `Default`: it probes the kernel.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        if let Ok(epoll) = sys::Epoll::new() {
+            return Self {
+                name: "epoll",
+                waker: Arc::clone(&epoll.waker),
+                backend: Box::new(epoll),
+            };
         }
-        Ok((
-            Waker {
-                writer,
+        Self::sweep()
+    }
+
+    /// The portable backend, whatever the platform offers.
+    pub(crate) fn sweep() -> Self {
+        Self {
+            backend: Box::new(Sweep {
+                registered: Vec::new(),
+            }),
+            name: "sweep",
+            waker: Arc::new(Waker {
+                writer: None,
                 pending: AtomicBool::new(false),
-            },
-            reader,
-        ))
+            }),
+        }
     }
 
-    /// Clears the coalescing flag; the loop calls this right before
-    /// draining the pipe so a wake racing the drain writes a new byte.
-    pub fn begin_drain(&self) {
-        self.pending.store(false, Ordering::SeqCst);
+    /// `"epoll"` or `"sweep"`.
+    pub fn backend_name(&self) -> &'static str {
+        self.name
     }
+
+    /// Unparks a `wait` from another thread (a no-op under sweep).
+    pub fn waker(&self) -> Arc<Waker> {
+        Arc::clone(&self.waker)
+    }
+
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.backend.register(fd, token, interest)
+    }
+
+    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.backend.reregister(fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.backend.deregister(fd)
+    }
+
+    /// Blocks until readiness or `timeout` (`None` = indefinitely under
+    /// epoll, one tick under sweep), appending events. EINTR is treated
+    /// as an empty wake, never an error.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        self.backend.wait(events, timeout)
+    }
+}
+
+/// Wakes a [`Poller`] parked in `wait` from another thread. Under epoll
+/// it writes the poller's wake pipe; the `pending` flag coalesces
+/// bursts — between two drains, at most one byte sits in the pipe, so
+/// writes never block.
+pub struct Waker {
+    writer: Option<std::io::PipeWriter>,
+    pending: AtomicBool,
 }
 
 impl runtime::Wake for Waker {
     fn wake(&self) {
-        if !self.pending.swap(true, Ordering::SeqCst) {
-            // A full pipe (impossible under coalescing) or a dead
-            // reader (loop exiting) are both fine to ignore.
-            let _ = (&self.writer).write(&[1u8]);
+        if let Some(writer) = &self.writer {
+            if !self.pending.swap(true, Ordering::SeqCst) {
+                // A full pipe (impossible under coalescing) or a dead
+                // reader (loop exiting) are both fine to ignore.
+                let _ = io::Write::write(&mut &*writer, &[1u8]);
+            }
         }
     }
 }
 
-/// Readiness + waker smoke tests (Linux-only; the stub fails `new`).
-#[cfg(all(
-    test,
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+/// Readiness + waker smoke tests (the epoll ones are Linux-only).
+#[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::Wake;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::time::Duration;
+    use std::time::Instant;
 
     #[test]
-    fn epoll_backend_is_selected_on_linux() {
-        let poller = Poller::new().expect("poller");
-        assert_eq!(poller.backend_name(), "epoll");
-    }
+    fn sweep_reports_every_registration_within_a_tick() {
+        let mut poller = Poller::sweep();
+        assert_eq!(poller.backend_name(), "sweep");
+        poller.register(3, 7, Interest::READ).unwrap();
+        poller.register(4, 8, Interest::READ_WRITE).unwrap();
+        poller.reregister(3, 7, Interest::READ_WRITE).unwrap();
+        poller.deregister(4).unwrap();
+        assert!(poller.reregister(4, 8, Interest::READ).is_err());
 
-    #[test]
-    fn readiness_surfaces_on_a_socket_pair() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-
-        let mut poller = Poller::new().unwrap();
-        poller
-            .register(server.as_raw_fd(), 7, Interest::READ)
-            .unwrap();
-
-        // Nothing to read yet: a short wait times out empty.
         let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(events.is_empty());
-
-        client.write_all(b"ping").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
+        let start = Instant::now();
+        poller.wait(&mut events, None).unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a sweep wait is one tick"
+        );
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-
-        let mut server = server;
-        let mut buf = [0u8; 8];
-        assert_eq!(server.read(&mut buf).unwrap(), 4);
-
-        // Write interest on an empty socket buffer fires immediately.
-        events.clear();
-        poller
-            .reregister(server.as_raw_fd(), 7, Interest::READ_WRITE)
-            .unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.writable));
-
-        poller.deregister(server.as_raw_fd()).unwrap();
-        events.clear();
-        client.write_all(b"x").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert!(events.is_empty(), "deregistered fd must stay silent");
+        assert!(events[0].readable && events[0].writable);
     }
 
-    #[test]
-    fn waker_unparks_a_waiting_poller_and_coalesces() {
-        let (waker, reader) = Waker::new().expect("waker");
-        let mut poller = Poller::new().unwrap();
-        poller
-            .register(reader.as_raw_fd(), 1, Interest::READ)
-            .unwrap();
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    mod epoll {
+        use super::*;
+        use std::io::{Read, Write};
+        use std::net::{TcpListener, TcpStream};
 
-        let waker = std::sync::Arc::new(waker);
-        let remote = std::sync::Arc::clone(&waker);
-        let handle = std::thread::spawn(move || {
-            // A storm of wakes from another thread…
+        #[test]
+        fn epoll_backend_is_selected_on_linux() {
+            let poller = Poller::new();
+            assert_eq!(poller.backend_name(), "epoll");
+        }
+
+        #[test]
+        fn readiness_surfaces_on_a_socket_pair() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let mut client = TcpStream::connect(addr).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            server.set_nonblocking(true).unwrap();
+
+            let mut poller = Poller::new();
+            poller.register(raw_fd(&server), 7, Interest::READ).unwrap();
+
+            // Nothing to read yet: a short wait times out empty.
+            let mut events = Vec::new();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(events.is_empty());
+
+            client.write_all(b"ping").unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].token, 7);
+            assert!(events[0].readable);
+
+            let mut server = server;
+            let mut buf = [0u8; 8];
+            assert_eq!(server.read(&mut buf).unwrap(), 4);
+
+            // Write interest on an empty socket buffer fires immediately.
+            events.clear();
+            poller
+                .reregister(raw_fd(&server), 7, Interest::READ_WRITE)
+                .unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(events.iter().any(|e| e.writable));
+
+            poller.deregister(raw_fd(&server)).unwrap();
+            events.clear();
+            client.write_all(b"x").unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert!(events.is_empty(), "deregistered fd must stay silent");
+        }
+
+        #[test]
+        fn waker_unparks_a_waiting_poller_and_coalesces() {
+            use runtime::Wake;
+            let mut poller = Poller::new();
+            let remote = poller.waker();
+            let handle = std::thread::spawn(move || {
+                // A storm of wakes from another thread…
+                for _ in 0..100 {
+                    remote.wake();
+                }
+            });
+            let mut events = Vec::new();
+            let start = Instant::now();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            handle.join().unwrap();
+            assert!(
+                start.elapsed() < Duration::from_secs(4),
+                "the wake unparked the wait"
+            );
+            assert!(events.is_empty(), "the wake pipe is never reported");
+
+            // …collapses to one byte in the pipe.
+            let (mut reader, writer) = std::io::pipe().unwrap();
+            let waker = Waker {
+                writer: Some(writer),
+                pending: AtomicBool::new(false),
+            };
             for _ in 0..100 {
-                remote.wake();
+                waker.wake();
             }
-        });
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.readable));
-        handle.join().unwrap();
+            drop(waker);
+            let mut drained = Vec::new();
+            reader.read_to_end(&mut drained).unwrap();
+            assert_eq!(
+                drained.len(),
+                1,
+                "coalescing must keep the pipe at one byte"
+            );
+        }
 
-        // …collapses to at most one byte in the pipe.
-        waker.begin_drain();
-        let mut drained = [0u8; 16];
-        let mut reader = reader;
-        let n = reader.read(&mut drained).unwrap();
-        assert_eq!(n, 1, "coalescing must keep the pipe at one byte");
-    }
-
-    #[test]
-    fn raise_nofile_reports_a_usable_budget() {
-        let limit = raise_nofile(1024).expect("query/raise RLIMIT_NOFILE");
-        assert!(limit >= 256, "implausibly low fd budget: {limit}");
+        #[test]
+        fn raise_nofile_reports_a_usable_budget() {
+            let limit = raise_nofile(1024).expect("query/raise RLIMIT_NOFILE");
+            assert!(limit >= 256, "implausibly low fd budget: {limit}");
+        }
     }
 }

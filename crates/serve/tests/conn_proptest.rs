@@ -1,6 +1,6 @@
 //! Property tests over the sans-io [`serve::Connection`] machine —
 //! the single implementation of pipelining, response ordering, and
-//! close semantics shared by the event-loop and blocking drivers.
+//! close semantics that the serve loop drives.
 //!
 //! The properties model a hostile transport: reads arrive in
 //! arbitrary-sized fragments, writes are accepted in arbitrary-sized

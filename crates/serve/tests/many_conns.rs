@@ -1,4 +1,4 @@
-//! The headline scale criterion for the event-loop driver: 10k idle
+//! The headline scale criterion for the serve loop: 10k idle
 //! keep-alive connections held open against one server, served by a
 //! **fixed-size** thread set — no thread per connection — while
 //! `/healthz` stays live with sane latency, and a graceful shutdown
@@ -11,9 +11,9 @@
 //! raise. The child's thread count is read from `/proc/<pid>/status`
 //! — the number that proves connections do not cost threads.
 //!
-//! If the child reports the blocking fallback driver (no poller on
-//! this target), the test downgrades to a small smoke: the blocking
-//! driver pins one pool task per connection by design.
+//! On Linux the child must report the epoll poller: the sweep fallback
+//! re-tries every registration each tick, so a silent fallback would
+//! turn this fleet into a busy loop.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -69,15 +69,13 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_set() {
         .and_then(Json::as_str)
         .expect("addr in serving line")
         .to_string();
-    let driver = serving.get("driver").and_then(Json::as_str).unwrap_or("?");
-
-    // Blocking fallback pins a pool task per connection — out of
-    // contract for an idle fleet, so shrink to a smoke.
-    let (target, check_threads) = if driver == "event" {
-        (target, true)
-    } else {
-        (2, false)
-    };
+    #[cfg(target_os = "linux")]
+    assert_eq!(
+        serving.get("poller").and_then(Json::as_str),
+        Some("epoll"),
+        "serving line: {}",
+        serving.render()
+    );
 
     let ramp = Instant::now();
     let mut fleet = Vec::with_capacity(target);
@@ -96,15 +94,13 @@ fn ten_thousand_idle_connections_on_a_fixed_thread_set() {
     // Give the poller a beat to drain the accept backlog.
     std::thread::sleep(Duration::from_millis(100));
 
-    if check_threads {
-        let threads_now = process_threads(child.id()).expect("/proc on linux");
-        assert!(
-            threads_now < 32,
-            "{threads_now} server threads while holding {} connections — \
-             the server is spending threads per connection",
-            fleet.len()
-        );
-    }
+    let threads_now = process_threads(child.id()).expect("/proc on linux");
+    assert!(
+        threads_now < 32,
+        "{threads_now} server threads while holding {} connections — \
+         the server is spending threads per connection",
+        fleet.len()
+    );
 
     // The server stays live under the idle fleet: probe /healthz on a
     // fresh keep-alive connection and check the tail latency.

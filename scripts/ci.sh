@@ -77,14 +77,18 @@ echo "==> crash/resume smoke (scripted kill + bit-identical resume)"
 # resume continued exactly where the crash stopped.
 crash_dir="$smoke_dir/crash"
 mkdir -p "$crash_dir"
+# PMF at x0.05 with 16x20 poison lifts the targets on every step, and
+# its logged rewards move with the observation seed. A resume that
+# restored the wrong observation ordinal matches the reference at zero
+# reward, and at this size also under CoVisitation (seed-free) and BPR.
+crash_grid=(--scale 0.05 --steps 6 --episodes 4 --attackers 16 --trajectory 20
+    --dim 8 --eval-users 32 --rankers pmf --threads 1)
 cargo run --release -p bench --bin exp_fig4 -- \
-    --scale 0.02 --steps 6 --episodes 4 --attackers 4 --trajectory 5 \
-    --dim 8 --eval-users 16 --rankers itempop --threads 1 \
+    "${crash_grid[@]}" \
     --out "$crash_dir/reference" --telemetry "$crash_dir/reference.jsonl" >/dev/null
 set +e
 cargo run --release -p bench --bin exp_fig4 -- \
-    --scale 0.02 --steps 6 --episodes 4 --attackers 4 --trajectory 5 \
-    --dim 8 --eval-users 16 --rankers itempop --threads 1 \
+    "${crash_grid[@]}" \
     --checkpoint-every 2 --checkpoint-dir "$crash_dir/ckpt" \
     --fault-kill-step 4 \
     --out "$crash_dir" --telemetry "$crash_dir/run1.jsonl" >/dev/null 2>&1
@@ -96,8 +100,7 @@ if [ "$status" -ne 42 ]; then
 fi
 ls "$crash_dir"/ckpt/*.ckpt >/dev/null || { echo "no checkpoint written before kill"; exit 1; }
 cargo run --release -p bench --bin exp_fig4 -- \
-    --scale 0.02 --steps 6 --episodes 4 --attackers 4 --trajectory 5 \
-    --dim 8 --eval-users 16 --rankers itempop --threads 1 \
+    "${crash_grid[@]}" \
     --checkpoint-every 2 --checkpoint-dir "$crash_dir/ckpt" \
     --resume "$crash_dir/ckpt" \
     --out "$crash_dir" --telemetry "$crash_dir/run2.jsonl" >/dev/null
@@ -105,6 +108,12 @@ cat "$crash_dir/run1.jsonl" > "$crash_dir/stitched.jsonl"
 tail -n +2 "$crash_dir/run2.jsonl" >> "$crash_dir/stitched.jsonl"
 cargo run --release -p telemetry --bin validate_jsonl -- \
     "$crash_dir/stitched.jsonl" --expect-steps 6 --expect-cells 4
+nonzero_rewards="$(grep '"type":"step"' "$crash_dir/reference.jsonl" |
+    sed -E 's/.*"mean_reward":([^,}]*).*/\1/' | awk '$1 != 0' | wc -l)"
+if [ "$nonzero_rewards" -eq 0 ]; then
+    echo "crash/resume reference run has no nonzero mean_reward step"
+    exit 1
+fi
 deterministic_steps() {
     grep '"type":"step"' "$1" | sed -E 's/,"[a-z_]+_secs":[^,}]*//g' | sort
 }

@@ -241,36 +241,31 @@ fn metrics_scrapes_and_access_log_accounting_balance() {
 
 /// A handler panic injected via `runtime::FaultPlan` is contained: the
 /// faulted request gets a 500, the connection stays sane, and the
-/// server keeps serving 200s afterwards. Both byte-moving drivers run
-/// the same `Connection` machine, so both must behave identically.
+/// server keeps serving 200s afterwards.
 #[test]
 fn fault_injected_panic_returns_500_and_server_keeps_serving() {
-    for driver in [serve::DriverKind::Event, serve::DriverKind::Blocking] {
-        let (server, addr) = start_server(ServerConfig {
-            threads: 1,
-            driver,
-            fault_plan: Some(Arc::new(FaultPlan::new().panic_on_job(2))),
-            ..ServerConfig::default()
-        });
-        assert_eq!(server.driver(), driver, "requested driver not honored");
+    let (server, addr) = start_server(ServerConfig {
+        threads: 1,
+        fault_plan: Some(Arc::new(FaultPlan::new().panic_on_job(2))),
+        ..ServerConfig::default()
+    });
 
-        let mut client = HttpClient::new(addr);
-        let mut statuses = Vec::new();
-        for _ in 0..5 {
-            let (status, body) = client.request("GET", "/healthz", None).expect("request");
-            if status == 500 {
-                assert_eq!(
-                    body.get("error").and_then(telemetry::json::Json::as_str),
-                    Some("internal error")
-                );
-            }
-            statuses.push(status);
+    let mut client = HttpClient::new(addr);
+    let mut statuses = Vec::new();
+    for _ in 0..5 {
+        let (status, body) = client.request("GET", "/healthz", None).expect("request");
+        if status == 500 {
+            assert_eq!(
+                body.get("error").and_then(telemetry::json::Json::as_str),
+                Some("internal error")
+            );
         }
-        // Work-unit ordinals count from 0, so the plan fires on request #3.
-        assert_eq!(statuses, vec![200, 200, 500, 200, 200], "driver {driver:?}");
-
-        let stats = server.shutdown();
-        assert_eq!(stats.dropped(), 0);
-        assert_eq!(stats.accepted, 5);
+        statuses.push(status);
     }
+    // Work-unit ordinals count from 0, so the plan fires on request #3.
+    assert_eq!(statuses, vec![200, 200, 500, 200, 200]);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.dropped(), 0);
+    assert_eq!(stats.accepted, 5);
 }
