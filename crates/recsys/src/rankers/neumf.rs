@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use tensor::nn::{Activation, Linear, Mlp};
 use tensor::optim::{Optimizer, Sgd};
-use tensor::{GradStore, Graph, Matrix, ParamId, ParamSet};
+use tensor::{kernel, GradStore, Graph, Matrix, ParamId, ParamSet};
 
 use crate::data::{ItemId, LogView, UserId};
 use crate::rankers::common::{all_pairs, fine_tune_pairs, sample_negative, EmbeddingConfig};
@@ -101,17 +101,93 @@ impl NeuMf {
         }
     }
 
-    /// Builds logits for a batch of (user, item) pairs.
+    /// Builds logits for a batch of (user, item) pairs. The MLP reads
+    /// `[mu | mi]` and the output layer `[gmf | mlp_out]` in place
+    /// ([`Linear::forward_cols`]), with no concatenated copy.
     fn logits(state: &NeuMfState, g: &mut Graph<'_>, users: &[u32], items: &[u32]) -> tensor::Var {
         let gu = g.gather(state.gmf_user, users);
         let gi = g.gather(state.gmf_item, items);
         let gmf = g.mul(gu, gi);
         let mu = g.gather(state.mlp_user, users);
         let mi = g.gather(state.mlp_item, items);
-        let x = g.concat_cols(mu, mi);
-        let mlp_out = state.mlp.forward(g, x);
-        let feat = g.concat_cols(gmf, mlp_out);
-        state.out.forward(g, feat)
+        let mlp_out = state.mlp.forward_cols(g, &[mu, mi]);
+        state.out.forward_cols(g, &[gmf, mlp_out])
+    }
+
+    /// [`NeuMf::logits`] for one user row against `items`, without a
+    /// tape. Bit-equal to the tape's values: every element is the same
+    /// expression over the same operands in the same order.
+    ///
+    /// The user half of MLP layer 0 is the same partial sum for every
+    /// candidate (the kernel chains each element from `+0.0` in
+    /// ascending `k`, and the user columns come first). It is computed
+    /// once as a `1 x width` product, copied into every candidate row,
+    /// and each row's chain continues over the item half. Layer 1 and
+    /// the output run the tape's kernels, its bias add (`x += b`) and
+    /// its ReLU (`x.max(0.0)`, the activation `init_state` chose).
+    fn score_row(state: &NeuMfState, user: usize, items: &[u32]) -> Vec<f32> {
+        let p = &state.params;
+        let threads = kernel::threads();
+        let n = items.len();
+        let bias_relu = |x: &mut [f32], b: &Matrix| {
+            for row in x.chunks_exact_mut(b.cols()) {
+                for (x, &b) in row.iter_mut().zip(b.data()) {
+                    *x = (*x + b).max(0.0);
+                }
+            }
+        };
+
+        // GMF branch: `mul(gu, gi)` with the one user row.
+        let gu = p.get(state.gmf_user).row_slice(user);
+        let gi = p.get(state.gmf_item);
+        let mut gmf = Vec::with_capacity(n * gu.len());
+        for &i in items {
+            gmf.extend(
+                gu.iter()
+                    .zip(gi.row_slice(i as usize))
+                    .map(|(&x, &y)| x * y),
+            );
+        }
+
+        // MLP layer 0: the shared user prefix, then the item half.
+        let (first, rest) = state.mlp.layers().split_first().expect("NeuMF MLP layers");
+        let w0 = p.get(first.w);
+        let width = w0.cols();
+        let mu = p.get(state.mlp_user).row_slice(user);
+        let (w_user, w_item) = w0.data().split_at(mu.len() * width);
+        let mut prefix = vec![0.0; width];
+        kernel::matmul(mu, 1, mu.len(), w_user, width, &mut prefix, threads);
+        let mut h = prefix.repeat(n);
+        let mlp_item = p.get(state.mlp_item);
+        let mut mi = Vec::with_capacity(n * mlp_item.cols());
+        for &i in items {
+            mi.extend_from_slice(mlp_item.row_slice(i as usize));
+        }
+        let item_dim = w0.rows() - mu.len();
+        kernel::matmul(&mi, n, item_dim, w_item, width, &mut h, threads);
+        bias_relu(&mut h, p.get(first.b));
+        for layer in rest {
+            let w = p.get(layer.w);
+            let mut next = vec![0.0; n * w.cols()];
+            kernel::matmul(&h, n, w.rows(), w.data(), w.cols(), &mut next, threads);
+            bias_relu(&mut next, p.get(layer.b));
+            h = next;
+        }
+
+        // Output layer over `[gmf | h]`, one part at a time.
+        let wo = p.get(state.out.w);
+        let (w_gmf, w_mlp) = wo.data().split_at(gu.len() * wo.cols());
+        let mut logits = vec![0.0; n * wo.cols()];
+        kernel::matmul(&gmf, n, gu.len(), w_gmf, wo.cols(), &mut logits, threads);
+        let mlp_dim = wo.rows() - gu.len();
+        kernel::matmul(&h, n, mlp_dim, w_mlp, wo.cols(), &mut logits, threads);
+        let bo = p.get(state.out.b);
+        for row in logits.chunks_exact_mut(bo.cols()) {
+            for (x, &b) in row.iter_mut().zip(bo.data()) {
+                *x += b;
+            }
+        }
+        logits
     }
 
     fn train_pass(&mut self, view: &LogView<'_>, pairs: &[(UserId, ItemId)], rng: &mut StdRng) {
@@ -212,11 +288,7 @@ impl Ranker for NeuMf {
             .state
             .as_ref()
             .expect("NeuMf::fit must run before score");
-        let row = self.emb.user_row(user) as u32;
-        let users = vec![row; candidates.len()];
-        let mut g = Graph::new(&state.params);
-        let logits = Self::logits(state, &mut g, &users, candidates);
-        g.value(logits).data().to_vec()
+        Self::score_row(state, self.emb.user_row(user), candidates)
     }
 
     fn boxed_clone(&self) -> Box<dyn Ranker> {
@@ -304,6 +376,39 @@ mod tests {
         poisoned.fine_tune(&pview, 9);
         let after = mean_target_rank(&poisoned);
         assert!(after < before, "rank before={before} after={after}");
+    }
+
+    /// The tape-free `score` must give the tape's `logits` bit for bit:
+    /// organic and (fine-tuned) attacker rows, a full candidate list
+    /// with repeats, one candidate, and no candidates.
+    #[test]
+    fn score_matches_tape_logits_bitwise() {
+        let d = clustered();
+        let view = LogView::clean(&d);
+        let mut r = NeuMf::new(NeuMfConfig::default(), EmbeddingConfig::for_view(&view, 4));
+        r.fit(&view, 7);
+        let poison: Vec<Vec<ItemId>> = (0..4).map(|a| vec![20, a, 20, a + 5]).collect();
+        r.fine_tune(&LogView::new(&d, &poison), 11);
+        let state = r.state.as_ref().expect("fitted");
+        let tape = |user: UserId, items: &[ItemId]| -> Vec<u32> {
+            let rows = vec![r.emb.user_row(user) as u32; items.len()];
+            let mut g = Graph::new(&state.params);
+            let logits = NeuMf::logits(state, &mut g, &rows, items);
+            g.value(logits).data().iter().map(|x| x.to_bits()).collect()
+        };
+        let all: Vec<ItemId> = (0..21).chain([3, 20, 0]).collect();
+        let lists: [&[ItemId]; 4] = [&all, &[20], &[], &[7, 7]];
+        // Users 0..60 are organic, 60..64 the reserved attacker rows.
+        for user in [0, 17, 59, 60, 63] {
+            for items in lists {
+                let got: Vec<u32> = r
+                    .score(user, &[], items)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                assert_eq!(got, tape(user, items), "user {user}, items {items:?}");
+            }
+        }
     }
 
     #[test]

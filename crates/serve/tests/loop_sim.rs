@@ -720,3 +720,49 @@ fn a_failed_accept_pauses_until_a_teardown_or_a_timed_out_wait() {
     core.tick(base, true);
     assert!(!core.accepting(), "a draining loop never re-arms");
 }
+
+/// A request pipelined behind `Connection: close` on one connection:
+/// the core dispatches only the first, writes exactly one response,
+/// and closes; the second request is never accepted. Both requests
+/// arrive in one read, and the driver reads no further.
+#[test]
+fn nothing_is_answered_after_a_close_request() {
+    let base = Instant::now();
+    let mut core = LoopCore::new(Limits::default(), 8);
+    let token = core.accept(base).expect("below the ceiling");
+    core.received(
+        token,
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\nGET /info HTTP/1.1\r\n\r\n",
+        base,
+    );
+    assert!(!core.wants_read(token), "nothing after the close is read");
+    let mut received = Vec::new();
+    let mut dispatched = Vec::new();
+    let mut closed = false;
+    while let Some(action) = core.next_action() {
+        match action {
+            Action::Dispatch { inbound, .. } => {
+                dispatched.push(inbound.request.path.clone());
+                assert!(core.respond(token, 200, "application/json", "{}"));
+            }
+            Action::Write(t) => {
+                let out = core.output(t).expect("pending output").to_vec();
+                received.extend_from_slice(&out);
+                core.written(t, out.len(), base);
+            }
+            Action::Close(t) => {
+                assert_eq!(t, token);
+                closed = true;
+            }
+            Action::Interest(..) | Action::Listen(..) => {}
+            Action::Rejected { status, .. } => panic!("rejected with {status}"),
+        }
+    }
+    assert_eq!(dispatched, ["/healthz"]);
+    let responses = parse_responses(&received);
+    assert_eq!(responses.len(), 1, "exactly one response");
+    assert!(received.windows(17).any(|w| w == b"Connection: close"));
+    assert!(closed, "the connection closes after the one response");
+    let ledger = core.ledger();
+    assert_eq!((ledger.accepted, ledger.completed), (1, 1));
+}

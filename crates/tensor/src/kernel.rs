@@ -41,9 +41,13 @@
 //! exactly as IEEE 754 demands, so non-finite blowups propagate
 //! instead of being silently zeroed (DESIGN.md §5g).
 //!
-//! All entry points require `out` to be zero-filled by the caller
+//! All entry points accumulate into `out`. A zero-filled `out`
 //! (`Matrix` allocates zeroed; the graph arena re-zeroes recycled
-//! buffers), and accumulate into it.
+//! buffers) receives the product. An `out` that holds the partial sums
+//! of a preceding stretch of the shared dimension continues every
+//! element's chain, exactly as a parked `k`-block does: that is how
+//! `Graph::matmul_param_cols` multiplies a concatenation part by part
+//! and how NeuMF's score shares one user prefix across candidates.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -72,6 +76,15 @@ pub fn threads() -> usize {
 const MR: usize = 4;
 /// Columns per register micro-tile (two 8-lane f32 vectors).
 const NR: usize = 16;
+/// Columns of the narrow micro-tile that follows the last full `NR`
+/// tile (one 8-lane vector): NeuMF's `d / 2` layer and the `24 = 16 + 8`
+/// backward products land here instead of in the element pass.
+const NR8: usize = 8;
+/// Rows per one-column tile: the `n = 1` products (an output layer,
+/// its `t_matmul` weight gradient) and the last `n % 8` columns keep
+/// this many rows' chains in registers across a whole `k`-block.
+const CR: usize = 8;
+const _: () = assert!(CR.is_multiple_of(MR), "chunk rounding needs CR to cover MR");
 /// `k`-block length: bounds the `rhs` strip each sweep touches so it
 /// stays cache-resident. Blocks are visited in ascending order and
 /// partial sums park in `out` between blocks, so every element still
@@ -103,14 +116,15 @@ fn lhs_at(lhs: Lhs<'_>, i: usize, k: usize) -> f32 {
     }
 }
 
-/// `MR x NR` register micro-tile over one `k`-block: accumulators live
-/// in registers across the whole block, cutting `out` traffic to one
-/// load + one store per block (the element-pass form reloads every
-/// output row once per `k`). Each accumulator lane is one element's
-/// chain, fed `k` ascending — bit-identical to the naive loop.
+/// `MR x W` register micro-tile over one `k`-block (`W` is [`NR`] or
+/// [`NR8`]): accumulators live in registers across the whole block,
+/// cutting `out` traffic to one load + one store per block (the
+/// element pass reloads every output row once per `k`). Each
+/// accumulator lane is one element's chain, fed `k` ascending —
+/// bit-identical to the naive loop.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_body(
+fn micro_body<const W: usize>(
     lhs: Lhs<'_>,
     i0: usize,
     i: usize,
@@ -121,12 +135,12 @@ fn micro_body(
     j0: usize,
     out: &mut [f32],
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; W]; MR];
     for (r, acc_r) in acc.iter_mut().enumerate() {
-        acc_r.copy_from_slice(&out[(i + r) * n + j0..][..NR]);
+        acc_r.copy_from_slice(&out[(i + r) * n + j0..][..W]);
     }
     for k in k0..k0 + kw {
-        let rv: &[f32; NR] = rhs[k * n + j0..][..NR].try_into().unwrap();
+        let rv: &[f32; W] = rhs[k * n + j0..][..W].try_into().unwrap();
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let lv = lhs_at(lhs, i0 + i + r, k);
             for (o, &x) in acc_r.iter_mut().zip(rv) {
@@ -135,12 +149,15 @@ fn micro_body(
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        out[(i + r) * n + j0..][..NR].copy_from_slice(acc_r);
+        out[(i + r) * n + j0..][..W].copy_from_slice(acc_r);
     }
 }
 
+/// `CR x 1` tile over one `k`-block: column `j` of rows `i..i + CR`,
+/// one register chain per row, `k` ascending.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_portable(
+fn column_body(
     lhs: Lhs<'_>,
     i0: usize,
     i: usize,
@@ -148,58 +165,27 @@ fn micro_portable(
     kw: usize,
     rhs: &[f32],
     n: usize,
-    j0: usize,
+    j: usize,
     out: &mut [f32],
 ) {
-    micro_body(lhs, i0, i, k0, kw, rhs, n, j0, out);
-}
-
-/// The same micro-tile compiled for AVX2 (8-lane f32) and selected at
-/// runtime. Only the matmul micro-kernel is feature-gated: building
-/// the whole crate for a wider ISA slows the libm-bound elementwise
-/// ops (AVX↔SSE transition penalties around every `expf`/`tanhf`
-/// call), while the micro-tile is pure mul/add and only gets wider
-/// lanes. Vector width never changes results — each output element
-/// keeps its own scalar-order accumulation chain (no horizontal
-/// reductions, no float contraction), so portable and AVX2 copies
-/// agree bit-for-bit on every non-NaN value.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn micro_avx2(
-    lhs: Lhs<'_>,
-    i0: usize,
-    i: usize,
-    k0: usize,
-    kw: usize,
-    rhs: &[f32],
-    n: usize,
-    j0: usize,
-    out: &mut [f32],
-) {
-    micro_body(lhs, i0, i, k0, kw, rhs, n, j0, out);
-}
-
-/// Picks the widest micro-kernel the host supports (cached by std's
-/// feature-detection macro). The choice is a property of the machine,
-/// not of the thread count or shape, so dispatch cannot introduce
-/// nondeterminism within a run.
-fn micro_kernel() -> MicroFn {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: gated on runtime AVX2 detection; the function body
-        // is ordinary safe Rust, only its codegen needs the feature.
-        return |lhs, i0, i, k0, kw, rhs, n, j0, out| unsafe {
-            micro_avx2(lhs, i0, i, k0, kw, rhs, n, j0, out)
-        };
+    let mut acc = [0.0f32; CR];
+    for (r, a) in acc.iter_mut().enumerate() {
+        *a = out[(i + r) * n + j];
     }
-    micro_portable
+    for k in k0..k0 + kw {
+        let x = rhs[k * n + j];
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a += lhs_at(lhs, i0 + i + r, k) * x;
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        out[(i + r) * n + j] = *a;
+    }
 }
 
-type MicroFn = fn(Lhs<'_>, usize, usize, usize, usize, &[f32], usize, usize, &mut [f32]);
-
-/// Element-pass fallback for edge rows/columns: same accumulation
-/// order as the micro-tile, no register blocking.
+/// Element pass for the row remainders: same accumulation order as
+/// the tiles, no register blocking.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn scalar_edge(
     lhs: Lhs<'_>,
@@ -230,35 +216,113 @@ fn scalar_edge(
 /// slab for exactly those rows. `k` contributions ascend per element:
 /// `k`-blocks run in ascending order (partial sums parked in `out`
 /// between blocks), and within a block each element is touched by
-/// exactly one micro-tile or edge pass, again with `k` ascending.
-fn block(lhs: Lhs<'_>, k_dim: usize, i0: usize, iw: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+/// exactly one tile or edge pass, again with `k` ascending.
+///
+/// Tile layout per `k`-block, left to right: `MR x 16` tiles over the
+/// first `n - n % 16` columns, one `MR x 8` tile if `n % 16 >= 8`,
+/// then `CR x 1` tiles over each of the last `n % 8` columns. The
+/// element pass covers only the row remainders (`iw % MR` under the
+/// wide tiles, `iw % CR` under the column tiles).
+#[inline(always)]
+fn block_body(
+    lhs: Lhs<'_>,
+    k_dim: usize,
+    i0: usize,
+    iw: usize,
+    rhs: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     debug_assert_eq!(out.len(), iw * n);
     if n == 0 || iw == 0 || k_dim == 0 {
         return;
     }
-    let micro = micro_kernel();
-    let n_main = n - n % NR;
+    let n16 = n - n % NR;
+    let n8 = n - n % NR8;
     let i_main = iw - iw % MR;
+    let i_col = iw - iw % CR;
     let mut k0 = 0;
     while k0 < k_dim {
         let kw = KC.min(k_dim - k0);
         let mut j0 = 0;
-        while j0 < n_main {
-            let mut i = 0;
-            while i < i_main {
-                micro(lhs, i0, i, k0, kw, rhs, n, j0, out);
-                i += MR;
+        while j0 < n16 {
+            for i in (0..i_main).step_by(MR) {
+                micro_body::<NR>(lhs, i0, i, k0, kw, rhs, n, j0, out);
             }
-            if i < iw {
-                scalar_edge(lhs, i0, k0, kw, i, iw, rhs, n, j0, j0 + NR, out);
+            if i_main < iw {
+                scalar_edge(lhs, i0, k0, kw, i_main, iw, rhs, n, j0, j0 + NR, out);
             }
             j0 += NR;
         }
-        if n_main < n {
-            scalar_edge(lhs, i0, k0, kw, 0, iw, rhs, n, n_main, n, out);
+        if n16 < n8 {
+            for i in (0..i_main).step_by(MR) {
+                micro_body::<NR8>(lhs, i0, i, k0, kw, rhs, n, n16, out);
+            }
+            if i_main < iw {
+                scalar_edge(lhs, i0, k0, kw, i_main, iw, rhs, n, n16, n8, out);
+            }
+        }
+        if n8 < n {
+            for j in n8..n {
+                for i in (0..i_col).step_by(CR) {
+                    column_body(lhs, i0, i, k0, kw, rhs, n, j, out);
+                }
+            }
+            if i_col < iw {
+                scalar_edge(lhs, i0, k0, kw, i_col, iw, rhs, n, n8, n, out);
+            }
         }
         k0 += kw;
     }
+}
+
+fn block_portable(
+    lhs: Lhs<'_>,
+    k_dim: usize,
+    i0: usize,
+    iw: usize,
+    rhs: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    block_body(lhs, k_dim, i0, iw, rhs, n, out);
+}
+
+/// The same block compiled for AVX2 (8-lane f32) and selected at
+/// runtime. Only the matmul kernel is feature-gated: building the
+/// whole crate for a wider ISA slows the libm-bound elementwise ops
+/// (AVX↔SSE transition penalties around every `expf`/`tanhf` call),
+/// while the tiles are pure mul/add and only get wider lanes. Vector
+/// width never changes results — each output element keeps its own
+/// scalar-order accumulation chain (no horizontal reductions, no float
+/// contraction), so portable and AVX2 copies agree bit-for-bit on
+/// every non-NaN value.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_avx2(
+    lhs: Lhs<'_>,
+    k_dim: usize,
+    i0: usize,
+    iw: usize,
+    rhs: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    block_body(lhs, k_dim, i0, iw, rhs, n, out);
+}
+
+/// Runs the widest block the host supports (cached by std's
+/// feature-detection macro). The choice is a property of the machine,
+/// not of the thread count or shape, so dispatch cannot introduce
+/// nondeterminism within a run.
+fn block(lhs: Lhs<'_>, k_dim: usize, i0: usize, iw: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: gated on runtime AVX2 detection; the function body
+        // is ordinary safe Rust, only its codegen needs the feature.
+        return unsafe { block_avx2(lhs, k_dim, i0, iw, rhs, n, out) };
+    }
+    block_portable(lhs, k_dim, i0, iw, rhs, n, out);
 }
 
 /// Shared dispatch: partitions the `out_rows` of the product into
@@ -269,13 +333,14 @@ fn run_blocked(lhs: Lhs<'_>, k_dim: usize, rhs: &[f32], n: usize, out: &mut [f32
     debug_assert_eq!(out.len(), out_rows * n);
     let flops_per_row = 2 * k_dim * n;
     let total_flops = flops_per_row * out_rows;
-    // Chunks are rounded to a micro-tile multiple so every chunk's
-    // micro/edge row split matches the serial full-slab pass — the
-    // instruction path per row (and so even NaN payload propagation)
-    // is then identical at every thread count.
+    // Chunks are rounded to a multiple of both tile heights (`CR` is a
+    // multiple of `MR`) so every chunk's tile/edge row split matches
+    // the serial full-slab pass — the instruction path per row (and so
+    // even NaN payload propagation) is then identical at every thread
+    // count.
     let chunk_rows = PAR_CHUNK_FLOPS
         .div_ceil(flops_per_row.max(1))
-        .next_multiple_of(MR)
+        .next_multiple_of(CR)
         .clamp(1, out_rows.max(1));
     if threads <= 1 || total_flops < PAR_MIN_FLOPS || chunk_rows >= out_rows {
         block(lhs, k_dim, 0, out_rows, rhs, n, out);
@@ -396,6 +461,56 @@ mod tests {
         // Same arithmetic regardless of any thread knob.
         assert_eq!(chunk, PAR_CHUNK_FLOPS.div_ceil(flops_per_row).clamp(1, 500));
         assert!(chunk >= 1);
+    }
+
+    /// The portable and AVX2 codegen of the one block body must agree
+    /// bit for bit on every non-NaN value, and on NaN-ness, across the
+    /// 16-wide, 8-wide and one-column tiles and their row edges, for
+    /// both operand layouts and across a `k`-block boundary.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_avx2_blocks_agree_on_narrow_shapes() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut fill = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    match (state >> 33) % 29 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => f32::NAN,
+                        3 => f32::INFINITY,
+                        _ => ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5,
+                    }
+                })
+                .collect()
+        };
+        let canon = |v: &[f32]| -> Vec<u32> {
+            v.iter()
+                .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+                .collect()
+        };
+        for m in [1, 3, 4, 7, 8, 9, 13, 17] {
+            for k in [1, 2, 16, 24, KC + 3] {
+                for n in [1, 2, 7, 8, 9, 15, 16, 17, 24, 25, 33] {
+                    let a = fill(m * k);
+                    let rhs = fill(k * n);
+                    for lhs in [Lhs::RowMajor { a: &a, ac: k }, Lhs::KMajor { a: &a, m }] {
+                        let mut portable = vec![0.0; m * n];
+                        block_portable(lhs, k, 0, m, &rhs, n, &mut portable);
+                        let mut avx2 = vec![0.0; m * n];
+                        // SAFETY: AVX2 was detected above.
+                        unsafe { block_avx2(lhs, k, 0, m, &rhs, n, &mut avx2) };
+                        assert_eq!(canon(&portable), canon(&avx2), "{m}x{k}x{n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,12 @@ use tensor::Matrix;
 const THREADS: [usize; 3] = [1, 4, 8];
 
 /// Candidate dims: degenerate sizes plus the 4/16 micro-tile and
-/// 32/64 boundaries of the blocked kernels (and one size past them).
-const DIMS: [usize; 12] = [0, 1, 2, 3, 5, 31, 32, 33, 63, 64, 65, 127];
+/// 32/64 boundaries of the blocked kernels (and one size past them),
+/// and the 8-wide tile, one-column tile and `CR = 8` row-tile edges
+/// (7, 8, 9, 15, 16, 17, 24).
+const DIMS: [usize; 19] = [
+    0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 127,
+];
 
 /// Deterministic fill with occasional exact zeros of both signs, NaNs
 /// and infinities, so the IEEE-propagation paths get exercised
@@ -74,7 +78,7 @@ proptest! {
 
     #[test]
     fn matmul_matches_reference_at_any_thread_count(
-        mi in 0usize..12, ki in 0usize..12, ni in 0usize..12, seed in 0u64..1_000_000
+        mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len(), seed in 0u64..1_000_000
     ) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = fill(m, k, seed);
@@ -95,7 +99,7 @@ proptest! {
 
     #[test]
     fn t_matmul_matches_reference_at_any_thread_count(
-        ki in 0usize..12, mi in 0usize..12, ni in 0usize..12, seed in 0u64..1_000_000
+        ki in 0usize..DIMS.len(), mi in 0usize..DIMS.len(), ni in 0usize..DIMS.len(), seed in 0u64..1_000_000
     ) {
         let (k, m, n) = (DIMS[ki], DIMS[mi], DIMS[ni]);
         let a = fill(k, m, seed);
@@ -116,7 +120,7 @@ proptest! {
 
     #[test]
     fn matmul_t_matches_reference_at_any_thread_count(
-        mi in 0usize..12, ki in 0usize..12, ni in 0usize..12, seed in 0u64..1_000_000
+        mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len(), seed in 0u64..1_000_000
     ) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = fill(m, k, seed);
@@ -203,7 +207,18 @@ fn signed_zeros_match_reference_on_narrow_shapes() {
         _ => 0.5,
     };
     let rhs = |r: usize, c: usize| 0.25 + (r + c) as f32 * 0.125;
-    for (m, k, n) in [(1, 1, 1), (6, 1, 1), (5, 1, 17), (37, 16, 1), (37, 17, 1)] {
+    let shapes = [
+        (1, 1, 1),
+        (6, 1, 1),
+        (5, 1, 17),
+        (37, 16, 1),
+        (37, 17, 1),
+        (37, 16, 8),
+        (13, 1, 8),
+        (37, 24, 24),
+        (11, 1, 24),
+    ];
+    for (m, k, n) in shapes {
         let a = Matrix::from_fn(m, k, lhs);
         let b = Matrix::from_fn(k, n, rhs);
         let want = a.matmul_ref(&b);

@@ -22,7 +22,10 @@ echo "==> kernel equivalence smoke (blocked/parallel kernels vs naive refs)"
 # The release-mode codegen is what production runs, so the bit-exactness
 # contract (kernel.rs) is re-proven here under --release: blocked and
 # pool-parallel matmul/t_matmul/matmul_t must match the naive reference
-# loops bit-for-bit at threads 1/4/8, NaN/Inf propagation included.
+# loops bit-for-bit at threads 1/4/8, NaN/Inf propagation included,
+# across the 4x16 and 4x8 micro-tiles, the 8x1 column tile and their
+# row edges (the portable-vs-AVX2 block check is a kernel.rs unit test,
+# run by the tensor stage below).
 cargo test -q --release -p tensor --test kernel_equivalence
 
 echo "==> row-sparse gradient exactness (release codegen)"
@@ -32,10 +35,12 @@ echo "==> row-sparse gradient exactness (release codegen)"
 # (fine_tune_bits). Both are re-proven under --release here. So are the
 # MF row kernels (rankers::common unit tests): the sliced BPR/PMF SGD
 # steps and the blocked predict_many must match the indexed scalar
-# loops bit for bit, and only release codegen vectorizes them.
+# loops bit for bit, and only release codegen vectorizes them. NeuMF's
+# tape-free shared-prefix score must equal its tape logits bit for bit.
 cargo test -q --release -p tensor
 cargo test -q --release -p recsys --test fine_tune_bits
 cargo test -q --release -p recsys rankers::common
+cargo test -q --release -p recsys rankers::neumf::tests::score_matches_tape_logits_bitwise
 
 echo "==> policy replay exactness (release codegen)"
 # The PoisonRec policy's parameters and PPO signals after a few trainer
