@@ -260,12 +260,6 @@ impl Connection {
         completed
     }
 
-    /// Marks the connection for close once the outbox drains (used by
-    /// shutdown to retire idle keep-alive connections).
-    pub fn begin_close(&mut self) {
-        self.closing = true;
-    }
-
     /// No further requests will be accepted on this connection.
     pub fn is_closing(&self) -> bool {
         self.closing || self.sealed
@@ -408,6 +402,7 @@ mod tests {
         assert!(c.take_request().is_none());
         let both = String::from_utf8(c.pending_output().to_vec()).unwrap();
         assert!(both.ends_with("Connection: close\r\n\r\nb"), "{both}");
+        assert!(!c.should_close_now(), "the close waits for the outbox");
         let n = c.pending_output().len();
         assert_eq!(c.advance_write(n), 2);
         assert!(c.should_close_now());
@@ -451,21 +446,6 @@ mod tests {
         let out = c.feed(b"GET /late HTTP/1.1\r\n\r\n");
         assert_eq!(out.accepted, 0);
         assert!(!c.has_ready_request());
-    }
-
-    #[test]
-    fn begin_close_drains_then_closes() {
-        let mut c = conn();
-        c.feed(b"GET /x HTTP/1.1\r\n\r\n");
-        c.take_request().unwrap();
-        c.push_response(200, "{}", false);
-        c.begin_close();
-        assert!(!c.should_close_now());
-        let n = c.pending_output().len();
-        c.advance_write(n);
-        assert!(c.should_close_now());
-        // Closed connections ignore late bytes.
-        assert_eq!(c.feed(b"GET /y HTTP/1.1\r\n\r\n").accepted, 0);
     }
 
     #[test]

@@ -40,11 +40,6 @@ enum Op {
     /// on the tape and `dP` goes straight to the [`GradStore`].
     /// Bit-equal to `matmul(a, param(p))`.
     MatMulParam(Var, ParamId),
-    /// `[a0 | a1 | …] * P` with the parts read in place: one kernel run
-    /// per part over `P`'s matching row block, into one output.
-    /// Bit-equal to `matmul_param(concat_cols(..), p)` for distinct
-    /// parts.
-    MatMulParamCols(Vec<Var>, ParamId),
     /// `a * P^T`, fused like [`Op::MatMulParam`].
     MatMulTParam(Var, ParamId),
     /// `a + P` where `P` is a `1 x cols` parameter row broadcast over
@@ -121,7 +116,7 @@ impl Op {
             Op::Param(..) => OpKind::Param,
             Op::Gather(..) => OpKind::Gather,
             Op::GatherVar(..) => OpKind::GatherVar,
-            Op::MatMul(..) | Op::MatMulParam(..) | Op::MatMulParamCols(..) => OpKind::MatMul,
+            Op::MatMul(..) | Op::MatMulParam(..) => OpKind::MatMul,
             Op::MatMulT(..) | Op::MatMulTParam(..) => OpKind::MatMulT,
             Op::AddRowParam(..) => OpKind::Add,
             Op::Add(..) => OpKind::Add,
@@ -416,11 +411,6 @@ impl<'p> Graph<'p> {
         self.nodes[v.0].value.shape()
     }
 
-    /// Summed column count of `parts`: the width of their concatenation.
-    fn width_of(&self, parts: &[Var]) -> u64 {
-        parts.iter().map(|&v| self.shape(v).1 as u64).sum()
-    }
-
     /// Order-of-magnitude FLOP count for one forward execution of
     /// `op`, from the operand shapes. Copies (gathers, concats, picks)
     /// count zero; transcendental activations count a flat 4 per
@@ -441,7 +431,6 @@ impl<'p> Graph<'p> {
             | Op::MatMulT(a, _)
             | Op::MatMulParam(a, _)
             | Op::MatMulTParam(a, _) => 2 * self.shape(*a).1 as u64 * out,
-            Op::MatMulParamCols(parts, _) => 2 * self.width_of(parts) * out,
             Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Scale(..) | Op::AddScalar(..) => out,
             Op::AddRowParam(..) => out,
             Op::Relu(..) | Op::LeakyRelu(..) => out,
@@ -567,59 +556,6 @@ impl<'p> Graph<'p> {
             .value
             .matmul_into(pm, &mut value, kernel::threads());
         self.push(value, Op::MatMulParam(a, p))
-    }
-
-    /// `[a0 | a1 | …] * P` with parameter `p` used in place and no
-    /// concatenated copy on the tape. The kernel runs once per part
-    /// over `P`'s matching row block, into one zero-filled output, so
-    /// each element's chain continues from part to part exactly as it
-    /// does across the kernel's own `k`-blocks. The backward gives each
-    /// part `G * P_blockᵀ` and adds `A_partᵀ G` into `P`'s gradient
-    /// rows, block by block.
-    ///
-    /// For distinct parts, bit-equal in value and gradients to
-    /// `matmul_param` over `concat_cols` of the parts (a left-nested
-    /// chain for three or more). A single part is `matmul_param`.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty, the parts differ in row count, or
-    /// their widths do not sum to `P`'s row count.
-    pub fn matmul_param_cols(&mut self, parts: &[Var], p: ParamId) -> Var {
-        if let [a] = parts {
-            return self.matmul_param(*a, p);
-        }
-        let _t = profile::fwd(OpKind::MatMul);
-        let (rows, _) = self.shape(*parts.first().expect("matmul_param_cols needs a part"));
-        let pm = self.params.get(p);
-        for &a in parts {
-            assert_eq!(self.shape(a).0, rows, "matmul_param_cols row mismatch");
-        }
-        let width = self.width_of(parts) as usize;
-        assert_eq!(
-            width,
-            pm.rows(),
-            "matmul_param_cols shape mismatch: parts {rows}x{width} * {}x{}",
-            pm.rows(),
-            pm.cols()
-        );
-        let n = pm.cols();
-        let mut value = self.pool.zeros(rows, n);
-        let mut k0 = 0;
-        for &a in parts {
-            let av = &self.nodes[a.0].value;
-            let kw = av.cols();
-            kernel::matmul(
-                av.data(),
-                rows,
-                kw,
-                &pm.data()[k0 * n..(k0 + kw) * n],
-                n,
-                value.data_mut(),
-                kernel::threads(),
-            );
-            k0 += kw;
-        }
-        self.push(value, Op::MatMulParamCols(parts.to_vec(), p))
     }
 
     /// `a * P^T` with parameter `p` used in place (fused like
@@ -1059,7 +995,6 @@ impl<'p> Graph<'p> {
             | Op::MatMulT(a, _)
             | Op::MatMulParam(a, _)
             | Op::MatMulTParam(a, _) => 4 * self.shape(*a).1 as u64 * out,
-            Op::MatMulParamCols(parts, _) => 4 * self.width_of(parts) * out,
             Op::Add(..) | Op::Sub(..) | Op::Scale(..) | Op::AddScalar(..) => out,
             Op::AddRowParam(..) => out,
             Op::Mul(..) => 2 * out,
@@ -1267,44 +1202,6 @@ impl<'p> Graph<'p> {
                     grads.get_mut(*pid).axpy(1.0, &dp);
                     pool.recycle(dp);
                     accumulate(&mut adj, *a, Adjoint::Dense(da), &mut pool);
-                    pool.recycle(g);
-                }
-                Op::MatMulParamCols(parts, pid) => {
-                    // The `MatMulParam` products, one row block of P at
-                    // a time. dA_part = G * P_blockᵀ through `matmul_t`
-                    // (materialize the block's transpose, then the
-                    // row-major kernel: the same chain per element as
-                    // the whole transpose gives). dP_block = A_partᵀ G
-                    // lands in the block's gradient rows with `axpy`'s
-                    // `+= 1.0 * x`. Parts take their adjoints in order,
-                    // as `ConcatCols` hands them out.
-                    let pv = self.params.get(*pid);
-                    let n = pv.cols();
-                    let mut k0 = 0;
-                    for &a in parts {
-                        let av = &self.nodes[a.0].value;
-                        let kw = av.cols();
-                        let rows = k0 * n..(k0 + kw) * n;
-                        let mut da = pool.zeros(g.rows(), kw);
-                        kernel::matmul_t(
-                            g.data(),
-                            g.rows(),
-                            n,
-                            &pv.data()[rows.clone()],
-                            kw,
-                            da.data_mut(),
-                            threads,
-                        );
-                        let mut dp = pool.zeros(kw, n);
-                        av.t_matmul_into(&g, &mut dp, threads);
-                        let gp = &mut grads.get_mut(*pid).data_mut()[rows];
-                        for (d, &x) in gp.iter_mut().zip(dp.data()) {
-                            *d += 1.0 * x;
-                        }
-                        pool.recycle(dp);
-                        accumulate(&mut adj, a, Adjoint::Dense(da), &mut pool);
-                        k0 += kw;
-                    }
                     pool.recycle(g);
                 }
                 Op::MatMulTParam(a, pid) => {

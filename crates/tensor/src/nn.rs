@@ -48,14 +48,7 @@ impl Linear {
     }
 
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        self.forward_cols(g, &[x])
-    }
-
-    /// `[x0 | x1 | …] W + b`, reading the parts in place instead of
-    /// concatenating them first (see [`Graph::matmul_param_cols`];
-    /// bit-equal to `forward` over their `concat_cols`).
-    pub fn forward_cols(&self, g: &mut Graph<'_>, parts: &[Var]) -> Var {
-        let xw = g.matmul_param_cols(parts, self.w);
+        let xw = g.matmul_param(x, self.w);
         g.add_row_param(xw, self.b)
     }
 }
@@ -116,19 +109,10 @@ impl Mlp {
         }
     }
 
-    pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        self.forward_cols(g, &[x])
-    }
-
-    /// [`Mlp::forward`] over the column-wise concatenation of `parts`,
-    /// which the first layer reads in place ([`Linear::forward_cols`]).
-    pub fn forward_cols(&self, g: &mut Graph<'_>, parts: &[Var]) -> Var {
+    pub fn forward(&self, g: &mut Graph<'_>, mut x: Var) -> Var {
         let last = self.layers.len() - 1;
-        let mut x = self.layers[0].forward_cols(g, parts);
         for (i, layer) in self.layers.iter().enumerate() {
-            if i > 0 {
-                x = layer.forward(g, x);
-            }
+            x = layer.forward(g, x);
             x = if i == last {
                 self.final_activation.apply(g, x)
             } else {

@@ -727,84 +727,3 @@ fn pair_logp_is_bit_identical_to_the_seven_op_pipeline() {
         }
     }
 }
-
-#[test]
-fn matmul_param_cols_gradcheck() {
-    let mut rng = rng();
-    let mut params = ParamSet::new();
-    let a = params.add("a", Matrix::uniform(4, 3, 0.8, &mut rng));
-    let b = params.add("b", Matrix::uniform(4, 2, 0.8, &mut rng));
-    let c = params.add("c", Matrix::uniform(4, 4, 0.8, &mut rng));
-    let w = params.add("w", Matrix::uniform(9, 5, 0.8, &mut rng));
-    gradcheck(&mut params, |g| {
-        let av = g.param(a);
-        let bv = g.param(b);
-        let cv = g.param(c);
-        let bt = g.tanh(bv);
-        let y = g.matmul_param_cols(&[av, bt, cv], w); // 4 x 5
-        let t = g.tanh(y);
-        g.sq_sum(t)
-    });
-}
-
-/// `matmul_param_cols` must replay `matmul_param` over `concat_cols` of
-/// its parts (left-nested for three) bit for bit: the value, each
-/// part's gradient and the weight gradient, with `±0.0`, `±inf` and NaN
-/// in the parts, the weight and the upstream gradient, swept with
-/// weights `0.0` (every adjoint a signed zero) and `-0.0625`. Widths
-/// cover an empty part and split the weight across the kernel's 16-,
-/// 8- and one-column tiles.
-#[test]
-fn matmul_param_cols_is_bit_identical_to_concat_then_matmul() {
-    let run = |fused: bool, rows: usize, widths: &[usize], n: usize, weight: f32| {
-        let mut params = ParamSet::new();
-        let ids: Vec<_> = widths
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| params.add(format!("p{i}"), with_specials(rows, c, i + 1)))
-            .collect();
-        let k: usize = widths.iter().sum();
-        let w = params.add("w", with_specials(k, n, 5));
-        let up = with_specials(rows, n, 3);
-        let mut grads = GradStore::zeros_like(&params);
-        let mut g = Graph::new(&params);
-        let parts: Vec<Var> = ids.iter().map(|&id| g.param(id)).collect();
-        let y = if fused {
-            g.matmul_param_cols(&parts, w)
-        } else {
-            let mut x = parts[0];
-            for &p in &parts[1..] {
-                x = g.concat_cols(x, p);
-            }
-            g.matmul_param(x, w)
-        };
-        let uv = g.input(up);
-        let weighted = g.mul(y, uv);
-        let loss = g.sum_all(weighted);
-        g.backward_weighted(loss, weight, &mut grads);
-        let mut bits = vec![canon_bits(g.value(y)), canon_bits(grads.get(w))];
-        bits.extend(ids.iter().map(|&id| canon_bits(grads.get(id))));
-        bits
-    };
-    let cases: [&[usize]; 6] = [
-        &[16, 16],
-        &[16, 8],
-        &[1, 17],
-        &[0, 5],
-        &[16, 8, 1],
-        &[3, 0, 24],
-    ];
-    for widths in cases {
-        for n in [1, 8, 17, 24] {
-            for rows in [0, 1, 37] {
-                for weight in [0.0, -0.0625] {
-                    assert_eq!(
-                        run(true, rows, widths, n, weight),
-                        run(false, rows, widths, n, weight),
-                        "widths {widths:?}, n = {n}, rows = {rows}, weight {weight}"
-                    );
-                }
-            }
-        }
-    }
-}

@@ -35,12 +35,15 @@ echo "==> row-sparse gradient exactness (release codegen)"
 # (fine_tune_bits). Both are re-proven under --release here. So are the
 # MF row kernels (rankers::common unit tests): the sliced BPR/PMF SGD
 # steps and the blocked predict_many must match the indexed scalar
-# loops bit for bit, and only release codegen vectorizes them. NeuMF's
-# tape-free shared-prefix score must equal its tape logits bit for bit.
+# loops bit for bit, and only release codegen vectorizes them. NeuMF
+# runs without a tape: its score must equal the tape's logits, and one
+# train step, a fit and three fine-tunes must leave every parameter at
+# the tape's bits (row-sparse and dense-sweep learning rates, signed
+# zeros), so every NeuMF unit test runs here.
 cargo test -q --release -p tensor
 cargo test -q --release -p recsys --test fine_tune_bits
 cargo test -q --release -p recsys rankers::common
-cargo test -q --release -p recsys rankers::neumf::tests::score_matches_tape_logits_bitwise
+cargo test -q --release -p recsys rankers::neumf
 
 echo "==> policy replay exactness (release codegen)"
 # The PoisonRec policy's parameters and PPO signals after a few trainer
@@ -326,6 +329,21 @@ expect_perf_diff 1 failed 'change failed share'
 expect_perf_diff 1 incorrect '"correct": false'
 expect_perf_diff 2 short
 expect_perf_diff 2 missing
+# A reader that stops early (`perf_diff … | head -1`) must not make
+# perf_diff panic: it stops writing and exits with the verdict's code.
+# Here the reader (`head -n 0`) is gone before perf_diff starts, so its
+# first write meets a closed pipe.
+expect_quiet_closed_pipe() { # CODE CHANGE_FIXTURE
+    local code=0
+    { sleep 0.5; ./target/release/perf_diff BENCHMARK.json tests/golden/perf_pairs/parent.jsonl \
+        "tests/golden/perf_pairs/$2.jsonl" 2> "$smoke_dir/perf_diff.err"; } | head -n 0 || code=$?
+    if [ "$code" -ne "$1" ] || grep -q panicked "$smoke_dir/perf_diff.err"; then
+        cat "$smoke_dir/perf_diff.err"
+        echo "perf_diff on $2.jsonl into a closed pipe exited $code, expected $1"; exit 1
+    fi
+}
+expect_quiet_closed_pipe 0 level
+expect_quiet_closed_pipe 1 slower
 bash -n scripts/perf_pairs.sh
 # E1 (exp_timing) on a tiny grid with the tracer armed: its threads
 # section asserts identical rewards at every thread count, and the
