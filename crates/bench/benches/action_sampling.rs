@@ -4,7 +4,10 @@
 //!
 //! The `ppo_update` group times the PPO update alone (Eq. 7–9) at the
 //! `attack-bpr` benchmark's policy shape, so tape and kernel changes to
-//! the replay can be sized without running the whole attack.
+//! the replay can be sized without running the whole attack. The
+//! `activations` group times the tape's `tanh` and sigmoid forwards on
+//! one LSTM gate matrix of that shape (20 × 16), mapped through libm
+//! and through the `tensor::transcendental` kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::PaperDataset;
@@ -94,9 +97,40 @@ fn bench_ppo_update(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 20 × 16 gate matrix of pre-activations in `[-4, 4)` (every lane
+/// on the kernels' fast paths), through libm and through the kernels.
+fn bench_activations(c: &mut Criterion) {
+    let mut group = c.benchmark_group("activations");
+    let mut rng = StdRng::seed_from_u64(5);
+    let xs: Vec<f32> = (0..320).map(|_| rng.gen_range(-4.0..4.0)).collect();
+    let mut out = vec![0.0f32; xs.len()];
+    type Kernel = fn(&[f32], &mut [f32]);
+    let kernels: [(&str, Kernel); 4] = [
+        ("tanh_libm", |xs, out| {
+            out.iter_mut().zip(xs).for_each(|(o, &x)| *o = x.tanh())
+        }),
+        ("sigmoid_libm", |xs, out| {
+            out.iter_mut()
+                .zip(xs)
+                .for_each(|(o, &x)| *o = tensor::stable_sigmoid(x))
+        }),
+        ("tanh_into", tensor::transcendental::tanh_into),
+        ("sigmoid_into", tensor::transcendental::sigmoid_into),
+    ];
+    for (name, kernel) in kernels {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                kernel(&xs, &mut out);
+                criterion::black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sampling, bench_bcbt_build, bench_ppo_update
+    targets = bench_sampling, bench_bcbt_build, bench_ppo_update, bench_activations
 }
 criterion_main!(benches);

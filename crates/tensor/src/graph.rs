@@ -19,6 +19,7 @@ use crate::matrix::Matrix;
 use crate::params::{GradStore, ParamId, ParamSet};
 use crate::profile::{self, OpKind};
 use crate::sparse::Csr;
+use crate::transcendental;
 
 /// Handle to a node on the tape.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -762,6 +763,14 @@ impl<'p> Graph<'p> {
             .collect(r, c, self.nodes[a.0].value.data().iter().map(|&x| f(x)))
     }
 
+    /// Pool-backed slice kernel over a node's value.
+    fn mapped_into(&mut self, a: Var, kernel: fn(&[f32], &mut [f32])) -> Matrix {
+        let (r, c) = self.shape(a);
+        let mut value = self.pool.zeros(r, c);
+        kernel(self.nodes[a.0].value.data(), value.data_mut());
+        value
+    }
+
     // ---- activations -------------------------------------------------------
 
     pub fn relu(&mut self, a: Var) -> Var {
@@ -778,13 +787,13 @@ impl<'p> Graph<'p> {
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let _t = profile::fwd(OpKind::Sigmoid);
-        let value = self.mapped(a, stable_sigmoid);
+        let value = self.mapped_into(a, transcendental::sigmoid_into);
         self.push(value, Op::Sigmoid(a))
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
         let _t = profile::fwd(OpKind::Tanh);
-        let value = self.mapped(a, f32::tanh);
+        let value = self.mapped_into(a, transcendental::tanh_into);
         self.push(value, Op::Tanh(a))
     }
 

@@ -332,10 +332,11 @@ fn block_portable(
 }
 
 /// The same block compiled for AVX2 (8-lane f32) and selected at
-/// runtime. Only the matmul kernel is feature-gated: building the
-/// whole crate for a wider ISA slows the libm-bound elementwise ops
-/// (AVX↔SSE transition penalties around every `expf`/`tanhf` call),
-/// while the tiles are pure mul/add and only get wider lanes. Vector
+/// runtime. Only the kernels are feature-gated (this block and the
+/// `transcendental` slice kernels): building the whole crate for a
+/// wider ISA slows the elementwise ops that still call libm (AVX↔SSE
+/// transition penalties around every call), while the tiles are pure
+/// mul/add and only get wider lanes. Vector
 /// width never changes results — each output element keeps its own
 /// scalar-order accumulation chain (no horizontal reductions, no float
 /// contraction), so portable and AVX2 copies agree bit-for-bit on
@@ -465,29 +466,27 @@ pub fn matmul_t(
     TRANSPOSE_SCRATCH.with(|cell| cell.set(bt));
 }
 
-/// Writes the `cols x rows` transpose of row-major `src` into `dst`
-/// (tile-blocked so both sides stream through cache lines).
+/// Writes the `cols x rows` transpose of row-major `src` into `dst`.
+/// A band of 32 source rows stays cache-resident while every output row
+/// takes its stretch of up to 32 elements from the band's row slices,
+/// so no element needs index arithmetic or a bounds check (`c < cols`,
+/// the slices' length).
 pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
     debug_assert_eq!(src.len(), rows * cols);
-    // Every entry is overwritten by the tile loops below, so a recycled
-    // scratch keeps its stale contents; `resize` only pays to fill the
-    // newly grown region (a no-op in the steady state).
+    // Every entry is overwritten below, so a recycled scratch keeps its
+    // stale contents; `resize` only pays to fill the newly grown region
+    // (a no-op in the steady state).
     dst.resize(rows * cols, 0.0);
+    if rows == 0 || cols == 0 {
+        return;
+    }
     const T: usize = 32;
-    let mut r0 = 0;
-    while r0 < rows {
-        let rh = T.min(rows - r0);
-        let mut c0 = 0;
-        while c0 < cols {
-            let cw = T.min(cols - c0);
-            for r in r0..r0 + rh {
-                for c in c0..c0 + cw {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
+    for (r0, band) in (0..).step_by(T).zip(src.chunks(T * cols)) {
+        for (c, dst_row) in (0..cols).zip(dst.chunks_exact_mut(rows)) {
+            for (d, src_row) in dst_row[r0..].iter_mut().zip(band.chunks_exact(cols)) {
+                *d = src_row[c];
             }
-            c0 += cw;
         }
-        r0 += rh;
     }
 }
 
@@ -570,14 +569,26 @@ mod tests {
         }
     }
 
+    /// The band copy must write what the per-element definition does,
+    /// across band edges (31, 32, 33, 70) and empty sides, into a
+    /// recycled scratch that starts longer than the result.
     #[test]
-    fn transpose_into_round_trips() {
-        let src: Vec<f32> = (0..6 * 70).map(|x| x as f32).collect();
-        let mut t = Vec::new();
-        transpose_into(&src, 6, 70, &mut t);
-        let mut back = Vec::new();
-        transpose_into(&t, 70, 6, &mut back);
-        assert_eq!(src, back);
+    fn transpose_into_matches_naive() {
+        let dims = [0, 1, 31, 32, 33, 70];
+        let mut t = vec![f32::NAN; 80 * 80];
+        for rows in dims {
+            for cols in dims {
+                let src: Vec<f32> = (0..rows * cols).map(|x| x as f32).collect();
+                transpose_into(&src, rows, cols, &mut t);
+                let mut naive = vec![0.0; rows * cols];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        naive[c * rows + r] = src[r * cols + c];
+                    }
+                }
+                assert_eq!(t, naive, "{rows}x{cols}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod optim;
 mod params;
 pub mod profile;
 pub mod sparse;
+pub mod transcendental;
 pub mod util;
 pub mod wire;
 

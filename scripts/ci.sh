@@ -45,6 +45,16 @@ cargo test -q --release -p recsys --test fine_tune_bits
 cargo test -q --release -p recsys rankers::common
 cargo test -q --release -p recsys rankers::neumf
 
+echo "==> tanh/sigmoid kernels on all 2^32 inputs (release codegen)"
+# The tape's Tanh and Sigmoid forwards run AVX2+FMA ports of the
+# platform libm (tensor::transcendental), selected when the host has
+# the features and the kernels pass a probe set. This stage requires
+# that they were selected here and equal f32::tanh and stable_sigmoid
+# on every f32 bit pattern (35–50 s on 2 cores); the tier-1 file
+# checks every 4099th pattern and the branch edges.
+cargo test -q --release -p tensor --test transcendental -- --ignored \
+    all_inputs_through_the_kernels
+
 echo "==> policy replay exactness (release codegen)"
 # The PoisonRec policy's parameters and PPO signals after a few trainer
 # steps, and one seeded episode's replayed log-probs and gradients, are
