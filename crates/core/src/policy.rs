@@ -134,11 +134,6 @@ impl PolicyNetwork {
         &mut self.params
     }
 
-    /// The current action-embedding table (used by analysis tools).
-    pub fn action_embeddings(&self) -> &Matrix {
-        self.params.get(self.action_emb)
-    }
-
     /// Samples a full episode (no reward yet). Gradient-free.
     pub fn sample_episode(&self, space: &ActionSpace, rng: &mut StdRng) -> Episode {
         let n = self.cfg.num_attackers;

@@ -54,11 +54,6 @@ impl CoVisitation {
             .copied()
             .unwrap_or(0.0)
     }
-
-    /// Number of stored directed edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(HashMap::len).sum()
-    }
 }
 
 impl Ranker for CoVisitation {

@@ -7,7 +7,8 @@
 //!
 //! * a retrain clones the clean ranker and fine-tunes it **off to the
 //!   side**, wraps it in a fresh snapshot, and publishes the snapshot
-//!   with an atomic swap (`runtime::Published`) — readers never wait;
+//!   by swapping an `Arc` behind a mutex held only for the swap —
+//!   readers never wait for the fine-tune;
 //! * the snapshot itself is **never mutated after publication**: the
 //!   per-user cache is append-only ([`std::sync::OnceLock`] per user),
 //!   so there is no invalidation protocol at all. A new generation

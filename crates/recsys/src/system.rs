@@ -419,8 +419,8 @@ impl BlackBoxSystem {
     /// tags the snapshot with generation `ordinal + 1`, so generation
     /// `g` is always the model produced by the `g`-th observation of
     /// the system's lifetime. The serving layer builds snapshots here
-    /// and publishes them with an atomic swap; readers of the previous
-    /// generation are never blocked.
+    /// and swaps each one into its snapshot cell; readers of the
+    /// previous generation are never blocked.
     pub fn retrain_snapshot(&self, poison: &[Trajectory]) -> RankerSnapshot {
         self.check_budget(poison);
         let ordinal = self.observation.fetch_add(1, Ordering::Relaxed);

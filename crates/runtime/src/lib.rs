@@ -46,10 +46,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 pub mod fault;
-pub mod swap;
 
 pub use fault::{FaultPlan, FAULT_EXIT_CODE};
-pub use swap::{Published, ReadGuard};
 
 /// Something an off-thread task can nudge when it finishes — typically
 /// an event loop parked in a poller. Implementations must be cheap,

@@ -15,9 +15,11 @@
 //!
 //! ## Concurrency model (DESIGN.md §5f)
 //!
-//! * **Reads never wait.** `/recommend`, `/healthz`, `/info` and
-//!   `/metrics` touch only one [`runtime::Published`] snapshot cell —
-//!   a lock-free hazard-pointer read — plus immutable state.
+//! * **Reads never wait for a retrain.** `/recommend`, `/healthz` and
+//!   `/metrics` read the snapshot cell, a `Mutex<Arc<RankerSnapshot>>`
+//!   held only to clone the `Arc` or read its generation, plus
+//!   immutable state. `/info` also reads the defense stack under the
+//!   admission lock.
 //! * **Feedback is buffered, not applied.** `POST /feedback` judges
 //!   and admits trajectories under one brief admission lock (defense
 //!   verdicts, budget check, append to the pending queue), so the
@@ -25,9 +27,10 @@
 //!   makes them visible.
 //! * **Retrains happen off to the side.** `POST /retrain` takes the
 //!   whole queue, fine-tunes a fresh [`RankerSnapshot`] while the
-//!   previous generation keeps serving, then publishes it with one
-//!   atomic swap. A `Mutex` serializes concurrent retrains (the seed
-//!   stream is consumed per retrain), but no reader ever takes it.
+//!   previous generation keeps serving, then swaps the new `Arc` into
+//!   the cell. A reader that cloned the old `Arc` keeps it until it lets
+//!   go. A `Mutex` serializes concurrent retrains (the seed stream is
+//!   consumed per retrain), but no reader ever takes it.
 //!
 //! This mirrors the in-process [`BlackBoxSystem`] exactly: one
 //! feedback-then-retrain round trip consumes one observation-seed
@@ -35,14 +38,12 @@
 //! would have produced — the bit-identity the over-the-wire attack
 //! path rests on.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use recsys::data::Trajectory;
 use recsys::defense::{DefenseStack, Verdict, VerdictCounts};
 use recsys::snapshot::RankerSnapshot;
 use recsys::system::BlackBoxSystem;
-use runtime::Published;
 use telemetry::json::{self, Json};
 
 use crate::http::Request;
@@ -165,8 +166,8 @@ impl Route {
         Ok(Route::Metrics { format, window })
     }
 
-    /// Fast routes are answered inline on the event loop (lock-free
-    /// snapshot reads); slow ones are offloaded to the worker set.
+    /// Fast routes are answered inline on the event loop (snapshot
+    /// reads); slow ones are offloaded to the worker set.
     pub fn is_fast(&self) -> bool {
         !matches!(self, Route::Feedback | Route::Retrain)
     }
@@ -289,36 +290,40 @@ fn dominant_verdict(tally: &VerdictCounts) -> &'static str {
     best.1.label()
 }
 
-/// Shared server state: the system under attack plus serving-side
-/// buffers. All methods take `&self`; the struct is `Sync`.
-pub struct RecApp {
-    system: BlackBoxSystem,
-    /// The live generation; a retrain swaps in the next one.
-    snapshot: Published<RankerSnapshot>,
-    /// The admission lock over the pending queue: feedback admitted but
-    /// not yet retrained, in admission order. Its length is what the
-    /// attacker budget caps.
-    admission: Mutex<Vec<Trajectory>>,
-    /// Serializes retrains: each consumes one seed ordinal, so their
-    /// order must be total even under concurrent `POST /retrain`.
-    retrain: Mutex<()>,
+/// What the admission lock guards.
+struct Admission {
+    /// Feedback admitted but not yet retrained, in admission order. Its
+    /// length is what the attacker budget caps.
+    pending: Vec<Trajectory>,
     /// Optional layered online defense judging every trajectory at
     /// admission. Judged **under the admission lock** so the stack's
     /// state transitions follow the global admission order — the
     /// invariant that keeps a defended wire run bit-identical to the
     /// in-process [`recsys::defense::DefendedSystem`] path.
-    defense: Option<Mutex<DefenseStack>>,
-    flagged_total: AtomicU64,
+    defense: Option<DefenseStack>,
+}
+
+/// Shared server state: the system under attack plus serving-side
+/// buffers. All methods take `&self`; the struct is `Sync`.
+pub struct RecApp {
+    system: BlackBoxSystem,
+    /// The live generation; a retrain swaps in the next one. Held only
+    /// to clone or replace the `Arc`.
+    snapshot: Mutex<Arc<RankerSnapshot>>,
+    admission: Mutex<Admission>,
+    /// Serializes retrains: each consumes one seed ordinal, so their
+    /// order must be total even under concurrent `POST /retrain`.
+    retrain: Mutex<()>,
     /// Per-item popularity (catalog order), frozen at construction —
     /// the reference the popularity drift detector scores against.
     popularity: Vec<f64>,
     /// CUSUM over each trajectory's mean clicked-item popularity
     /// (attack sessions skew cold/target-heavy — see defense.rs).
-    pop_drift: std::sync::Arc<telemetry::DriftDetector>,
+    pop_drift: Arc<telemetry::DriftDetector>,
     /// CUSUM over per-user (per-trajectory) click counts.
-    rate_drift: std::sync::Arc<telemetry::DriftDetector>,
+    rate_drift: Arc<telemetry::DriftDetector>,
     /// Windowed trajectory arrivals: the live feedback ingest rate.
-    feedback_rate: std::sync::Arc<telemetry::WindowedCounter>,
+    feedback_rate: Arc<telemetry::WindowedCounter>,
 }
 
 impl RecApp {
@@ -326,7 +331,7 @@ impl RecApp {
     /// snapshot. `defense` judges every incoming trajectory at
     /// admission.
     pub fn new(system: BlackBoxSystem, defense: Option<DefenseStack>) -> Self {
-        let snapshot = std::sync::Arc::new(system.clean_snapshot());
+        let snapshot = Arc::new(system.clean_snapshot());
         let popularity: Vec<f64> = system
             .public_info()
             .popularity
@@ -335,11 +340,12 @@ impl RecApp {
             .collect();
         Self {
             system,
-            snapshot: Published::new(snapshot),
-            admission: Mutex::new(Vec::new()),
+            snapshot: Mutex::new(snapshot),
+            admission: Mutex::new(Admission {
+                pending: Vec::new(),
+                defense,
+            }),
             retrain: Mutex::new(()),
-            defense: defense.map(Mutex::new),
-            flagged_total: AtomicU64::new(0),
             popularity,
             pop_drift: telemetry::stream::detector(
                 "serve_feedback_pop_drift",
@@ -362,7 +368,13 @@ impl RecApp {
 
     /// The generation currently being served.
     pub fn generation(&self) -> u64 {
-        self.snapshot.read().generation()
+        self.snapshot.lock().unwrap().generation()
+    }
+
+    /// The snapshot currently being served, kept alive for as long as
+    /// the caller holds it.
+    fn current(&self) -> Arc<RankerSnapshot> {
+        Arc::clone(&self.snapshot.lock().unwrap())
     }
 
     /// The wrapped system (tests compare against its in-process path).
@@ -374,9 +386,12 @@ impl RecApp {
     /// undefended). Wire-side experiments read detection
     /// precision/recall off this ledger.
     pub fn defense_counts(&self) -> VerdictCounts {
-        self.defense
+        self.admission
+            .lock()
+            .unwrap()
+            .defense
             .as_ref()
-            .map_or_else(VerdictCounts::default, |d| d.lock().unwrap().counts())
+            .map_or_else(VerdictCounts::default, DefenseStack::counts)
     }
 
     /// Routes one parsed request: [`Route::parse`] then
@@ -469,18 +484,15 @@ impl RecApp {
             .field("observations_spent", self.system.observations_spent())
             .field(
                 "defense",
-                match &self.defense {
-                    Some(stack) => {
-                        let stack = stack.lock().unwrap();
-                        Json::obj()
-                            .field("detector", stack.detector_name())
-                            .field("kind", stack.kind_label())
-                            .field("fpr", stack.fpr())
-                            .field("threshold", stack.threshold())
-                            .field("level", stack.level())
-                            .field("reputation", stack.reputation())
-                            .field("alarms", stack.alarms())
-                    }
+                match &self.admission.lock().unwrap().defense {
+                    Some(stack) => Json::obj()
+                        .field("detector", stack.detector_name())
+                        .field("kind", stack.kind_label())
+                        .field("fpr", stack.fpr())
+                        .field("threshold", stack.threshold())
+                        .field("level", stack.level())
+                        .field("reputation", stack.reputation())
+                        .field("alarms", stack.alarms()),
                     None => Json::Null,
                 },
             );
@@ -488,7 +500,7 @@ impl RecApp {
     }
 
     fn recommend(&self, user: u32, k: Option<usize>) -> AppResponse {
-        let snap = self.snapshot.read();
+        let snap = self.current();
         let generation = snap.generation();
         let k = k.unwrap_or(self.system.config().top_k);
         if !snap.knows_user(user) {
@@ -561,25 +573,26 @@ impl RecApp {
         // the queue append. Judging happens *under the lock* because
         // every verdict advances the defense stack's state — the global
         // admission order must be the judging order for wire runs to
-        // stay bit-identical to the in-process defended path. A 409 rolls the stack back to its
-        // pre-request state, so a refused request judges nothing.
+        // stay bit-identical to the in-process defended path. A 409
+        // rolls the stack back to its pre-request state, so a refused
+        // request judges nothing.
         let budget = u64::from(self.system.config().reserve_attackers);
         let offered = parsed.len() as u64;
-        let mut queue = self.admission.lock().unwrap();
-        let pending_before = queue.len() as u64;
-        let mut stack = self.defense.as_ref().map(|d| d.lock().unwrap());
-        let rollback = stack.as_ref().map(|s| s.state_bytes());
-        let detector = stack.as_ref().map_or("none", |s| s.detector_name());
-        let before = stack
+        let mut admission = self.admission.lock().unwrap();
+        let Admission { pending, defense } = &mut *admission;
+        let pending_before = pending.len() as u64;
+        let rollback = defense.as_ref().map(DefenseStack::state_bytes);
+        let detector = defense.as_ref().map_or("none", DefenseStack::detector_name);
+        let before = defense
             .as_ref()
-            .map_or(VerdictCounts::default(), |s| s.counts());
+            .map_or_else(VerdictCounts::default, DefenseStack::counts);
 
         let mut admitted: Vec<Trajectory> = Vec::with_capacity(parsed.len());
         // One verdict per trajectory, committed to the metrics plane
         // only if the whole request is admitted.
         let mut judged: Vec<Verdict> = Vec::with_capacity(parsed.len());
         for traj in parsed {
-            let verdict = match stack.as_deref_mut() {
+            let verdict = match defense.as_mut() {
                 None => Verdict::Admit,
                 Some(stack) => stack.judge(self.system.base(), &traj),
             };
@@ -589,9 +602,9 @@ impl RecApp {
             }
         }
         let tally = {
-            let after = stack
+            let after = defense
                 .as_ref()
-                .map_or(VerdictCounts::default(), |s| s.counts());
+                .map_or_else(VerdictCounts::default, DefenseStack::counts);
             VerdictCounts {
                 admitted: after.admitted - before.admitted,
                 flagged: after.flagged - before.flagged,
@@ -601,12 +614,12 @@ impl RecApp {
         };
         let would_hold = pending_before + admitted.len() as u64;
         if would_hold > budget {
-            if let (Some(stack), Some(rollback)) = (stack.as_deref_mut(), rollback.as_deref()) {
+            if let (Some(stack), Some(rollback)) = (defense.as_mut(), rollback.as_deref()) {
                 stack
                     .restore_state(rollback)
                     .expect("own state bytes round-trip");
             }
-            drop(stack);
+            drop(admission);
             let mut refused = AppResponse::error(
                 409,
                 format!(
@@ -625,10 +638,9 @@ impl RecApp {
             });
             return refused;
         }
-        drop(stack);
         let accepted = admitted.len() as u64;
-        queue.extend(admitted);
-        drop(queue);
+        pending.extend(admitted);
+        drop(admission);
 
         // Metrics are a pure side channel, so they commit after the
         // admission section: a rolled-back 409 leaves no trace, and
@@ -638,8 +650,6 @@ impl RecApp {
         for verdict in &judged {
             verdicts.add(&[detector, verdict.label()], 1);
         }
-        self.flagged_total
-            .fetch_add(tally.flagged, Ordering::Relaxed);
         if tally.flagged > 0 {
             telemetry::metrics::counter("serve_feedback_flagged_total").add(tally.flagged);
         }
@@ -695,14 +705,16 @@ impl RecApp {
     /// bit-identical to the in-process path.
     fn retrain(&self) -> AppResponse {
         let _order = self.retrain.lock().unwrap();
-        let poison = std::mem::take(&mut *self.admission.lock().unwrap());
+        let poison = std::mem::take(&mut self.admission.lock().unwrap().pending);
         let ingested = poison.len() as u64;
         let snap = self.system.retrain_snapshot(&poison);
         let generation = snap.generation();
         let seed = snap.seed();
-        let retired = self.snapshot.publish(std::sync::Arc::new(snap));
+        let old = std::mem::replace(&mut *self.snapshot.lock().unwrap(), Arc::new(snap));
+        // Released outside the snapshot lock: if no reader still holds
+        // the old generation, this frees it.
+        drop(old);
         telemetry::metrics::counter("serve_retrains_total").inc();
-        telemetry::metrics::gauge("serve_retired_snapshots").set(retired as i64);
         AppResponse::ok(
             Json::obj()
                 .field("generation", generation)
@@ -720,6 +732,7 @@ pub(crate) mod tests {
     use recsys::data::Dataset;
     use recsys::rankers::ItemPop;
     use recsys::system::SystemConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     pub(crate) fn app() -> RecApp {
         let histories = (0..40u32)
@@ -1033,6 +1046,60 @@ pub(crate) mod tests {
                 .count() as u32;
         }
         assert_eq!(rec_num, expected.rec_num);
+    }
+
+    #[test]
+    fn snapshot_cell_serves_monotone_generations_and_frees_replaced_ones() {
+        const ROUNDS: u64 = 6;
+        let app = app();
+        let user = app.system().protocol().eval_users()[0];
+        let route = Route::Recommend { user, k: None };
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut last = 0;
+                        let mut reads = 0u64;
+                        while !done.load(Ordering::Acquire) || reads == 0 {
+                            let resp = app.dispatch(&route, &[]);
+                            assert_eq!(resp.status, 200);
+                            assert!(resp.generation >= last, "generation went backwards");
+                            last = resp.generation;
+                            reads += 1;
+                        }
+                        last
+                    })
+                })
+                .collect();
+            for round in 0..ROUNDS {
+                let body = format!("{{\"trajectories\":[[{round}],[{}]]}}", round + 1);
+                assert_eq!(request(&app, "POST", "/feedback", &body).status, 200);
+                assert_eq!(app.dispatch(&Route::Retrain, &[]).status, 200);
+            }
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                assert!(reader.join().unwrap() <= ROUNDS);
+            }
+        });
+        assert_eq!(app.generation(), ROUNDS);
+
+        // A reader holding the old generation across a publish keeps
+        // reading it; the cell already serves the new one.
+        let held = app.current();
+        assert_eq!(app.dispatch(&Route::Retrain, &[]).status, 200);
+        assert_eq!(held.generation(), ROUNDS);
+        let items = held.recommend_k(app.system().protocol(), app.system().base(), user, 3);
+        assert_eq!(items.len(), 3);
+        assert_eq!(app.generation(), ROUNDS + 1);
+        drop(held);
+
+        // With no reader left, the replaced generation is freed by the
+        // publish itself.
+        let replaced = Arc::downgrade(&app.current());
+        assert_eq!(app.dispatch(&Route::Retrain, &[]).status, 200);
+        assert!(replaced.upgrade().is_none(), "replaced generation leaked");
+        assert_eq!(app.generation(), ROUNDS + 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! |---------------------------|----------------------------------------------|
 //! | `GET /recommend/{u}?k=`   | top-k list from the published snapshot       |
 //! | `POST /feedback`          | buffer trajectories (optional defense stack) |
-//! | `POST /retrain`           | drain feedback → fine-tune → atomic publish  |
+//! | `POST /retrain`           | drain feedback → fine-tune → publish         |
 //! | `GET /info`               | experimenter-side disclosure                 |
 //! | `GET /metrics`            | metrics plane: JSON, or `?format=prom` text  |
 //! |                           | (`?window=SECS` narrows windowed series)     |
@@ -27,8 +27,8 @@
 //! or the portable sweep backend where epoll is unavailable) reports
 //! readiness; the driver turns it into accepts, reads and writes, feeds
 //! their outcomes and the current time to the [`LoopCore`], and runs the
-//! actions the core returns. It answers *fast* routes (reads —
-//! lock-free snapshot pins) inline and offloads *slow* routes
+//! actions the core returns. It answers *fast* routes (reads — an
+//! `Arc` cloned from the snapshot cell) inline and offloads *slow* routes
 //! (feedback/retrain) to a fixed [`runtime::WorkerPool`] via
 //! [`runtime::WorkerPool::spawn_waking`], whose completion wakes the
 //! parked poller. Idle keep-alive connections therefore cost one

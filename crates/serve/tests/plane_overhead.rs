@@ -3,9 +3,11 @@
 //! (`telemetry::stream::set_enabled(false)`) and on, alternated over
 //! [`ROUNDS`] rounds so host noise lands on both arms. Plane-on p50 and
 //! p99 must stay within [`GATE`]× of plane-off. The per-request cost is
-//! a labeled counter bump plus two windowed records, so the real ratio
-//! is about 1.0; the gate only catches a regression that puts locks or
-//! allocation back on the hot path.
+//! a labeled counter bump (it builds its label key) plus two windowed
+//! records, each a short critical section under its ring's mutex: tens
+//! of nanoseconds against a read of tens of microseconds, so the real
+//! ratio is about 1.0. The gate catches only a record path that costs a
+//! multiple of the read itself, such as one that blocks or scans.
 //!
 //! Its own test binary: the switch is process-global, and
 //! `tests/serve_attack.rs` asserts windowed series that a disabled

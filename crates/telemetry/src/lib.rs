@@ -9,9 +9,10 @@
 //!   [`Histogram`]s of [`metrics`] and the windowed instruments of
 //!   [`stream`] (sliding-window counters and histograms, labeled
 //!   counter families with a hard cardinality cap, CUSUM drift
-//!   detectors; DESIGN.md §5i) under one name space. Recording is
-//!   lock-free atomics; the registry is locked only at registration
-//!   and snapshot time. [`metrics::snapshot`] copies every instrument
+//!   detectors; DESIGN.md §5i) under one name space. Cumulative
+//!   instruments record with lock-free atomics, windowed ones under a
+//!   per-ring mutex; the registry is locked only at registration and
+//!   snapshot time. [`metrics::snapshot`] copies every instrument
 //!   into one [`Snapshot`], which renders as the `/metrics` JSON
 //!   document ([`Snapshot::to_json`]) or as Prometheus text
 //!   ([`prom::render`], checked by `src/bin/validate_prom.rs`).

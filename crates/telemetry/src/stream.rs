@@ -5,11 +5,10 @@
 //! since process start"; these answer "what is happening *right now*".
 //! Both kinds live in the one [`crate::metrics::Registry`] under one
 //! name space, and the free functions below register into its
-//! [`global`] instance. Every instrument here is built from the same
-//! primitives as the cumulative ones — fixed-size atomics, no
-//! allocation on the record path — so the serve event loop can record
-//! into it without taking a lock or touching the heap. They are gated
-//! by the plane's own kill switch, [`set_enabled`].
+//! [`global`] instance. A windowed record takes its ring's mutex for a
+//! few integer adds and never allocates; a [`CounterFamily`] record
+//! also builds its label key. They are gated by the plane's own kill
+//! switch, [`set_enabled`].
 //!
 //! # Window mechanics
 //!
@@ -21,30 +20,13 @@
 //! time a sample for a newer index claims it; there is no background
 //! ticker thread.
 //!
-//! ## Rotation protocol (lock-free, torn-write-free)
-//!
-//! Each slot carries a `tag` (`AtomicU64`) identifying which bucket
-//! index currently owns it, plus an `active` recorder refcount:
-//!
-//! * `TAG_EMPTY`     — slot has never been used
-//! * `TAG_RESETTING` — a rotator is zeroing the slot
-//! * `idx + TAG_BASE` — slot holds data for bucket index `idx`
-//!
-//! Recorder: `active.fetch_add(1)` → load `tag` → if it matches the
-//! wanted index, add the sample and release `active` (committed). If the
-//! slot still belongs to an older index, the recorder parks the tag at
-//! `TAG_RESETTING` (CAS), waits for in-flight recorders to drain
-//! (`active == 1`, itself), zeroes the slot, then publishes the new tag
-//! with `Release` ordering. A recorder that finds a *newer* tag is late
-//! — its bucket already rotated out — and gives up, counted in `stale`.
-//! Because the rotator waits out every in-flight `active` guard before
-//! zeroing, a slot can never be zeroed underneath a half-finished add:
-//! either the add committed entirely before the wipe, or the recorder
-//! observed `TAG_RESETTING`/a newer tag and never touched the counters.
-//!
-//! Reads (`WindowView`) are racy-but-consistent-enough snapshots: each
-//! slot is skipped unless its tag still names an index inside the
-//! requested window at load time.
+//! The whole ring sits behind one mutex: a record locks it, finds its
+//! slot, rotates the slot if it still holds an older index, and adds.
+//! A record whose slot already holds a *newer* index is late (its
+//! bucket rotated out of the ring) and is dropped, counted in `stale`.
+//! So every record either commits whole or is rejected, and a read
+//! (`WindowView`) sums the slots whose index lies inside the requested
+//! window under the same lock.
 //!
 //! # Cardinality
 //!
@@ -60,13 +42,6 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use crate::metrics::{global, quantile_from_buckets};
-
-/// Slot tag for "never used".
-const TAG_EMPTY: u64 = 0;
-/// Slot tag while a rotator is zeroing the slot.
-const TAG_RESETTING: u64 = 1;
-/// Offset added to a bucket index to form its slot tag.
-const TAG_BASE: u64 = 2;
 
 /// Default label-set cap for [`CounterFamily`].
 pub const DEFAULT_FAMILY_CAP: usize = 64;
@@ -113,11 +88,6 @@ impl WindowSpec {
         }
     }
 
-    /// Total span of the window in seconds.
-    pub fn span_secs(&self) -> f64 {
-        (self.bucket_millis as f64 / 1000.0) * self.buckets as f64
-    }
-
     fn bucket_index(&self, millis: u64) -> u64 {
         millis / self.bucket_millis.max(1)
     }
@@ -126,117 +96,72 @@ impl WindowSpec {
 /// 60 one-second buckets: quantiles/rates over the last minute.
 pub const DEFAULT_WINDOW: WindowSpec = WindowSpec::new(1000, 60);
 
-/// One ring slot: a tag naming the owning bucket index, an in-flight
-/// recorder refcount, and the slot's counters (count, sum-bits, and one
-/// cell per histogram bound; counters-only instruments use none).
+/// One ring slot: the bucket index that owns it (`None` until first
+/// used) and its counters (count, sum, and one cell per histogram
+/// bound; counters-only instruments use none).
 struct Slot {
-    tag: AtomicU64,
-    active: AtomicU64,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    cells: Vec<AtomicU64>,
-}
-
-impl Slot {
-    fn new(cells: usize) -> Self {
-        Self {
-            tag: AtomicU64::new(TAG_EMPTY),
-            active: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
-            cells: (0..cells).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn zero(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0, Ordering::Relaxed);
-        for c in &self.cells {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
+    idx: Option<u64>,
+    count: u64,
+    sum: f64,
+    cells: Vec<u64>,
 }
 
 /// Fixed ring of slots shared by windowed counters and histograms.
 struct Ring {
     spec: WindowSpec,
-    slots: Vec<Slot>,
+    slots: Mutex<Vec<Slot>>,
     /// Records that arrived for a bucket index already rotated out.
     stale: AtomicU64,
 }
 
-enum Claim<'a> {
-    /// Slot is tagged for our index; `active` guard is held.
-    Ready(&'a Slot),
-    /// Our bucket already rotated out of the ring.
-    Stale,
-}
-
 impl Ring {
     fn new(spec: WindowSpec, cells: usize) -> Self {
-        let slots = (0..spec.buckets.max(1)).map(|_| Slot::new(cells)).collect();
+        let slots = (0..spec.buckets.max(1))
+            .map(|_| Slot {
+                idx: None,
+                count: 0,
+                sum: 0.0,
+                cells: vec![0; cells],
+            })
+            .collect();
         Self {
             spec,
-            slots,
+            slots: Mutex::new(slots),
             stale: AtomicU64::new(0),
         }
     }
 
-    /// Claim the slot for bucket index `idx`, rotating it if it still
-    /// holds an older bucket. On `Ready`, the caller MUST add its sample
-    /// and then `release` the slot.
-    fn claim(&self, idx: u64) -> Claim<'_> {
-        let want = idx + TAG_BASE;
-        let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
-        loop {
-            slot.active.fetch_add(1, Ordering::AcqRel);
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag == want {
-                return Claim::Ready(slot);
-            }
-            slot.active.fetch_sub(1, Ordering::AcqRel);
-            if tag == TAG_RESETTING {
-                std::hint::spin_loop();
-                continue;
-            }
-            if tag > want {
-                // A newer bucket owns this slot: our sample is older
-                // than the whole ring. Drop it, visibly.
+    /// Runs `add` on the slot for bucket index `idx`, rotating the slot
+    /// first if it still holds an older bucket. Returns `false`, and
+    /// counts the record stale, if a newer bucket owns the slot.
+    fn record(&self, idx: u64, add: impl FnOnce(&mut Slot)) -> bool {
+        let mut slots = self.slots.lock().unwrap();
+        let n = slots.len() as u64;
+        let slot = &mut slots[(idx % n) as usize];
+        match slot.idx {
+            Some(owner) if owner > idx => {
+                // Our sample is older than the whole ring. Drop it,
+                // visibly.
                 self.stale.fetch_add(1, Ordering::Relaxed);
-                return Claim::Stale;
+                return false;
             }
-            // Older bucket (or empty): try to become the rotator.
-            if slot
-                .tag
-                .compare_exchange(tag, TAG_RESETTING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Wait out in-flight recorders of the old bucket, then
-                // zero and publish the new tag.
-                while slot.active.load(Ordering::Acquire) != 0 {
-                    std::hint::spin_loop();
-                }
-                slot.zero();
-                slot.tag.store(want, Ordering::Release);
+            Some(owner) if owner == idx => {}
+            _ => {
+                slot.idx = Some(idx);
+                slot.count = 0;
+                slot.sum = 0.0;
+                slot.cells.fill(0);
             }
-            // Lost the race (or finished rotating): retry the claim.
         }
+        add(slot);
+        true
     }
 
-    fn release(slot: &Slot) {
-        slot.active.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Visit every slot whose tag still names a bucket index in
-    /// `[from_idx, to_idx]` at load time.
+    /// Visit every slot that holds a bucket index in
+    /// `[from_idx, to_idx]`.
     fn visit_window(&self, from_idx: u64, to_idx: u64, mut f: impl FnMut(&Slot)) {
-        for slot in &self.slots {
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag < TAG_BASE {
-                continue;
-            }
-            let idx = tag - TAG_BASE;
-            if idx >= from_idx && idx <= to_idx {
+        for slot in self.slots.lock().unwrap().iter() {
+            if slot.idx.is_some_and(|idx| idx >= from_idx && idx <= to_idx) {
                 f(slot);
             }
         }
@@ -313,14 +238,7 @@ impl WindowedCounter {
     /// Deterministic hook: count `n` events in explicit bucket `idx`.
     #[doc(hidden)]
     pub fn add_at(&self, idx: u64, n: u64) -> bool {
-        match self.ring.claim(idx) {
-            Claim::Ready(slot) => {
-                slot.count.fetch_add(n, Ordering::Relaxed);
-                Ring::release(slot);
-                true
-            }
-            Claim::Stale => false,
-        }
+        self.ring.record(idx, |slot| slot.count += n)
     }
 
     pub fn window(&self) -> WindowView {
@@ -347,7 +265,7 @@ impl WindowedCounter {
         let from = to_idx.saturating_sub(span.saturating_sub(1) as u64);
         let mut count = 0u64;
         self.ring.visit_window(from, to_idx, |slot| {
-            count += slot.count.load(Ordering::Relaxed);
+            count += slot.count;
         });
         WindowView {
             window_secs: (spec.bucket_millis as f64 / 1000.0) * span as f64,
@@ -425,35 +343,16 @@ impl WindowedHistogram {
             self.nan_count.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        match self.ring.claim(idx) {
-            Claim::Ready(slot) => {
-                let cell = self
-                    .bounds
-                    .iter()
-                    .position(|&b| value <= b)
-                    .unwrap_or(self.bounds.len());
-                slot.cells[cell].fetch_add(1, Ordering::Relaxed);
-                slot.count.fetch_add(1, Ordering::Relaxed);
-                // CAS f64-bits accumulate, same discipline as the
-                // cumulative histogram's sum.
-                let mut cur = slot.sum_bits.load(Ordering::Relaxed);
-                loop {
-                    let next = f64::from_bits(cur) + value;
-                    match slot.sum_bits.compare_exchange_weak(
-                        cur,
-                        next.to_bits(),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-                Ring::release(slot);
-                true
-            }
-            Claim::Stale => false,
-        }
+        let cell = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.ring.record(idx, |slot| {
+            slot.cells[cell] += 1;
+            slot.count += 1;
+            slot.sum += value;
+        })
     }
 
     pub fn window(&self) -> WindowView {
@@ -481,10 +380,10 @@ impl WindowedHistogram {
         let mut sum = 0.0f64;
         let mut merged = vec![0u64; self.bounds.len() + 1];
         self.ring.visit_window(from, to_idx, |slot| {
-            count += slot.count.load(Ordering::Relaxed);
-            sum += f64::from_bits(slot.sum_bits.load(Ordering::Relaxed));
+            count += slot.count;
+            sum += slot.sum;
             for (m, c) in merged.iter_mut().zip(&slot.cells) {
-                *m += c.load(Ordering::Relaxed);
+                *m += c;
             }
         });
         let mut buckets: Vec<(f64, u64)> = self
@@ -774,18 +673,13 @@ impl CounterFamily {
     }
 
     fn series_for(&self, values: &[&str]) -> Arc<LabeledSeries> {
-        {
-            let map = self.series.read().unwrap();
-            // Allocation-free probe would need a borrowed key; a Vec
-            // probe only allocates on the first sighting of a label set
-            // because the hit path below returns the existing Arc.
-            let key: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-            if let Some(s) = map.get(&key) {
-                return Arc::clone(s);
-            }
+        // A `Vec<String>`-keyed map cannot be probed with `&[&str]`, so
+        // every call builds an owned key, hit or miss.
+        let key: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+        if let Some(s) = self.series.read().unwrap().get(&key) {
+            return Arc::clone(s);
         }
         let mut map = self.series.write().unwrap();
-        let key: Vec<String> = values.iter().map(|v| v.to_string()).collect();
         if let Some(s) = map.get(&key) {
             return Arc::clone(s);
         }
@@ -901,6 +795,34 @@ mod tests {
         }
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(view.quantile(q), cumulative.quantile(q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn concurrent_histogram_records_commit_whole() {
+        // Racing recorders across rotations. No record for the last
+        // four buckets can be stale (nothing newer is ever recorded),
+        // and each committed record adds to its slot's count, one cell
+        // and the sum together.
+        let h = WindowedHistogram::new(WindowSpec::new(1000, 4), &[1.0, 2.0]);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let h = &h;
+                scope.spawn(move || {
+                    for idx in 0..32 {
+                        for _ in 0..50 {
+                            h.record_at(idx, 0.5 + f64::from(t % 2));
+                        }
+                    }
+                });
+            }
+        });
+        for idx in 28..32 {
+            let view = h.window_span(idx, 1);
+            assert_eq!(view.count, 200, "bucket {idx}");
+            let cells: Vec<u64> = view.buckets.iter().map(|&(_, n)| n).collect();
+            assert_eq!(cells, [100, 100, 0]);
+            assert_eq!(view.sum, 0.5 * 100.0 + 1.5 * 100.0);
         }
     }
 

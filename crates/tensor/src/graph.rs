@@ -294,11 +294,6 @@ impl GraphArena {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Buffers currently parked in the arena (diagnostics/tests).
-    pub fn pooled_buffers(&self) -> usize {
-        self.pool.held
-    }
 }
 
 /// One node's pending gradient during the backward sweep.
